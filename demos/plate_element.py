@@ -1,8 +1,9 @@
 """Anatomy of the 12-DOF plate bending element on one skew quadrilateral.
 
 Shows the subarea weights that average the center deflection, the
-stiffness/mass/load triple, and the sanity properties a bending element
-must have: symmetry, a rigid-translation nullvector, and exact total mass.
+stiffness and mass, the consistent load of a unit pressure, and the
+sanity properties a bending element must have: symmetry, a
+rigid-translation nullvector, and exact total mass.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from quadplate import (
     PlateMaterial,
     QuadGeometry,
     build_scheme,
+    element_load,
     element_matrices,
     gauss_rule,
     subarea_weights,
@@ -36,7 +38,7 @@ def main():
     print("  nodal deflections into the center deflection of the element.")
     print()
 
-    em = element_matrices(scheme, material, rule, qbar=1.0)
+    em = element_matrices(scheme, material, rule)
     print(f"stiffness: 12x12, symmetry residual "
           f"{np.abs(em.k - em.k.T).max():.2e}")
     translation = np.zeros(12)
@@ -54,10 +56,11 @@ def main():
           f"{np.linalg.eigvalsh(em.m).max():.2e}]")
     print()
 
+    load = element_load(scheme, rule, 1.0, weights)
     print(f"unit-pressure load vector (deflection components): "
-          f"{np.round(em.f[U_DOFS], 6)}")
+          f"{np.round(load[U_DOFS], 6)}")
     print(f"  they sum to the plate area {quad.signed_area:.6f}: "
-          f"{em.f[U_DOFS].sum():.6f}")
+          f"{load[U_DOFS].sum():.6f}")
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import copy
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,6 @@ _ANALYSIS_DEFAULTS = {
     "modes": 6,
     "normalization": "plain",
     "rotary": False,
-    "workers": 1,
     "mode_shapes": False,
 }
 
@@ -227,6 +227,9 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
         )
     except KeyError as exc:
         raise InvalidCaseError(f"material block misses {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidCaseError(f"material value is not a number: {exc}") \
+            from exc
 
     geometry = raw.get("geometry")
     if not isinstance(geometry, dict):
@@ -235,6 +238,12 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
     if len(sources) != 1:
         raise InvalidCaseError(
             f"geometry needs exactly one of quad/triangle/mesh, got {sources}"
+        )
+    block = geometry[sources[0]]
+    required = ("nodes", "elements") if sources[0] == "mesh" else ("vertices",)
+    if not isinstance(block, dict) or not all(key in block for key in required):
+        raise InvalidCaseError(
+            f"{sources[0]} block needs {' and '.join(required)}"
         )
 
     analysis = dict(_ANALYSIS_DEFAULTS)
@@ -247,16 +256,26 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
         raise InvalidCaseError(
             f"unknown normalization {analysis['normalization']!r}"
         )
-    analysis["gauss"] = int(analysis["gauss"])
-    analysis["modes"] = int(analysis["modes"])
-    analysis["workers"] = int(analysis["workers"])
+    if "workers" in analysis:
+        del analysis["workers"]
+        warnings.warn("'workers' is deprecated and ignored; element "
+                      "matrices are computed serially", FutureWarning,
+                      stacklevel=2)
+    try:
+        analysis["gauss"] = int(analysis["gauss"])
+        analysis["modes"] = int(analysis["modes"])
+        reference_length = float(geometry.get("reference_length", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise InvalidCaseError(
+            f"gauss, modes and reference_length must be numbers: {exc}"
+        ) from exc
 
     return CaseFile(
         name=str(raw.get("name", "case")),
         material=material,
         geometry=copy.deepcopy(geometry),
         analysis=analysis,
-        reference_length=float(geometry.get("reference_length", 1.0)),
+        reference_length=reference_length,
     )
 
 
@@ -555,10 +574,8 @@ def run_modal(case: CaseFile) -> Report:
     mesh_meta = []
     shape_entries = []
     for label, mesh in case_meshes(case):
-        system = assemble(
-            mesh, case.material, scheme=analysis["scheme"], rule=rule,
-            rotary=analysis["rotary"], workers=analysis["workers"],
-        )
+        system = assemble(mesh, case.material, rule=rule,
+                          rotary=analysis["rotary"])
         reduced = apply_bcs(system, mesh)
         spectrum = solve_modes(reduced, min(analysis["modes"], reduced.n_dofs))
         plain = frequency_parameter(spectrum.omega, a, case.material, "plain")
@@ -584,8 +601,7 @@ def run_modal(case: CaseFile) -> Report:
                     "mesh": label,
                     "mode": mode + 1,
                     "points": mode_shape_samples(
-                        mesh, case.material, analysis["scheme"], rule,
-                        reduced, spectrum.modes[:, mode],
+                        mesh, rule, reduced, spectrum.modes[:, mode],
                     ),
                 })
     tables = {"rows": rows, "meshes": mesh_meta}
@@ -610,6 +626,9 @@ def run_compare(case: CaseFile, schemes=("bilinear", "pascal6")) -> Report:
     """Run modal under two schemes and tabulate the per-mode differences."""
     if len(schemes) != 2:
         raise InvalidCaseError("compare needs exactly two schemes")
+    for kind in schemes:
+        if kind not in SCHEME_KINDS:
+            raise InvalidCaseError(f"unknown scheme {kind!r}")
     reports = {}
     for kind in schemes:
         sub = copy.deepcopy(case)

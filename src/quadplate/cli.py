@@ -41,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser, modal: bool = False):
         parser.add_argument("--rotary", action="store_true", default=None,
                             help="include rotary inertia in the mass matrix")
         parser.add_argument("--workers", type=int, default=None, metavar="N",
-                            help="threads for element matrix computation")
+                            help="deprecated, ignored")
         parser.add_argument("--shapes", action="store_true",
                             help="sample mode shapes for plot output")
 

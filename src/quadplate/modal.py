@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ from .mapping import (
     QuadGeometry,
     bilinear_params,
     build_scheme,
-    jacobian,
 )
 from .plate_element import (
     PlateMaterial,
@@ -77,7 +75,7 @@ class Mesh:
 
 @dataclass(frozen=True, eq=False)
 class GlobalSystem:
-    """Assembled (or constrained) stiffness/mass/load.
+    """Assembled (or constrained) stiffness/mass.
 
     ``dof_map[node]`` holds the three global indices of that node's
     (u, phi1, phi2), with -1 for eliminated DOFs.
@@ -85,7 +83,6 @@ class GlobalSystem:
 
     k: np.ndarray
     m: np.ndarray
-    load: np.ndarray
     dof_map: np.ndarray
 
     @property
@@ -174,55 +171,38 @@ def _element_transform(scheme: MappingScheme) -> np.ndarray:
     return t
 
 
-def _element_system(mesh: Mesh, index: int, material: PlateMaterial,
-                    scheme_kind: str, rule: GaussRule, rotary: bool,
-                    qbar: float):
-    conn = mesh.elements[index]
+def _element_system(vertices: np.ndarray, material: PlateMaterial,
+                    rule: GaussRule, rotary: bool):
     # collapsed-edge (triangle) elements are legal here; the mesh was
     # validated up front
-    quad = QuadGeometry(mesh.nodes[conn], allow_collapsed=True)
-    scheme = build_scheme(quad, scheme_kind)
-    em = element_matrices(scheme, material, rule, qbar=qbar, rotary=rotary)
+    quad = QuadGeometry(vertices, allow_collapsed=True)
+    # mesh elements have straight edges, where every scheme yields the
+    # bilinear transformation, so K and M need no other scheme
+    scheme = build_scheme(quad, "bilinear")
+    em = element_matrices(scheme, material, rule, rotary=rotary)
     t = _element_transform(scheme)
-    return t.T @ em.k @ t, t.T @ em.m @ t, t.T @ em.f
+    return t.T @ em.k @ t, t.T @ em.m @ t
 
 
-def assemble(mesh: Mesh, material: PlateMaterial, scheme: str = "pascal6",
-             rule: GaussRule | None = None, rotary: bool = False,
-             qbar: float = 0.0, workers: int = 1) -> GlobalSystem:
-    """Assemble global stiffness, mass and load over all elements.
-
-    Element matrices may be computed concurrently (``workers`` > 1); the
-    scatter-add runs serially in element order either way, so the result
-    is independent of scheduling.
-    """
+def assemble(mesh: Mesh, material: PlateMaterial,
+             rule: GaussRule | None = None,
+             rotary: bool = False) -> GlobalSystem:
+    """Assemble global stiffness and mass over all elements."""
     if rule is None:
         rule = gauss_rule(3)
     _validate_mesh(mesh)
     ndof = 3 * mesh.n_nodes
     k = np.zeros((ndof, ndof))
     m = np.zeros((ndof, ndof))
-    f = np.zeros(ndof)
-
-    def one(index):
-        return _element_system(mesh, index, material, scheme, rule, rotary, qbar)
-
-    indices = range(mesh.n_elements)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(i) for i in indices]
-
-    for conn, (ke, me, fe) in zip(mesh.elements, results):
+    for conn in mesh.elements:
+        ke, me = _element_system(mesh.nodes[conn], material, rule, rotary)
         dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2] for n in conn])
         # accumulating add: collapsed-edge elements carry a repeated node
         np.add.at(k, np.ix_(dofs, dofs), ke)
         np.add.at(m, np.ix_(dofs, dofs), me)
-        np.add.at(f, dofs, fe)
 
     dof_map = np.arange(ndof).reshape(mesh.n_nodes, 3)
-    return GlobalSystem(k=k, m=m, load=f, dof_map=dof_map)
+    return GlobalSystem(k=k, m=m, dof_map=dof_map)
 
 
 def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
@@ -259,9 +239,7 @@ def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
     new_index[kept] = np.arange(kept.size)
     dof_map = new_index[system.dof_map]
     ix = np.ix_(kept, kept)
-    return GlobalSystem(
-        k=system.k[ix], m=system.m[ix], load=system.load[kept], dof_map=dof_map
-    )
+    return GlobalSystem(k=system.k[ix], m=system.m[ix], dof_map=dof_map)
 
 
 def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
@@ -353,12 +331,10 @@ def frequency_parameter(omega, a: float, material: PlateMaterial,
 
 
 def modal_analysis(mesh: Mesh, material: PlateMaterial,
-                   scheme: str = "pascal6", rule: GaussRule | None = None,
-                   count: int = 6, rotary: bool = False,
-                   workers: int = 1) -> ModalSpectrum:
+                   rule: GaussRule | None = None, count: int = 6,
+                   rotary: bool = False) -> ModalSpectrum:
     """Assemble, constrain and solve a mesh in one call."""
-    system = assemble(mesh, material, scheme=scheme, rule=rule,
-                      rotary=rotary, workers=workers)
+    system = assemble(mesh, material, rule=rule, rotary=rotary)
     reduced = apply_bcs(system, mesh)
     return solve_modes(reduced, count)
 
@@ -472,8 +448,7 @@ def nodes_on_segment(mesh: Mesh, p0, p1, tol: float | None = None) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(dist <= tol))
 
 
-def mode_shape_samples(mesh: Mesh, material: PlateMaterial, scheme_kind: str,
-                       rule: GaussRule, system: GlobalSystem,
+def mode_shape_samples(mesh: Mesh, rule: GaussRule, system: GlobalSystem,
                        mode: np.ndarray, grid: int = 5) -> list:
     """Sample one mode's deflection on a per-element natural grid.
 
@@ -487,7 +462,7 @@ def mode_shape_samples(mesh: Mesh, material: PlateMaterial, scheme_kind: str,
     samples = []
     for conn in mesh.elements:
         quad = QuadGeometry(mesh.nodes[conn], allow_collapsed=True)
-        scheme = build_scheme(quad, scheme_kind)
+        scheme = build_scheme(quad, "bilinear")
         weights = subarea_weights(scheme, rule)
         t = _element_transform(scheme)
         dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2] for n in conn])

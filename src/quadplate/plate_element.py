@@ -21,6 +21,7 @@ pushed through the inverse Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,9 @@ class PlateMaterial:
     rho: float
 
     def __post_init__(self):
+        for name in ("E", "nu", "t", "rho"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"material {name} must be finite")
         if self.E <= 0.0:
             raise ValidationError("elastic modulus must be positive")
         if not 0.0 <= self.nu < 0.5:
@@ -84,11 +88,10 @@ class SubareaWeights:
 
 @dataclass(frozen=True, eq=False)
 class ElementMatrices:
-    """Stiffness, mass and load of one element, natural-frame DOFs."""
+    """Stiffness and mass of one element, natural-frame DOFs."""
 
     k: np.ndarray
     m: np.ndarray
-    f: np.ndarray
 
 
 def _hermite(t: float, direction: int):
@@ -345,15 +348,11 @@ def element_load(scheme: MappingScheme, rule: GaussRule, qbar: float,
 
 
 def element_matrices(scheme: MappingScheme, material: PlateMaterial,
-                     rule: GaussRule, qbar: float = 0.0,
-                     rotary: bool = False) -> ElementMatrices:
-    """Stiffness, mass and load of one element, sharing one subarea
-    computation."""
-    weights = subarea_weights(scheme, rule)
+                     rule: GaussRule, rotary: bool = False) -> ElementMatrices:
+    """Stiffness and mass of one element."""
     return ElementMatrices(
         k=element_stiffness(scheme, material, rule),
-        m=element_mass(scheme, material, rule, rotary=rotary, weights=weights),
-        f=element_load(scheme, rule, qbar, weights=weights),
+        m=element_mass(scheme, material, rule, rotary=rotary),
     )
 
 

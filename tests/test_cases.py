@@ -153,7 +153,6 @@ class TestModalReports:
         case = load_case("clamped-quad")
         case.geometry["quad"]["meshes"] = [[2, 2], [4, 4]]
         case.analysis["modes"] = 3
-        case.analysis["workers"] = 2
         first = run_modal(case).to_csv()
         second = run_modal(case).to_csv()
         assert first == second
@@ -214,7 +213,7 @@ class TestModalReports:
         case.analysis["modes"] = 3
         report = run_compare(case, schemes=("bilinear", "pascal6"))
         for row in report.tables["rows"]:
-            assert row["rel_diff"] <= 1e-8
+            assert row["rel_diff"] == 0.0
         csv = report.to_csv()
         assert csv.startswith("mesh,mode,param_bilinear,param_pascal6,")
 
@@ -255,6 +254,40 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["modal", "--case", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["analysis"].update(gauss="abc"),
+        lambda doc: doc["material"].update(E="x"),
+        lambda doc: doc["material"].update(E=float("nan")),
+        lambda doc: doc["geometry"]["quad"].pop("vertices"),
+    ], ids=["gauss-text", "E-text", "E-nan", "quad-without-vertices"])
+    def test_invalid_case_values_exit_two(self, tmp_path, capsys, edit):
+        doc = {
+            "material": {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0},
+            "geometry": {"quad": {"vertices": [[0, 0], [1, 0], [1, 1],
+                                               [0, 1]],
+                                  "meshes": [[2, 2]],
+                                  "clamped_edges": [0, 1, 2, 3]}},
+            "analysis": {"modes": 1},
+        }
+        edit(doc)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        assert main(["modal", "--case", str(path)]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_workers_flag_is_a_deprecated_no_op(self, capsys):
+        argv = ["modal", "--case", "clamped-quad", "--modes", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        with pytest.warns(FutureWarning, match="deprecated"):
+            assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out.encode() == plain.encode()
+
+    def test_compare_unknown_scheme_exit_two(self, capsys):
+        assert main(["compare", "--case", "clamped-quad",
+                     "--schemes", "bilinear,quartic"]) == 2
+        assert "unknown scheme" in capsys.readouterr().err
 
     def test_compare_verb(self, capsys):
         code = main(["compare", "--case", "clamped-quad", "--modes", "2",
