@@ -13,7 +13,6 @@ import copy
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,21 +245,25 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
             f"{sources[0]} block needs {' and '.join(required)}"
         )
 
+    given = raw.get("analysis", {})
+    if not isinstance(given, dict):
+        raise InvalidCaseError("analysis block must be a JSON object")
+    unknown = sorted(set(given) - set(_ANALYSIS_DEFAULTS))
+    if unknown:
+        raise InvalidCaseError(f"unknown analysis keys {unknown}")
     analysis = dict(_ANALYSIS_DEFAULTS)
-    analysis.update(raw.get("analysis") or {})
+    analysis.update(given)
     if overrides:
         analysis.update({k: v for k, v in overrides.items() if v is not None})
+    for key in ("rotary", "mode_shapes"):
+        if not isinstance(analysis[key], bool):
+            raise InvalidCaseError(f"{key} must be true or false")
     if analysis["scheme"] not in SCHEME_KINDS + ("all",):
         raise InvalidCaseError(f"unknown scheme {analysis['scheme']!r}")
     if analysis["normalization"] not in ("plain", "per_pi2"):
         raise InvalidCaseError(
             f"unknown normalization {analysis['normalization']!r}"
         )
-    if "workers" in analysis:
-        del analysis["workers"]
-        warnings.warn("'workers' is deprecated and ignored; element "
-                      "matrices are computed serially", FutureWarning,
-                      stacklevel=2)
     try:
         analysis["gauss"] = int(analysis["gauss"])
         analysis["modes"] = int(analysis["modes"])
@@ -300,38 +303,43 @@ def _attach_boundary_sets(mesh: Mesh, polygon: np.ndarray, block: dict):
 
 
 def case_meshes(case: CaseFile) -> list:
-    """Materialize the case geometry into labelled meshes."""
+    """Materialize the case geometry into labelled meshes; malformed
+    contents raise ``InvalidCaseError``."""
     geometry = case.geometry
-    if "quad" in geometry:
-        block = geometry["quad"]
-        vertices = np.asarray(block["vertices"], dtype=float)
-        out = []
-        for m, n in block.get("meshes", [[1, 1]]):
-            mesh = mesh_quad(vertices, int(m), int(n))
-            _attach_boundary_sets(mesh, vertices, block)
-            out.append((f"{int(m)}x{int(n)}", mesh))
-        return out
-    if "triangle" in geometry:
-        block = geometry["triangle"]
-        vertices = np.asarray(block["vertices"], dtype=float)
-        out = []
-        for level in block.get("levels", [1]):
-            mesh = mesh_triangle(vertices, int(level))
-            _attach_boundary_sets(mesh, vertices, block)
-            out.append((f"{3 * int(level) ** 2}-elements", mesh))
-        return out
-    block = geometry["mesh"]
-    boundary = {
-        name: BoundarySet(condition=entry["condition"],
-                          nodes=tuple(entry["nodes"]))
-        for name, entry in (block.get("boundary_sets") or {}).items()
-    }
-    mesh = Mesh(
-        nodes=np.asarray(block["nodes"], dtype=float),
-        elements=np.asarray(block["elements"], dtype=int),
-        boundary_sets=boundary,
-    )
-    return [("mesh", mesh)]
+    try:
+        if "quad" in geometry:
+            block = geometry["quad"]
+            vertices = np.asarray(block["vertices"], dtype=float)
+            out = []
+            for m, n in block.get("meshes", [[1, 1]]):
+                mesh = mesh_quad(vertices, int(m), int(n))
+                _attach_boundary_sets(mesh, vertices, block)
+                out.append((f"{int(m)}x{int(n)}", mesh))
+            return out
+        if "triangle" in geometry:
+            block = geometry["triangle"]
+            vertices = np.asarray(block["vertices"], dtype=float)
+            out = []
+            for level in block.get("levels", [1]):
+                mesh = mesh_triangle(vertices, int(level))
+                _attach_boundary_sets(mesh, vertices, block)
+                out.append((f"{3 * int(level) ** 2}-elements", mesh))
+            return out
+        block = geometry["mesh"]
+        boundary = {
+            name: BoundarySet(condition=entry["condition"],
+                              nodes=tuple(entry["nodes"]))
+            for name, entry in (block.get("boundary_sets") or {}).items()
+        }
+        mesh = Mesh(
+            nodes=np.asarray(block["nodes"], dtype=float),
+            elements=np.asarray(block["elements"], dtype=int),
+            boundary_sets=boundary,
+        )
+        return [("mesh", mesh)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidCaseError(f"malformed geometry block: {exc!r}") \
+            from exc
 
 
 def _single_quad(case: CaseFile) -> QuadGeometry:
@@ -596,14 +604,11 @@ def run_modal(case: CaseFile) -> Report:
                 "param_per_pi2": float(per[mode]),
             })
         if analysis["mode_shapes"]:
-            for mode in range(spectrum.omega.size):
-                shape_entries.append({
-                    "mesh": label,
-                    "mode": mode + 1,
-                    "points": mode_shape_samples(
-                        mesh, rule, reduced, spectrum.modes[:, mode],
-                    ),
-                })
+            samples = mode_shape_samples(mesh, rule, reduced, spectrum.modes)
+            shape_entries += [
+                {"mesh": label, "mode": mode + 1, "points": points}
+                for mode, points in enumerate(samples)
+            ]
     tables = {"rows": rows, "meshes": mesh_meta}
     if shape_entries:
         tables["mode_shapes"] = shape_entries

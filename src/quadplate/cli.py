@@ -40,8 +40,6 @@ def _add_common(parser: argparse.ArgumentParser, modal: bool = False):
                             choices=["plain", "per_pi2"])
         parser.add_argument("--rotary", action="store_true", default=None,
                             help="include rotary inertia in the mass matrix")
-        parser.add_argument("--workers", type=int, default=None, metavar="N",
-                            help="deprecated, ignored")
         parser.add_argument("--shapes", action="store_true",
                             help="sample mode shapes for plot output")
 
@@ -53,7 +51,6 @@ def _overrides(args, modal: bool) -> dict:
             "modes": args.modes,
             "normalization": args.normalization,
             "rotary": args.rotary,
-            "workers": args.workers,
             "mode_shapes": True if args.shapes else None,
         })
     return overrides

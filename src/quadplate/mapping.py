@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -102,11 +102,13 @@ class QuadGeometry:
     vertices) is rejected.  ``allow_collapsed=True`` additionally accepts
     exactly one coincident *adjacent* pair: a triangle represented as a
     quad with one collapsed edge, used by the triangle mesh generator for
-    tip elements.
+    tip elements.  ``diameter`` is the largest distance between two
+    vertices, computed once at construction.
     """
 
     vertices: np.ndarray
     allow_collapsed: InitVar[bool] = False
+    diameter: float = field(init=False)
 
     def __post_init__(self, allow_collapsed=False):
         v = np.array(self.vertices, dtype=float)
@@ -144,6 +146,7 @@ class QuadGeometry:
             raise DegenerateGeometryError("quadrilateral has (near-)zero area")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "diameter", diam)
 
     @property
     def signed_area(self) -> float:
@@ -153,10 +156,6 @@ class QuadGeometry:
     def centroid(self) -> np.ndarray:
         """Arithmetic mean of the vertices (the mapped image of (0, 0))."""
         return self.vertices.mean(axis=0)
-
-    @property
-    def diameter(self) -> float:
-        return _diameter(self.vertices)
 
 
 def _diameter(v: np.ndarray) -> float:

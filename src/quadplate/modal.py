@@ -171,17 +171,17 @@ def _element_transform(scheme: MappingScheme) -> np.ndarray:
     return t
 
 
-def _element_system(vertices: np.ndarray, material: PlateMaterial,
-                    rule: GaussRule, rotary: bool):
+def _element_frame(mesh: Mesh, conn):
+    """Bilinear scheme, corner transform and global DOF indices of one
+    mesh element."""
     # collapsed-edge (triangle) elements are legal here; the mesh was
     # validated up front
-    quad = QuadGeometry(vertices, allow_collapsed=True)
+    quad = QuadGeometry(mesh.nodes[conn], allow_collapsed=True)
     # mesh elements have straight edges, where every scheme yields the
     # bilinear transformation, so K and M need no other scheme
     scheme = build_scheme(quad, "bilinear")
-    em = element_matrices(scheme, material, rule, rotary=rotary)
-    t = _element_transform(scheme)
-    return t.T @ em.k @ t, t.T @ em.m @ t
+    dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2] for n in conn])
+    return scheme, _element_transform(scheme), dofs
 
 
 def assemble(mesh: Mesh, material: PlateMaterial,
@@ -195,11 +195,11 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     k = np.zeros((ndof, ndof))
     m = np.zeros((ndof, ndof))
     for conn in mesh.elements:
-        ke, me = _element_system(mesh.nodes[conn], material, rule, rotary)
-        dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2] for n in conn])
+        scheme, t, dofs = _element_frame(mesh, conn)
+        em = element_matrices(scheme, material, rule, rotary=rotary)
         # accumulating add: collapsed-edge elements carry a repeated node
-        np.add.at(k, np.ix_(dofs, dofs), ke)
-        np.add.at(m, np.ix_(dofs, dofs), me)
+        np.add.at(k, np.ix_(dofs, dofs), t.T @ em.k @ t)
+        np.add.at(m, np.ix_(dofs, dofs), t.T @ em.m @ t)
 
     dof_map = np.arange(ndof).reshape(mesh.n_nodes, 3)
     return GlobalSystem(k=k, m=m, dof_map=dof_map)
@@ -449,27 +449,26 @@ def nodes_on_segment(mesh: Mesh, p0, p1, tol: float | None = None) -> tuple:
 
 
 def mode_shape_samples(mesh: Mesh, rule: GaussRule, system: GlobalSystem,
-                       mode: np.ndarray, grid: int = 5) -> list:
-    """Sample one mode's deflection on a per-element natural grid.
+                       modes: np.ndarray) -> list:
+    """Sample mode deflections on a per-element natural grid.
 
-    Returns (x, y, u) triples, element by element, using each element's
-    deflection expansion evaluated on a ``grid x grid`` theta lattice.
+    ``modes`` holds one constrained mode vector per column.  Returns one
+    list of (x, y, u) triples per mode, element by element, using each
+    element's deflection expansion evaluated on a 5x5 theta lattice.
     """
-    full = np.zeros(3 * mesh.n_nodes)
+    full = np.zeros((modes.shape[1], 3 * mesh.n_nodes))  # one row per mode
     kept = system.dof_map.ravel()
-    full[kept >= 0] = mode[kept[kept >= 0]]
-    ticks = np.linspace(-1.0, 1.0, grid)
-    samples = []
+    full[:, kept >= 0] = modes[kept[kept >= 0]].T
+    ticks = np.linspace(-1.0, 1.0, 5)
+    samples = [[] for _ in full]
     for conn in mesh.elements:
-        quad = QuadGeometry(mesh.nodes[conn], allow_collapsed=True)
-        scheme = build_scheme(quad, "bilinear")
+        scheme, t, dofs = _element_frame(mesh, conn)
         weights = subarea_weights(scheme, rule)
-        t = _element_transform(scheme)
-        dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2] for n in conn])
-        local = t @ full[dofs]
+        local = [t @ vector for vector in full[:, dofs]]
         for t1 in ticks:
             for t2 in ticks:
-                x = scheme.params.point((t1, t2))
-                u = float(deflection_row((t1, t2), weights) @ local)
-                samples.append((float(x[0]), float(x[1]), u))
+                x, y = (float(c) for c in scheme.params.point((t1, t2)))
+                row = deflection_row((t1, t2), weights)
+                for points, vector in zip(samples, local):
+                    points.append((x, y, float(row @ vector)))
     return samples

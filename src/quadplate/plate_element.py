@@ -195,6 +195,10 @@ def rotation_field(theta) -> np.ndarray:
     ])
 
 
+#: Rotation field at the element center: the slopes of ``deflection_row``.
+_CENTER_ROTATION = rotation_field((0.0, 0.0))
+
+
 def curvature_operator(theta) -> np.ndarray:
     """Natural-coordinate curvature rows (chi11, chi22, 2*chi12) as a 3x12
     matrix.
@@ -288,8 +292,7 @@ def deflection_row(theta, weights: SubareaWeights) -> np.ndarray:
     t1, t2 = float(theta[0]), float(theta[1])
     center = np.zeros(12)
     center[U_DOFS] = weights.fractions
-    rot0 = rotation_field((0.0, 0.0))
-    return center - t1 * rot0[1] + t2 * rot0[0]
+    return center - t1 * _CENTER_ROTATION[1] + t2 * _CENTER_ROTATION[0]
 
 
 def element_stiffness(scheme: MappingScheme, material: PlateMaterial,

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import quadplate.modal
 from quadplate import InvalidCaseError
 from quadplate.cases import (
     Report,
     builtin_case_names,
+    case_meshes,
     emit,
     load_case,
     run_compare,
@@ -15,9 +17,32 @@ from quadplate.cases import (
     run_sectprops,
 )
 from quadplate.cli import main
+from quadplate.modal import (
+    apply_bcs,
+    assemble,
+    mode_shape_samples,
+    solve_modes,
+)
+from quadplate.quadrature import gauss_rule
 
 BUILTINS = ("paper-quad", "cantilever-isosceles", "clamped-isosceles",
             "clamped-equilateral", "clamped-quad", "cantilever-quad")
+
+
+def write_square_case(tmp_path, edit=None):
+    """A clamped unit-square modal case file, optionally edited."""
+    doc = {
+        "material": {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0},
+        "geometry": {"quad": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                              "meshes": [[2, 2]],
+                              "clamped_edges": [0, 1, 2, 3]}},
+        "analysis": {"modes": 1},
+    }
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestCaseLoading:
@@ -194,18 +219,55 @@ class TestModalReports:
         assert recovered == report
 
     def test_mode_shape_samples_for_plot(self):
+        # a skew quad mesh and a triangle mesh whose apex row consists of
+        # collapsed-tip elements
+        for name, kind, key, value, n_elements in (
+                ("clamped-quad", "quad", "meshes", [[2, 2]], 4),
+                ("cantilever-isosceles", "triangle", "levels", [1], 3)):
+            case = load_case(name)
+            case.geometry[kind][key] = value
+            case.analysis["modes"] = 3
+            case.analysis["mode_shapes"] = True
+            report = run_modal(case)
+            blocks = report.to_plot().strip().split("\n\n")
+            assert len(blocks) == 3
+            for block_text in blocks:
+                lines = block_text.split("\n")
+                assert lines[0].startswith("#")
+                assert len(lines) == 1 + n_elements * 25  # 5x5 grid each
+                assert len(lines[1].split()) == 3
+
+            # all modes in one pass sample exactly what one mode at a
+            # time does
+            (_, mesh), = case_meshes(case)
+            rule = gauss_rule(3)
+            reduced = apply_bcs(assemble(mesh, case.material, rule), mesh)
+            modes = solve_modes(reduced, 3).modes
+            samples = mode_shape_samples(mesh, rule, reduced, modes)
+            assert len(samples) == 3
+            for j, entry in enumerate(report.tables["mode_shapes"]):
+                assert entry["points"] == samples[j]
+                assert samples[j] == mode_shape_samples(
+                    mesh, rule, reduced, modes[:, [j]])[0]
+
+    def test_mode_shapes_reuse_each_element_scheme(self, monkeypatch):
+        # one bilinear scheme per element for assembly and one for all
+        # sampled modes together
+        calls = []
+        build_scheme = quadplate.modal.build_scheme
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build_scheme(*args, **kwargs)
+
+        monkeypatch.setattr(quadplate.modal, "build_scheme", counting)
         case = load_case("clamped-quad")
         case.geometry["quad"]["meshes"] = [[2, 2]]
-        case.analysis["modes"] = 1
+        case.analysis["modes"] = 3
         case.analysis["mode_shapes"] = True
         report = run_modal(case)
-        text = report.to_plot()
-        blocks = text.strip().split("\n\n")
-        assert len(blocks) == 1
-        lines = blocks[0].split("\n")
-        assert lines[0].startswith("#")
-        assert len(lines) == 1 + 4 * 25  # 4 elements, 5x5 grid each
-        assert len(lines[1].split()) == 3
+        assert len(report.tables["mode_shapes"]) == 3
+        assert len(calls) == 2 * 4
 
     def test_compare_schemes_agree_for_straight_edges(self):
         case = load_case("clamped-quad")
@@ -260,29 +322,36 @@ class TestCli:
         lambda doc: doc["material"].update(E="x"),
         lambda doc: doc["material"].update(E=float("nan")),
         lambda doc: doc["geometry"]["quad"].pop("vertices"),
-    ], ids=["gauss-text", "E-text", "E-nan", "quad-without-vertices"])
+        lambda doc: doc["analysis"].update(scheem="bilinear"),
+        lambda doc: doc["analysis"].update(rotary="yes"),
+        lambda doc: doc["analysis"].update(mode_shapes=1),
+        lambda doc: doc.update(analysis=[1]),
+        lambda doc: doc["geometry"]["quad"].update(
+            vertices=[["a", 0], [1, 0], [1, 1], [0, 1]]),
+        lambda doc: doc["geometry"]["quad"].update(meshes=[[2]]),
+        lambda doc: doc["geometry"]["quad"].update(clamped_edges=["x"]),
+        lambda doc: doc.update(geometry={"mesh": {
+            "nodes": [[0, 0], [1, 0], [1, 1], [0, 1]],
+            "elements": [[0, 1, 2, 3]],
+            "boundary_sets": {"edge": {"nodes": [0, 1]}},
+        }}),
+    ], ids=["gauss-text", "E-text", "E-nan", "quad-without-vertices",
+            "analysis-unknown-key", "rotary-text", "mode-shapes-number",
+            "analysis-list", "vertices-text", "mesh-size-not-pair",
+            "clamped-edge-text", "boundary-set-without-condition"])
     def test_invalid_case_values_exit_two(self, tmp_path, capsys, edit):
-        doc = {
-            "material": {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0},
-            "geometry": {"quad": {"vertices": [[0, 0], [1, 0], [1, 1],
-                                               [0, 1]],
-                                  "meshes": [[2, 2]],
-                                  "clamped_edges": [0, 1, 2, 3]}},
-            "analysis": {"modes": 1},
-        }
-        edit(doc)
-        path = tmp_path / "case.json"
-        path.write_text(json.dumps(doc))
-        assert main(["modal", "--case", str(path)]) == 2
+        path = write_square_case(tmp_path, edit)
+        assert main(["modal", "--case", path]) == 2
         assert "invalid input" in capsys.readouterr().err
 
-    def test_workers_flag_is_a_deprecated_no_op(self, capsys):
-        argv = ["modal", "--case", "clamped-quad", "--modes", "2"]
-        assert main(argv) == 0
-        plain = capsys.readouterr().out
-        with pytest.warns(FutureWarning, match="deprecated"):
-            assert main(argv + ["--workers", "2"]) == 0
-        assert capsys.readouterr().out.encode() == plain.encode()
+    def test_workers_option_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["modal", "--case", "clamped-quad", "--workers", "2"])
+        assert exc.value.code == 2
+        path = write_square_case(
+            tmp_path, lambda doc: doc["analysis"].update(workers=2))
+        assert main(["modal", "--case", path]) == 2
+        assert "unknown analysis keys ['workers']" in capsys.readouterr().err
 
     def test_compare_unknown_scheme_exit_two(self, capsys):
         assert main(["compare", "--case", "clamped-quad",

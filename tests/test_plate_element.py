@@ -11,6 +11,7 @@ from quadplate import (
     deflection_row,
     element_load,
     element_mass,
+    element_matrices,
     element_stiffness,
     gauss_rule,
     hermite_basis,
@@ -19,6 +20,7 @@ from quadplate import (
     rotation_field,
     subarea_weights,
 )
+from quadplate import mapping
 from quadplate.plate_element import PHI1_DOFS, PHI2_DOFS, U_DOFS
 
 from conftest import BIUNIT_SQUARE, convex_quads
@@ -491,3 +493,25 @@ class TestElementLoad:
             f = element_load(build_scheme(quad, "pascal6"), RULE, q)
             assert f[U_DOFS].sum() == pytest.approx(q * quad.signed_area,
                                                     rel=1e-12)
+
+
+class TestElementMatrices:
+    def test_geometry_diameter_computed_once(self, section_quad, monkeypatch):
+        # the diameter is stored at construction; Jacobians at the Gauss
+        # and subarea points read it instead of recomputing it
+        calls = []
+        diameter = mapping._diameter
+
+        def counting(v):
+            calls.append(1)
+            return diameter(v)
+
+        monkeypatch.setattr(mapping, "_diameter", counting)
+        quad = QuadGeometry(section_quad.vertices)
+        assert len(calls) == 1
+        assert quad.diameter == section_quad.diameter == pytest.approx(
+            np.sqrt(89.0))
+        scheme = build_scheme(quad, "bilinear")
+        calls.clear()
+        element_matrices(scheme, MAT, RULE, rotary=True)
+        assert calls == []
