@@ -354,7 +354,11 @@ def _single_quad(case: CaseFile) -> QuadGeometry:
         raise InvalidCaseError(
             "this analysis runs on a single quad; drop the meshes list"
         )
-    return QuadGeometry(np.asarray(block["vertices"], dtype=float))
+    try:
+        vertices = np.asarray(block["vertices"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidCaseError(f"malformed quad vertices: {exc!r}") from exc
+    return QuadGeometry(vertices)
 
 
 def _requested_schemes(case: CaseFile) -> tuple:

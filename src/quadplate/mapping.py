@@ -326,8 +326,28 @@ def bilinear_params(quad: QuadGeometry) -> GeneralizedParams:
     (mixed second derivative).
     """
     return GeneralizedParams(
-        BILINEAR_MONOMIALS, _BILINEAR_SHAPE_COEFFS.T @ quad.vertices
+        BILINEAR_MONOMIALS, bilinear_coefficients(quad.vertices)
     )
+
+
+def bilinear_coefficients(vertices) -> np.ndarray:
+    """Bilinear map coefficients (..., 4, 2) of vertex arrays (..., 4, 2)."""
+    return _BILINEAR_SHAPE_COEFFS.T @ vertices
+
+
+def bilinear_jacobians(coeffs: np.ndarray, points) -> tuple:
+    """Covariant base vectors and determinants of many bilinear maps.
+
+    ``coeffs`` (m, 4, 2) holds one map per element and ``points`` (n, 2)
+    the natural points; returns ``(matrix, det)`` of shapes (m, n, 2, 2)
+    and (m, n), ``matrix[e, k, a, i]`` being d x_i / d theta_a.
+    """
+    grads = np.stack([monomial_gradients(BILINEAR_MONOMIALS, p)
+                      for p in points])
+    matrix = np.swapaxes(grads, 1, 2) @ coeffs[:, None]
+    det = (matrix[..., 0, 0] * matrix[..., 1, 1]
+           - matrix[..., 0, 1] * matrix[..., 1, 0])
+    return matrix, det
 
 
 def serendipity_shapes(theta) -> np.ndarray:

@@ -6,6 +6,14 @@ Cartesian frame through the element Jacobian evaluated at that node, so
 that adjacent elements assemble compatibly.  The global DOF layout is
 (u, phi1_cart, phi2_cart) per node with phi1_cart = +du/dx2 and
 phi2_cart = -du/dx1.
+
+Straight-edged elements get the bilinear transformation from every
+scheme, so an element's K and M depend only on its four bilinear
+coefficients.  ``assemble`` therefore integrates all elements together
+(``batch_element_matrices``) and sums them from COO triplets; the scalar
+``element_stiffness``/``element_mass`` and ``_element_transform`` are the
+reference implementation, which the batch reproduces operation for
+operation and which reports the first element that fails a check.
 """
 
 from __future__ import annotations
@@ -18,21 +26,32 @@ import numpy as np
 import scipy.linalg
 import scipy.spatial.distance
 
-from .errors import DegenerateGeometryError, NumericalError, ValidationError
+from .errors import (
+    DegenerateGeometryError,
+    NumericalError,
+    QuadplateError,
+    ValidationError,
+)
 from .mapping import (
+    BILINEAR_MONOMIALS,
     CORNER_NATURAL,
     MappingScheme,
     QuadGeometry,
+    bilinear_coefficients,
+    bilinear_jacobians,
     bilinear_params,
     build_scheme,
+    monomial_values,
 )
 from .plate_element import (
+    QUADRANT_CENTERS,
     PlateMaterial,
-    deflection_row,
+    batch_element_matrices,
+    deflection_rows,
     element_matrices,
     subarea_weights,
 )
-from .quadrature import GaussRule, gauss_rule
+from .quadrature import GaussRule, gauss_rule, tensor_points
 
 BOUNDARY_CONDITIONS = ("clamped", "simply_supported", "free")
 
@@ -104,46 +123,53 @@ class ModalSpectrum:
         return self.omega ** 2
 
 
+def _twice_areas(v: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each quadrilateral in ``v`` (m, 4, 2)."""
+    x, y = v[..., 0], v[..., 1]
+    return np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y,
+                  axis=1)
+
+
 def _validate_mesh(mesh: Mesh):
     if mesh.nodes.ndim != 2 or mesh.nodes.shape[1] != 2:
         raise DegenerateGeometryError("mesh nodes must be an (n, 2) array")
     if mesh.elements.ndim != 2 or mesh.elements.shape[1] != 4:
         raise DegenerateGeometryError("mesh elements must be an (m, 4) array")
     n = mesh.n_nodes
-    if np.any(mesh.elements < 0) or np.any(mesh.elements >= n):
+    conn = mesh.elements
+    if np.any(conn < 0) or np.any(conn >= n):
         raise DegenerateGeometryError("element references a missing node")
-    seen = {}
-    for ei, conn in enumerate(mesh.elements):
-        distinct = len(set(int(c) for c in conn))
-        if distinct < 3:
-            raise DegenerateGeometryError(f"element {ei} repeats nodes")
-        if distinct == 3:
-            # a collapsed-edge (triangle) element is allowed only when the
-            # repeated node is adjacent in the cycle
-            repeats = [p for p in range(4)
-                       if conn[p] == conn[(p + 1) % 4]]
-            if len(repeats) != 1:
-                raise DegenerateGeometryError(
-                    f"element {ei} repeats a non-adjacent node"
-                )
-        v = mesh.nodes[conn]
-        area2 = float(np.sum(
-            v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1]
-        ))
-        if area2 <= 0.0:
-            raise DegenerateGeometryError(
-                f"element {ei} is degenerate or clockwise"
-            )
-        for p in range(4):
-            edge = (int(conn[p]), int(conn[(p + 1) % 4]))
-            if edge[0] == edge[1]:
-                continue  # collapsed edge
-            if edge in seen:
-                raise DegenerateGeometryError(
-                    f"elements {seen[edge]} and {ei} traverse edge {edge} "
-                    "in the same direction"
-                )
-            seen[edge] = ei
+    following = np.roll(conn, -1, axis=1)
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(conn, axis=1)), axis=1)
+    # a collapsed-edge (triangle) element is allowed only when the
+    # repeated node is adjacent in the cycle
+    non_adjacent = (distinct == 3) & (
+        np.count_nonzero(conn == following, axis=1) != 1)
+    area2 = _twice_areas(mesh.nodes[conn])
+    # each directed edge that an earlier one (in element, then cycle
+    # order) already traversed; collapsed edges are skipped
+    keys = (conn * n + following).ravel()
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    repeated = (first[inverse] != np.arange(keys.size)) & \
+        (conn != following).ravel()
+    flags = (distinct < 3, non_adjacent, area2 <= 0.0,
+             repeated.reshape(conn.shape).any(axis=1))
+    bad = np.flatnonzero(np.logical_or.reduce(flags))
+    if bad.size == 0:
+        return
+    ei = int(bad[0])
+    for flag, fault in zip(flags, ("repeats nodes",
+                                   "repeats a non-adjacent node",
+                                   "is degenerate or clockwise")):
+        if flag[ei]:
+            raise DegenerateGeometryError(f"element {ei} {fault}")
+    occurrence = 4 * ei + int(np.argmax(repeated[4 * ei: 4 * ei + 4]))
+    edge = (int(conn.flat[occurrence]), int(following.flat[occurrence]))
+    raise DegenerateGeometryError(
+        f"elements {first[inverse[occurrence]] // 4} and {ei} traverse edge "
+        f"{edge} in the same direction"
+    )
 
 
 def _element_transform(scheme: MappingScheme) -> np.ndarray:
@@ -171,36 +197,130 @@ def _element_transform(scheme: MappingScheme) -> np.ndarray:
     return t
 
 
-def _element_frame(mesh: Mesh, conn):
-    """Bilinear scheme, corner transform and global DOF indices of one
-    mesh element."""
+def _element_scheme(mesh: Mesh, conn) -> MappingScheme:
+    """Bilinear scheme of one mesh element, built through the scalar path."""
     # collapsed-edge (triangle) elements are legal here; the mesh was
     # validated up front
     quad = QuadGeometry(mesh.nodes[conn], allow_collapsed=True)
-    # mesh elements have straight edges, where every scheme yields the
-    # bilinear transformation, so K and M need no other scheme
-    scheme = build_scheme(quad, "bilinear")
-    dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2] for n in conn])
-    return scheme, _element_transform(scheme), dofs
+    return build_scheme(quad, "bilinear")
+
+
+#: Per corner, the element DOF indices of its two rotations.
+_CORNER_ROTATIONS = 3 * np.arange(4)[:, None] + np.array([1, 2])
+#: Vertex index pairs (p, q), p < q, and whether p and q are adjacent.
+_PAIRS = np.array([(p, q) for p in range(4) for q in range(p + 1, 4)])
+_ADJACENT = np.isin(_PAIRS[:, 1] - _PAIRS[:, 0], (1, 3))
+
+
+@dataclass(frozen=True, eq=False)
+class _ElementBatch:
+    """Geometry of every mesh element, from its bilinear coefficients.
+
+    ``jac``/``det`` are taken at the points of ``tensor_points(rule)``;
+    ``transform`` (m, 12, 12) is ``_element_transform`` of each element
+    and ``dofs`` (m, 12) its global DOF indices.
+    """
+
+    coeffs: np.ndarray
+    jac: np.ndarray
+    det: np.ndarray
+    fractions: np.ndarray
+    transform: np.ndarray
+    dofs: np.ndarray
+
+
+def _element_batch(mesh: Mesh, rule: GaussRule, check) -> _ElementBatch:
+    """Vectorized ``_element_scheme``, ``subarea_weights`` and
+    ``_element_transform`` over all elements, with the scalar path's
+    geometry checks.
+
+    Every element a check flags is rebuilt through the scalar path, where
+    ``check(scheme)`` repeats the element work; its error is raised with
+    the element index prefixed.
+    """
+    v = mesh.nodes[mesh.elements]
+    coeffs = bilinear_coefficients(v)
+
+    # QuadGeometry(allow_collapsed=True): finite, at most one coincident
+    # adjacent vertex pair, no (near-)zero area
+    dist = np.linalg.norm(v[:, _PAIRS[:, 0]] - v[:, _PAIRS[:, 1]], axis=-1)
+    diam = dist.max(axis=1)
+    tol = 1e-12 * diam * diam
+    coincident = dist <= 1e-12 * diam[:, None]
+    area2 = _twice_areas(v)
+    bad = (~np.isfinite(v).all(axis=(1, 2))
+           | (np.count_nonzero(coincident, axis=1) > 1)
+           | (coincident & ~_ADJACENT).any(axis=1)
+           | (area2 <= tol))
+
+    # element_stiffness: a regular, unfolded Jacobian at each Gauss point
+    points, weights = tensor_points(rule)
+    jac, det = bilinear_jacobians(coeffs, points)
+    bad |= ((np.abs(det) < tol[:, None]) | (det <= 0.0)).any(axis=1)
+
+    # subarea_weights: a regular Jacobian at each quadrant point, and
+    # fractions in (0, 1) that sum to one
+    quadrant = (np.array(QUADRANT_CENTERS)[:, None, :]
+                + 0.5 * points).reshape(-1, 2)
+    _, qdet = bilinear_jacobians(coeffs, quadrant)
+    bad |= (np.abs(qdet) < tol[:, None]).any(axis=1)
+    qdet = qdet.reshape(-1, 4, weights.size)
+    areas = np.zeros(qdet.shape[:2])
+    for p, weight in enumerate(0.25 * weights):  # the scalar summation order
+        areas += weight * qdet[:, :, p]
+    fractions = areas / areas.sum(axis=1, keepdims=True)
+    bad |= ((fractions <= 0.0) | (fractions >= 1.0)).any(axis=1) \
+        | (np.abs(fractions.sum(axis=1) - 1.0) > 1e-12)
+
+    for ei in np.flatnonzero(bad):
+        try:
+            check(_element_scheme(mesh, mesh.elements[ei]))
+        except QuadplateError as exc:
+            raise type(exc)(f"element {ei}: {exc}") from exc
+
+    # corner transforms; the identity block stays at a collapsed corner
+    cjac, cdet = bilinear_jacobians(coeffs, CORNER_NATURAL)
+    blocks = np.stack([
+        np.stack([cjac[..., 1, 1], -cjac[..., 1, 0]], axis=-1),
+        np.stack([-cjac[..., 0, 1], cjac[..., 0, 0]], axis=-1),
+    ], axis=-2)
+    blocks[np.abs(cdet) <= tol[:, None]] = np.eye(2)
+    transform = np.tile(np.eye(12), (len(v), 1, 1))
+    transform[:, _CORNER_ROTATIONS[:, :, None],
+              _CORNER_ROTATIONS[:, None, :]] = blocks
+    dofs = (3 * mesh.elements[:, :, None] + np.arange(3)).reshape(-1, 12)
+    return _ElementBatch(coeffs, jac, det, fractions, transform, dofs)
 
 
 def assemble(mesh: Mesh, material: PlateMaterial,
              rule: GaussRule | None = None,
              rotary: bool = False) -> GlobalSystem:
-    """Assemble global stiffness and mass over all elements."""
+    """Assemble global stiffness and mass over all elements.
+
+    All elements are integrated together on their bilinear coefficients
+    (``batch_element_matrices``) and summed into the global matrices from
+    (row, column, value) triplets, in element order.
+    """
     if rule is None:
         rule = gauss_rule(3)
     _validate_mesh(mesh)
+    batch = _element_batch(
+        mesh, rule,
+        lambda scheme: element_matrices(scheme, material, rule, rotary=rotary),
+    )
+    t = batch.transform
     ndof = 3 * mesh.n_nodes
-    k = np.zeros((ndof, ndof))
-    m = np.zeros((ndof, ndof))
-    for conn in mesh.elements:
-        scheme, t, dofs = _element_frame(mesh, conn)
-        em = element_matrices(scheme, material, rule, rotary=rotary)
-        # accumulating add: collapsed-edge elements carry a repeated node
-        np.add.at(k, np.ix_(dofs, dofs), t.T @ em.k @ t)
-        np.add.at(m, np.ix_(dofs, dofs), t.T @ em.m @ t)
-
+    # flat (row, column) index of every element entry: bincount sums the
+    # COO triplets in element order, as an accumulating add would, and
+    # collapsed-edge elements carry a repeated node
+    index = (batch.dofs[:, :, None] * ndof + batch.dofs[:, None, :]).ravel()
+    k, m = (
+        np.bincount(index, weights=(np.swapaxes(t, 1, 2) @ a @ t).ravel(),
+                    minlength=ndof * ndof).reshape(ndof, ndof)
+        for a in batch_element_matrices(batch.jac, batch.det,
+                                        batch.fractions, material, rule,
+                                        rotary=rotary)
+    )
     dof_map = np.arange(ndof).reshape(mesh.n_nodes, 3)
     return GlobalSystem(k=k, m=m, dof_map=dof_map)
 
@@ -292,11 +412,12 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
         )
     omega_sq = np.clip(omega_sq, 0.0, None)
 
-    # Deterministic sign: largest-magnitude entry positive.
-    for j in range(v.shape[1]):
-        lead = int(np.argmax(np.abs(v[:, j])))
-        if v[lead, j] < 0.0:
-            v[:, j] = -v[:, j]
+    # Deterministic sign: the first entry within 1e-6 of the largest
+    # magnitude is positive.  Mirrored entries of symmetric meshes have
+    # equal magnitudes, so a plain argmax would follow round-off.
+    size = np.abs(v)
+    lead = np.argmax(size >= (1.0 - 1e-6) * size.max(axis=0), axis=0)
+    v[:, v[lead, np.arange(count)] < 0.0] *= -1.0
 
     # Relative eigen-residual per mode.  For rigid modes K phi underflows,
     # so the denominator is floored at the tolerance times the matrix
@@ -448,6 +569,15 @@ def nodes_on_segment(mesh: Mesh, p0, p1, tol: float | None = None) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(dist <= tol))
 
 
+#: The 5x5 natural lattice ``mode_shape_samples`` evaluates (t1 outer) and
+#: the bilinear monomials at its points.
+_SAMPLE_POINTS = np.stack(
+    np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5),
+                indexing="ij"), axis=-1).reshape(-1, 2)
+_SAMPLE_MONOMIALS = np.stack([monomial_values(BILINEAR_MONOMIALS, p)
+                              for p in _SAMPLE_POINTS])
+
+
 def mode_shape_samples(mesh: Mesh, rule: GaussRule, system: GlobalSystem,
                        modes: np.ndarray) -> list:
     """Sample mode deflections on a per-element natural grid.
@@ -459,16 +589,18 @@ def mode_shape_samples(mesh: Mesh, rule: GaussRule, system: GlobalSystem,
     full = np.zeros((modes.shape[1], 3 * mesh.n_nodes))  # one row per mode
     kept = system.dof_map.ravel()
     full[:, kept >= 0] = modes[kept[kept >= 0]].T
-    ticks = np.linspace(-1.0, 1.0, 5)
-    samples = [[] for _ in full]
-    for conn in mesh.elements:
-        scheme, t, dofs = _element_frame(mesh, conn)
-        weights = subarea_weights(scheme, rule)
-        local = [t @ vector for vector in full[:, dofs]]
-        for t1 in ticks:
-            for t2 in ticks:
-                x, y = (float(c) for c in scheme.params.point((t1, t2)))
-                row = deflection_row((t1, t2), weights)
-                for points, vector in zip(samples, local):
-                    points.append((x, y, float(row @ vector)))
+    batch = _element_batch(mesh, rule,
+                           lambda scheme: subarea_weights(scheme, rule))
+    # (1, 4) @ (4, 2) per sample, the product ``params.point`` makes
+    xy = (_SAMPLE_MONOMIALS[:, None, :] @ batch.coeffs[:, None])[:, :, 0]
+    rows = deflection_rows(_SAMPLE_POINTS, batch.fractions)
+    x = xy[..., 0].ravel().tolist()
+    y = xy[..., 1].ravel().tolist()
+    samples = []
+    for vector in full:
+        local = batch.transform @ vector[batch.dofs][:, :, None]
+        # one (1, 12) @ (12, 1) product per sample: the rounding of the
+        # scalar row-by-vector dot
+        u = (rows[:, :, None, :] @ local[:, None]).ravel().tolist()
+        samples.append(list(zip(x, y, u)))
     return samples

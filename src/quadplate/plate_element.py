@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .mapping import MappingScheme, Jacobian, jacobian
-from .quadrature import GaussRule, gauss_rule
+from .quadrature import GaussRule, gauss_rule, tensor_points
 
 #: Positions of the deflection and rotation DOFs in the 12-entry vector.
 U_DOFS = np.array([0, 3, 6, 9])
@@ -242,21 +242,28 @@ def natural_rigidity(material: PlateMaterial, jac: Jacobian) -> np.ndarray:
     curvature rows (chi11, chi22, 2*chi12), so the quadratic form
     chi^T E chi is the bending energy density.
     """
-    g = jac.contravariant  # g[a, i] = d theta_a / d x_i
+    return _voigt_rigidity(material, jac.contravariant)
+
+
+#: Natural index pairs (a, b) of the Voigt order (11, 22, 12).
+_VOIGT_A = np.array([0, 1, 0])
+_VOIGT_B = np.array([0, 1, 1])
+
+
+def _voigt_rigidity(material: PlateMaterial, g: np.ndarray) -> np.ndarray:
+    """``natural_rigidity`` from contravariant components g (..., 2, 2),
+    ``g[..., a, i]`` being d theta_a / d x_i."""
     e4 = np.einsum(
-        "ai,bj,ck,dl,ijkl->abcd",
+        "...ai,...bj,...ck,...dl,ijkl->...abcd",
         g, g, g, g, _cartesian_rigidity_tensor(material),
     )
-    voigt = np.array([
-        [e4[0, 0, 0, 0], e4[0, 0, 1, 1], e4[0, 0, 0, 1]],
-        [e4[1, 1, 0, 0], e4[1, 1, 1, 1], e4[1, 1, 0, 1]],
-        [e4[0, 1, 0, 0], e4[0, 1, 1, 1], e4[0, 1, 0, 1]],
-    ])
-    return 0.5 * (voigt + voigt.T)
+    voigt = e4[..., _VOIGT_A[:, None], _VOIGT_B[:, None],
+               _VOIGT_A[None, :], _VOIGT_B[None, :]]
+    return 0.5 * (voigt + np.swapaxes(voigt, -1, -2))
 
 
 #: Centers of the four natural quadrants, one per corner node.
-_QUADRANT_CENTERS = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
+QUADRANT_CENTERS = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
 
 
 def subarea_weights(scheme: MappingScheme, rule: GaussRule | None = None
@@ -270,7 +277,7 @@ def subarea_weights(scheme: MappingScheme, rule: GaussRule | None = None
     if rule is None:
         rule = gauss_rule(3)
     areas = np.empty(4)
-    for p, (c1, c2) in enumerate(_QUADRANT_CENTERS):
+    for p, (c1, c2) in enumerate(QUADRANT_CENTERS):
         total = 0.0
         for s1, w1 in zip(rule.nodes, rule.weights):
             for s2, w2 in zip(rule.nodes, rule.weights):
@@ -289,10 +296,17 @@ def deflection_row(theta, weights: SubareaWeights) -> np.ndarray:
     convention (du/dtheta1 = -phi2, du/dtheta2 = +phi1).  This expansion
     only distributes load and mass; it does not enter the stiffness.
     """
-    t1, t2 = float(theta[0]), float(theta[1])
-    center = np.zeros(12)
-    center[U_DOFS] = weights.fractions
-    return center - t1 * _CENTER_ROTATION[1] + t2 * _CENTER_ROTATION[0]
+    return deflection_rows([theta], weights.fractions)[0]
+
+
+def deflection_rows(points, fractions) -> np.ndarray:
+    """``deflection_row`` at many points (n, 2) for one or many elements'
+    subarea fractions (..., 4); shape (..., n, 12)."""
+    t = np.asarray(points, dtype=float)
+    center = np.zeros(np.shape(fractions)[:-1] + (1, 12))
+    center[..., 0, U_DOFS] = fractions
+    return (center - t[:, :1] * _CENTER_ROTATION[1]
+            + t[:, 1:] * _CENTER_ROTATION[0])
 
 
 def element_stiffness(scheme: MappingScheme, material: PlateMaterial,
@@ -357,6 +371,39 @@ def element_matrices(scheme: MappingScheme, material: PlateMaterial,
         k=element_stiffness(scheme, material, rule),
         m=element_mass(scheme, material, rule, rotary=rotary),
     )
+
+
+def batch_element_matrices(jac: np.ndarray, det: np.ndarray,
+                           fractions: np.ndarray, material: PlateMaterial,
+                           rule: GaussRule, rotary: bool = False) -> tuple:
+    """Stiffness and mass of many elements at once, natural-frame DOFs.
+
+    ``jac`` (m, n, 2, 2) and ``det`` (m, n) are each element's Jacobian at
+    the points of ``tensor_points(rule)``, ``fractions`` (m, 4) its subarea
+    fractions.  Returns ``(k, m)``, each (m, 12, 12).  The caller checks
+    the Jacobians and fractions.  Every element sees the operations of
+    ``element_stiffness`` and ``element_mass`` in the same order, so the
+    results equal theirs.
+    """
+    _check_rule(rule)
+    points, weights = tensor_points(rule)
+    count = det.shape[0]
+    scale = (weights * det)[:, :, None, None]
+    rigidity = _voigt_rigidity(material, np.linalg.inv(np.swapaxes(jac, 2, 3)))
+    deflection = deflection_rows(points, fractions)[:, :, None, :]
+    r = material.rho * material.t ** 3 / 12.0 if rotary else 0.0
+    density = np.diag([material.rho * material.t, r, r])
+    k = np.zeros((count, 12, 12))
+    m = np.zeros((count, 12, 12))
+    for p, theta in enumerate(points):
+        b = curvature_operator(theta)
+        k += scale[:, p] * (b.T @ rigidity[:, p] @ b)
+        n = np.concatenate([
+            deflection[:, p],
+            np.broadcast_to(rotation_field(theta), (count, 2, 12)),
+        ], axis=1)
+        m += scale[:, p] * (np.swapaxes(n, 1, 2) @ density @ n)
+    return 0.5 * (k + np.swapaxes(k, 1, 2)), 0.5 * (m + np.swapaxes(m, 1, 2))
 
 
 def _check_rule(rule: GaussRule):

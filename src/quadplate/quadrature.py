@@ -93,6 +93,14 @@ def gauss_rule(order: int) -> GaussRule:
     return GaussRule(order=order, nodes=n, weights=w)
 
 
+def tensor_points(rule: GaussRule) -> tuple:
+    """Points (n*n, 2) and weights (n*n,) of the two-dimensional tensor
+    rule, in the order the element loops visit them (t1 outer)."""
+    t1, t2 = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    points = np.column_stack([t1.ravel(), t2.ravel()])
+    return points, np.outer(rule.weights, rule.weights).ravel()
+
+
 def integrate_element(scheme: MappingScheme, f, rule: GaussRule) -> float:
     """Integrate a scalar field over the mapped element.
 

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from quadplate.modal import (
     solve_modes,
 )
 from quadplate.quadrature import gauss_rule
+
+RECORDED_OMEGA = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "builtin_omega.json")
+    .read_text())
 
 BUILTINS = ("paper-quad", "cantilever-isosceles", "clamped-isosceles",
             "clamped-equilateral", "clamped-quad", "cantilever-quad")
@@ -250,24 +255,44 @@ class TestModalReports:
                 assert samples[j] == mode_shape_samples(
                     mesh, rule, reduced, modes[:, [j]])[0]
 
-    def test_mode_shapes_reuse_each_element_scheme(self, monkeypatch):
-        # one bilinear scheme per element for assembly and one for all
-        # sampled modes together
+    def test_modal_run_builds_no_element_scheme(self, monkeypatch):
+        # assembly and mode-shape sampling work on all elements at once;
+        # the scalar element path runs only to report a failing element
         calls = []
-        build_scheme = quadplate.modal.build_scheme
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return build_scheme(*args, **kwargs)
+        def counting(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(quadplate.modal, "build_scheme", counting)
-        case = load_case("clamped-quad")
-        case.geometry["quad"]["meshes"] = [[2, 2]]
+        for name in ("build_scheme", "element_matrices", "subarea_weights"):
+            monkeypatch.setattr(quadplate.modal, name,
+                                counting(getattr(quadplate.modal, name)))
+        case = load_case("cantilever-isosceles")
+        case.geometry["triangle"]["levels"] = [2]
         case.analysis["modes"] = 3
         case.analysis["mode_shapes"] = True
         report = run_modal(case)
         assert len(report.tables["mode_shapes"]) == 3
-        assert len(calls) == 2 * 4
+        assert calls == []
+
+    @pytest.mark.parametrize("rotary", [False, True],
+                             ids=["default", "rotary"])
+    @pytest.mark.parametrize("name", sorted(RECORDED_OMEGA))
+    def test_builtin_omega_match_recorded(self, name, rotary):
+        # first six frequencies per mesh, recorded from the scalar
+        # per-element assembly; collapsed-tip triangle pencils are
+        # ill-conditioned, so round-off in K may move them by ~1e-8
+        report = run_modal(load_case(name, overrides={"rotary": rotary}))
+        got = {}
+        for row in report.tables["rows"]:
+            got.setdefault(row["mesh"], []).append(row["omega"])
+        want = RECORDED_OMEGA[name]["rotary" if rotary else "default"]
+        assert list(got) == list(want)
+        for mesh, omega in want.items():
+            np.testing.assert_allclose(got[mesh], omega, rtol=1e-8,
+                                       err_msg=mesh)
 
     def test_compare_schemes_agree_for_straight_edges(self):
         case = load_case("clamped-quad")
@@ -343,6 +368,28 @@ class TestCli:
         path = write_square_case(tmp_path, edit)
         assert main(["modal", "--case", path]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck"])
+    def test_single_quad_text_vertices_exit_two(self, tmp_path, capsys,
+                                                verb):
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "quad": {"vertices": [["a", 0], [1, 0], [1, 1], [0, 1]]}}))
+        assert main([verb, "--case", path]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_folded_element_in_mesh_exit_three(self, tmp_path, capsys):
+        # a 2x2 grid whose center node is pushed towards the far corner:
+        # every element keeps a positive area, element 3 folds
+        nodes = [[x, y] for y in (0.0, 0.5, 1.0) for x in (0.0, 0.5, 1.0)]
+        nodes[4] = [0.95, 0.95]
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "mesh": {"nodes": nodes,
+                     "elements": [[0, 1, 4, 3], [1, 2, 5, 4],
+                                  [3, 4, 7, 6], [4, 5, 8, 7]]}}))
+        assert main(["modal", "--case", path]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: element 3: folded element" in err
+        assert "theta=" in err
 
     def test_workers_option_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

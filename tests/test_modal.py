@@ -24,12 +24,39 @@ from quadplate import (
     nodes_on_segment,
     solve_modes,
 )
-from quadplate.modal import _element_transform
+from quadplate.modal import _element_batch, _element_transform
+from quadplate.plate_element import (
+    batch_element_matrices,
+    element_mass,
+    element_stiffness,
+)
 
 from conftest import BIUNIT_SQUARE, SECTION_QUAD, UNIT_SQUARE, convex_quads
 
 MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)
 RULE = gauss_rule(3)
+TIP = [[0, 0], [1, 0.25], [1, 0.25], [0, 0.5]]
+
+
+def scalar_assemble(mesh, material, rule=RULE, rotary=False):
+    """Reference assembly: one scalar element at a time, scattered with an
+    accumulating add (collapsed-edge elements repeat a node)."""
+    ndof = 3 * mesh.n_nodes
+    k = np.zeros((ndof, ndof))
+    m = np.zeros((ndof, ndof))
+    for conn in mesh.elements:
+        quad = QuadGeometry(mesh.nodes[conn], allow_collapsed=True)
+        scheme = build_scheme(quad, "bilinear")
+        em = element_matrices(scheme, material, rule, rotary=rotary)
+        t = _element_transform(scheme)
+        dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2] for n in conn])
+        np.add.at(k, np.ix_(dofs, dofs), t.T @ em.k @ t)
+        np.add.at(m, np.ix_(dofs, dofs), t.T @ em.m @ t)
+    return k, m
+
+
+def assert_relative(got, want, rtol, label=None):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max(), label
 
 
 def clamp_polygon_boundary(mesh, vertices):
@@ -54,22 +81,48 @@ class TestAssemble:
         np.testing.assert_allclose(system.m[ix], em.m, atol=1e-14)
 
     def test_two_element_strip_scatter_oracle(self):
-        # reimplement the scatter by hand and compare
         mesh = mesh_quad(SECTION_QUAD, 2, 1)
         system = assemble(mesh, MAT, rule=RULE)
-        ndof = 3 * mesh.n_nodes
-        k_oracle = np.zeros((ndof, ndof))
-        for conn in mesh.elements:
-            scheme = build_scheme(QuadGeometry(mesh.nodes[conn]), "bilinear")
-            em = element_matrices(scheme, MAT, RULE)
-            t = _element_transform(scheme)
-            ke = t.T @ em.k @ t
-            dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2]
-                                   for n in conn])
-            k_oracle[np.ix_(dofs, dofs)] += ke
+        k_oracle, _ = scalar_assemble(mesh, MAT)
         np.testing.assert_allclose(system.k, k_oracle, atol=1e-12)
         assert np.abs(system.k - system.k.T).max() <= \
             1e-10 * np.abs(system.k).max()
+
+    @pytest.mark.parametrize("rotary", [False, True])
+    @pytest.mark.parametrize("mesh", [
+        mesh_quad([[0, 0], [1, 0], [0.7929, 0.7727], [0.2394, 0.6577]], 4, 4),
+        mesh_triangle([[0, 0], [1, 0.25], [0, 0.5]], 2),
+    ], ids=["clamped-quad-4x4", "cantilever-isosceles-level-2"])
+    def test_matches_scalar_assembly(self, mesh, rotary):
+        system = assemble(mesh, MAT, rule=RULE, rotary=rotary)
+        k, m = scalar_assemble(mesh, MAT, rotary=rotary)
+        assert_relative(system.k, k, 1e-12)
+        assert_relative(system.m, m, 1e-12)
+
+    @pytest.mark.parametrize("order", [3, 4, 5, 6])
+    def test_batched_elements_match_scalar_elements(self, order):
+        # disjoint elements: 50 random convex quads and a collapsed-edge tip
+        rule = gauss_rule(order)
+        quads = convex_quads(50, seed=11) + [
+            QuadGeometry(TIP, allow_collapsed=True)]
+        mesh = Mesh(nodes=np.vstack([q.vertices for q in quads]),
+                    elements=np.arange(4 * len(quads)).reshape(-1, 4))
+        batch = _element_batch(mesh, rule, check=None)
+        for rotary in (False, True):
+            k, m = batch_element_matrices(batch.jac, batch.det,
+                                          batch.fractions, MAT, rule,
+                                          rotary=rotary)
+            t = batch.transform
+            k = np.swapaxes(t, 1, 2) @ k @ t
+            m = np.swapaxes(t, 1, 2) @ m @ t
+            for index, quad in enumerate(quads):
+                scheme = build_scheme(quad, "bilinear")
+                ts = _element_transform(scheme)
+                assert_relative(t[index], ts, 1e-12, index)
+                ks = ts.T @ element_stiffness(scheme, MAT, rule) @ ts
+                ms = ts.T @ element_mass(scheme, MAT, rule, rotary) @ ts
+                assert_relative(k[index], ks, 1e-12, (index, rotary))
+                assert_relative(m[index], ms, 1e-12, (index, rotary))
 
     def test_free_mesh_annihilates_uniform_translation(self):
         mesh = mesh_quad(SECTION_QUAD, 2, 2)
@@ -89,6 +142,26 @@ class TestAssemble:
         mesh = Mesh(nodes=nodes, elements=[[0, 3, 2, 1]])
         with pytest.raises(DegenerateGeometryError):
             assemble(mesh, MAT)
+
+    @pytest.mark.parametrize("elements,message", [
+        ([[0, 1, 4, 3], [1, 1, 5, 5]], "element 1 repeats nodes"),
+        ([[0, 1, 4, 3], [1, 2, 1, 5]],
+         "element 1 repeats a non-adjacent node"),
+        ([[0, 1, 4, 3], [1, 4, 5, 2], [1, 1, 5, 5]],
+         "element 1 is degenerate or clockwise"),
+        ([[0, 1, 4, 3], [1, 2, 5, 4], [4, 3, 6, 7]],
+         "elements 0 and 2 traverse edge (4, 3) in the same direction"),
+        ([[0, 1, 4, 3], [1, 2, 5, 4], [1, 2, 5, 4]],
+         "elements 1 and 2 traverse edge (1, 2) in the same direction"),
+    ], ids=["repeats", "non-adjacent", "clockwise-first", "edge", "copy"])
+    def test_mesh_fault_names_first_element(self, elements, message):
+        # a 2x1 strip of unit squares plus two points inside the first
+        nodes = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1],
+                 [0.2, 0.4], [0.8, 0.4]]
+        mesh = Mesh(nodes=nodes, elements=elements)
+        with pytest.raises(DegenerateGeometryError) as exc:
+            assemble(mesh, MAT)
+        assert str(exc.value) == message
 
     def test_same_direction_shared_edge_rejected(self):
         # both elements are counterclockwise but traverse edge 1->2 in the
@@ -196,8 +269,23 @@ class TestSolveModes:
         second = solve_modes(reduced, 3)
         assert np.array_equal(first.modes, second.modes)
         for j in range(3):
-            lead = np.argmax(np.abs(first.modes[:, j]))
+            size = np.abs(first.modes[:, j])
+            lead = np.flatnonzero(size >= (1.0 - 1e-6) * size.max())[0]
             assert first.modes[lead, j] > 0
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_mode_sign_survives_round_off(self, entry):
+        # the lowest mode is (1, -1)/sqrt(2); a 1e-12 change in K makes
+        # either entry the larger one but leaves the sign alone
+        k = np.array([[2.0, 1.0], [1.0, 2.0]])
+        dof_map = np.array([[0, 1, -1]])
+        plain = solve_modes(GlobalSystem(k=k, m=np.eye(2), dof_map=dof_map),
+                            1).modes[:, 0]
+        k[entry, entry] += 1e-12
+        perturbed = solve_modes(
+            GlobalSystem(k=k, m=np.eye(2), dof_map=dof_map), 1).modes[:, 0]
+        assert plain[0] > 0 > plain[1]
+        np.testing.assert_allclose(perturbed, plain, atol=1e-9)
 
 
 class TestFrequencyParameter:
