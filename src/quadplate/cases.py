@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -264,14 +265,18 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
         raise InvalidCaseError(
             f"unknown normalization {analysis['normalization']!r}"
         )
+    analysis["gauss"] = _integer(analysis["gauss"], "gauss")
+    analysis["modes"] = _integer(analysis["modes"], "modes")
     try:
-        analysis["gauss"] = int(analysis["gauss"])
-        analysis["modes"] = int(analysis["modes"])
         reference_length = float(geometry.get("reference_length", 1.0))
     except (TypeError, ValueError) as exc:
         raise InvalidCaseError(
-            f"gauss, modes and reference_length must be numbers: {exc}"
-        ) from exc
+            f"reference_length must be a number: {exc}") from exc
+    if not 0.0 < reference_length < math.inf:
+        raise InvalidCaseError(
+            "reference_length must be positive and finite, "
+            f"got {reference_length}"
+        )
 
     return CaseFile(
         name=str(raw.get("name", "case")),
@@ -280,6 +285,15 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
         analysis=analysis,
         reference_length=reference_length,
     )
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; booleans, strings and fractions are rejected
+    rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise InvalidCaseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +305,7 @@ def _attach_boundary_sets(mesh: Mesh, polygon: np.ndarray, block: dict):
     for key, condition in (("clamped_edges", "clamped"),
                            ("ss_edges", "simply_supported")):
         for edge in block.get(key, ()):
-            edge = int(edge)
+            edge = _integer(edge, "edge index")
             if not 0 <= edge < n_edges:
                 raise InvalidCaseError(f"edge index {edge} out of range")
             nodes = nodes_on_segment(
@@ -311,29 +325,37 @@ def case_meshes(case: CaseFile) -> list:
             block = geometry["quad"]
             vertices = np.asarray(block["vertices"], dtype=float)
             out = []
-            for m, n in block.get("meshes", [[1, 1]]):
-                mesh = mesh_quad(vertices, int(m), int(n))
+            for size in block.get("meshes", [[1, 1]]):
+                m, n = (_integer(k, "mesh size") for k in size)
+                mesh = mesh_quad(vertices, m, n)
                 _attach_boundary_sets(mesh, vertices, block)
-                out.append((f"{int(m)}x{int(n)}", mesh))
+                out.append((f"{m}x{n}", mesh))
             return out
         if "triangle" in geometry:
             block = geometry["triangle"]
             vertices = np.asarray(block["vertices"], dtype=float)
             out = []
             for level in block.get("levels", [1]):
-                mesh = mesh_triangle(vertices, int(level))
+                level = _integer(level, "triangle level")
+                mesh = mesh_triangle(vertices, level)
                 _attach_boundary_sets(mesh, vertices, block)
-                out.append((f"{3 * int(level) ** 2}-elements", mesh))
+                out.append((f"{3 * level ** 2}-elements", mesh))
             return out
         block = geometry["mesh"]
+        sets = block.get("boundary_sets") or {}
+        if not isinstance(sets, dict):
+            raise InvalidCaseError("boundary_sets must be a JSON object")
         boundary = {
-            name: BoundarySet(condition=entry["condition"],
-                              nodes=tuple(entry["nodes"]))
-            for name, entry in (block.get("boundary_sets") or {}).items()
+            name: BoundarySet(
+                condition=entry["condition"],
+                nodes=tuple(_integer(n, "boundary node")
+                            for n in entry["nodes"]))
+            for name, entry in sets.items()
         }
         mesh = Mesh(
             nodes=np.asarray(block["nodes"], dtype=float),
-            elements=np.asarray(block["elements"], dtype=int),
+            elements=np.asarray([[_integer(i, "element node") for i in row]
+                                 for row in block["elements"]], dtype=int),
             boundary_sets=boundary,
         )
         return [("mesh", mesh)]
@@ -398,15 +420,6 @@ class Report:
                 lines.append(
                     f"{row['mesh']},{row['mode']},{row['omega']:.6f},"
                     f"{row['param_plain']:.6f},{row['param_per_pi2']:.6f}"
-                )
-            return "\n".join(lines) + "\n"
-        if self.kind == "compare":
-            s1, s2 = self.tables["schemes"]
-            lines = [f"mesh,mode,param_{s1},param_{s2},rel_diff"]
-            for row in self.tables["rows"]:
-                lines.append(
-                    f"{row['mesh']},{row['mode']},{row[s1]:.6f},"
-                    f"{row[s2]:.6f},{row['rel_diff']:.6e}"
                 )
             return "\n".join(lines) + "\n"
         if self.kind == "sectprops":
@@ -579,7 +592,7 @@ def run_modal(case: CaseFile) -> Report:
     """
     analysis = case.analysis
     if analysis["scheme"] == "all":
-        raise InvalidCaseError("modal runs use one scheme; see compare")
+        raise InvalidCaseError("modal runs use one scheme, not 'all'")
     rule = gauss_rule(analysis["gauss"])
     a = case.reference_length
     rows = []
@@ -628,39 +641,4 @@ def run_modal(case: CaseFile) -> Report:
             "reference_length": a,
         },
         tables=tables,
-    )
-
-
-def run_compare(case: CaseFile, schemes=("bilinear", "pascal6")) -> Report:
-    """Run modal under two schemes and tabulate the per-mode differences."""
-    if len(schemes) != 2:
-        raise InvalidCaseError("compare needs exactly two schemes")
-    for kind in schemes:
-        if kind not in SCHEME_KINDS:
-            raise InvalidCaseError(f"unknown scheme {kind!r}")
-    reports = {}
-    for kind in schemes:
-        sub = copy.deepcopy(case)
-        sub.analysis["scheme"] = kind
-        reports[kind] = run_modal(sub)
-    s1, s2 = schemes
-    rows = []
-    key = case.analysis["normalization"]
-    column = "param_per_pi2" if key == "per_pi2" else "param_plain"
-    for row1, row2 in zip(reports[s1].tables["rows"],
-                          reports[s2].tables["rows"]):
-        v1, v2 = row1[column], row2[column]
-        denom = max(abs(v1), abs(v2), 1e-300)
-        rows.append({
-            "mesh": row1["mesh"],
-            "mode": row1["mode"],
-            s1: v1,
-            s2: v2,
-            "rel_diff": abs(v1 - v2) / denom,
-        })
-    return Report(
-        kind="compare",
-        meta={"case": case.name, "normalization": key,
-              "gauss": case.analysis["gauss"]},
-        tables={"schemes": list(schemes), "rows": rows},
     )

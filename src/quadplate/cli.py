@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Verbs: sectprops, mapcheck, modal, compare.  Exit codes: 0 success,
+Verbs: sectprops, mapcheck, modal.  Exit codes: 0 success,
 2 input validation failure, 3 numerical failure.
 """
 
@@ -13,7 +13,6 @@ from .cases import (
     builtin_case_names,
     emit,
     load_case,
-    run_compare,
     run_mapcheck,
     run_modal,
     run_sectprops,
@@ -69,26 +68,14 @@ def main(argv=None) -> int:
         "mapcheck", help="poles, shape-function checks, map deviations"))
     _add_common(sub.add_parser(
         "modal", help="free-vibration frequency tables"), modal=True)
-    compare = sub.add_parser(
-        "compare", help="modal run under two schemes, tabulated differences")
-    _add_common(compare, modal=True)
-    compare.add_argument("--schemes", default="bilinear,pascal6",
-                         help="comma-separated pair of schemes")
 
     args = parser.parse_args(argv)
-    modal = args.verb in ("modal", "compare")
+    runners = {"sectprops": run_sectprops, "mapcheck": run_mapcheck,
+               "modal": run_modal}
     try:
         case = load_case(args.case, seed=args.seed,
-                         overrides=_overrides(args, modal))
-        if args.verb == "sectprops":
-            report = run_sectprops(case)
-        elif args.verb == "mapcheck":
-            report = run_mapcheck(case)
-        elif args.verb == "modal":
-            report = run_modal(case)
-        else:
-            schemes = tuple(s.strip() for s in args.schemes.split(","))
-            report = run_compare(case, schemes=schemes)
+                         overrides=_overrides(args, args.verb == "modal"))
+        report = runners[args.verb](case)
         emit(report, fmt=args.format, destination=args.out)
     except ValidationError as exc:
         print(f"quadplate: invalid input: {exc}", file=sys.stderr)

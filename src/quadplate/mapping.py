@@ -630,7 +630,8 @@ def jacobian(scheme: MappingScheme, theta) -> Jacobian:
     diam = scheme.quad.diameter
     if abs(det) < 1e-12 * diam * diam:
         raise NumericalError(
-            f"singular Jacobian at theta={tuple(np.asarray(theta))}: det={det:.3e}"
+            f"singular Jacobian at theta={tuple(map(float, theta))}: "
+            f"det={det:.3e}"
         )
     return Jacobian(matrix=matrix, det=det)
 

@@ -417,6 +417,7 @@ def _positive_jacobian(scheme: MappingScheme, theta) -> Jacobian:
     jac = jacobian(scheme, theta)
     if jac.det <= 0.0:
         raise NumericalError(
-            f"folded element: det J = {jac.det:.3e} at theta={theta}"
+            f"folded element: det J = {jac.det:.3e} "
+            f"at theta={tuple(map(float, theta))}"
         )
     return jac

@@ -12,7 +12,6 @@ from quadplate.cases import (
     case_meshes,
     emit,
     load_case,
-    run_compare,
     run_mapcheck,
     run_modal,
     run_sectprops,
@@ -48,6 +47,13 @@ def write_square_case(tmp_path, edit=None):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def square_mesh(boundary_sets, elements=([0, 1, 2, 3],)):
+    """An explicit one-element unit-square mesh geometry block."""
+    return {"mesh": {"nodes": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                     "elements": list(elements),
+                     "boundary_sets": boundary_sets}}
 
 
 class TestCaseLoading:
@@ -98,6 +104,15 @@ class TestCaseLoading:
         from quadplate.cases import parse_case
         with pytest.raises(InvalidCaseError):
             parse_case(doc)
+
+    @pytest.mark.parametrize("length", [0, -1.0])
+    def test_nonpositive_reference_length_rejected_on_load(self, tmp_path,
+                                                           length):
+        # rejected with the case, not after every mesh has been solved
+        path = write_square_case(tmp_path, lambda doc: doc["geometry"].update(
+            reference_length=length))
+        with pytest.raises(InvalidCaseError, match="reference_length"):
+            load_case(path)
 
     def test_random_quad_depends_on_seed(self):
         first = load_case("random-quad", seed=1)
@@ -294,16 +309,6 @@ class TestModalReports:
             np.testing.assert_allclose(got[mesh], omega, rtol=1e-8,
                                        err_msg=mesh)
 
-    def test_compare_schemes_agree_for_straight_edges(self):
-        case = load_case("clamped-quad")
-        case.geometry["quad"]["meshes"] = [[2, 2]]
-        case.analysis["modes"] = 3
-        report = run_compare(case, schemes=("bilinear", "pascal6"))
-        for row in report.tables["rows"]:
-            assert row["rel_diff"] == 0.0
-        csv = report.to_csv()
-        assert csv.startswith("mesh,mode,param_bilinear,param_pascal6,")
-
 
 class TestCli:
     def test_sectprops_exit_zero(self, tmp_path, capsys):
@@ -355,15 +360,34 @@ class TestCli:
             vertices=[["a", 0], [1, 0], [1, 1], [0, 1]]),
         lambda doc: doc["geometry"]["quad"].update(meshes=[[2]]),
         lambda doc: doc["geometry"]["quad"].update(clamped_edges=["x"]),
-        lambda doc: doc.update(geometry={"mesh": {
-            "nodes": [[0, 0], [1, 0], [1, 1], [0, 1]],
-            "elements": [[0, 1, 2, 3]],
-            "boundary_sets": {"edge": {"nodes": [0, 1]}},
-        }}),
+        lambda doc: doc.update(geometry=square_mesh(
+            {"edge": {"nodes": [0, 1]}})),
+        lambda doc: doc.update(geometry=square_mesh([1])),
+        lambda doc: doc.update(geometry=square_mesh(
+            {"edge": {"condition": "clamped", "nodes": "01"}})),
+        lambda doc: doc["geometry"].update(reference_length=float("nan")),
+        lambda doc: doc["geometry"].update(reference_length=float("inf")),
+        lambda doc: doc["geometry"].update(reference_length=0),
+        lambda doc: doc["geometry"].update(reference_length=-1.0),
+        lambda doc: doc["analysis"].update(gauss=3.7),
+        lambda doc: doc["analysis"].update(modes=2.5),
+        lambda doc: doc["analysis"].update(modes=True),
+        lambda doc: doc["geometry"]["quad"].update(meshes=[[2.5, 2]]),
+        lambda doc: doc.update(geometry={"triangle": {
+            "vertices": [[0, 0], [1, 0.25], [0, 0.5]], "levels": "12"}}),
+        lambda doc: doc["geometry"]["quad"].update(clamped_edges=[0.7]),
+        lambda doc: doc.update(geometry=square_mesh(
+            {}, elements=[[0.5, 1, 2, 3]])),
     ], ids=["gauss-text", "E-text", "E-nan", "quad-without-vertices",
             "analysis-unknown-key", "rotary-text", "mode-shapes-number",
             "analysis-list", "vertices-text", "mesh-size-not-pair",
-            "clamped-edge-text", "boundary-set-without-condition"])
+            "clamped-edge-text", "boundary-set-without-condition",
+            "boundary-sets-list", "boundary-nodes-text",
+            "reference-length-nan", "reference-length-inf",
+            "reference-length-zero", "reference-length-negative",
+            "gauss-fraction", "modes-fraction", "modes-bool",
+            "mesh-size-fraction", "levels-text", "clamped-edge-fraction",
+            "element-node-fraction"])
     def test_invalid_case_values_exit_two(self, tmp_path, capsys, edit):
         path = write_square_case(tmp_path, edit)
         assert main(["modal", "--case", path]) == 2
@@ -390,6 +414,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure: element 3: folded element" in err
         assert "theta=" in err
+        assert "np.float64" not in err
 
     def test_workers_option_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -400,17 +425,18 @@ class TestCli:
         assert main(["modal", "--case", path]) == 2
         assert "unknown analysis keys ['workers']" in capsys.readouterr().err
 
-    def test_compare_unknown_scheme_exit_two(self, capsys):
-        assert main(["compare", "--case", "clamped-quad",
-                     "--schemes", "bilinear,quartic"]) == 2
-        assert "unknown scheme" in capsys.readouterr().err
-
-    def test_compare_verb(self, capsys):
-        code = main(["compare", "--case", "clamped-quad", "--modes", "2",
-                     "--schemes", "bilinear,pascal6"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("mesh,mode,param_bilinear,param_pascal6")
+    def test_compare_verb_removed(self, capsys):
+        # every scheme gives the modal path the same bilinear
+        # transformation, so there is no second modal run to compare
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--case", "clamped-quad"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["modal", "--case", "clamped-quad",
+                     "--scheme", "all"]) == 2
+        err = capsys.readouterr().err
+        assert "modal runs use one scheme" in err
+        assert "compare" not in err
 
     def test_json_format(self, capsys):
         code = main(["mapcheck", "--case", "paper-quad", "--format", "json"])

@@ -127,6 +127,12 @@ class TestJacobian:
         with pytest.raises(NumericalError):
             jacobian(scheme, (2.75, 0.0))
 
+    def test_singular_jacobian_message_prints_plain_floats(self, section_quad):
+        scheme = build_scheme(section_quad, "bilinear")
+        with pytest.raises(NumericalError) as exc:
+            jacobian(scheme, np.array([2.75, 0.0]))
+        assert "singular Jacobian at theta=(2.75, 0.0): det=" in str(exc.value)
+
     def test_contravariant_is_inverse(self, section_quad):
         scheme = build_scheme(section_quad, "pascal6")
         jac = jacobian(scheme, (0.2, -0.4))

@@ -1,0 +1,22 @@
+"""Every command in README's "Command line" block runs as documented."""
+
+import pathlib
+import shlex
+
+import pytest
+
+from quadplate.cli import main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    section = README.read_text(encoding="utf-8").split("## Command line")[1]
+    block = section.split("```sh\n")[1].split("```")[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("quadplate ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_exits_zero(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "report")]) == 0
