@@ -219,17 +219,11 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
     if not isinstance(material_block, dict):
         raise InvalidCaseError("case needs a material block")
     try:
-        material = PlateMaterial(
-            E=float(material_block["E"]),
-            nu=float(material_block["nu"]),
-            t=float(material_block["t"]),
-            rho=float(material_block["rho"]),
-        )
+        material = PlateMaterial(**{
+            key: _real(material_block[key], f"material {key}")
+            for key in ("E", "nu", "t", "rho")})
     except KeyError as exc:
         raise InvalidCaseError(f"material block misses {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidCaseError(f"material value is not a number: {exc}") \
-            from exc
 
     geometry = raw.get("geometry")
     if not isinstance(geometry, dict):
@@ -267,11 +261,8 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
         )
     analysis["gauss"] = _integer(analysis["gauss"], "gauss")
     analysis["modes"] = _integer(analysis["modes"], "modes")
-    try:
-        reference_length = float(geometry.get("reference_length", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise InvalidCaseError(
-            f"reference_length must be a number: {exc}") from exc
+    reference_length = _real(geometry.get("reference_length", 1.0),
+                             "reference_length")
     if not 0.0 < reference_length < math.inf:
         raise InvalidCaseError(
             "reference_length must be positive and finite, "
@@ -294,6 +285,16 @@ def _integer(value, what: str) -> int:
             or not float(value).is_integer():
         raise InvalidCaseError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str):
+    """``value`` as a float, or (nested) lists of them as a float array;
+    booleans and strings are rejected rather than converted."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return np.array([_real(item, what) for item in value], dtype=float)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidCaseError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def case_meshes(case: CaseFile) -> list:
     try:
         if "quad" in geometry:
             block = geometry["quad"]
-            vertices = np.asarray(block["vertices"], dtype=float)
+            vertices = _real(block["vertices"], "vertex coordinate")
             out = []
             for size in block.get("meshes", [[1, 1]]):
                 m, n = (_integer(k, "mesh size") for k in size)
@@ -333,7 +334,7 @@ def case_meshes(case: CaseFile) -> list:
             return out
         if "triangle" in geometry:
             block = geometry["triangle"]
-            vertices = np.asarray(block["vertices"], dtype=float)
+            vertices = _real(block["vertices"], "vertex coordinate")
             out = []
             for level in block.get("levels", [1]):
                 level = _integer(level, "triangle level")
@@ -353,7 +354,7 @@ def case_meshes(case: CaseFile) -> list:
             for name, entry in sets.items()
         }
         mesh = Mesh(
-            nodes=np.asarray(block["nodes"], dtype=float),
+            nodes=_real(block["nodes"], "node coordinate"),
             elements=np.asarray([[_integer(i, "element node") for i in row]
                                  for row in block["elements"]], dtype=int),
             boundary_sets=boundary,
@@ -377,7 +378,7 @@ def _single_quad(case: CaseFile) -> QuadGeometry:
             "this analysis runs on a single quad; drop the meshes list"
         )
     try:
-        vertices = np.asarray(block["vertices"], dtype=float)
+        vertices = _real(block["vertices"], "vertex coordinate")
     except (TypeError, ValueError) as exc:
         raise InvalidCaseError(f"malformed quad vertices: {exc!r}") from exc
     return QuadGeometry(vertices)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.spatial.distance
 
 from .errors import (
     DegenerateGeometryError,
@@ -39,7 +38,6 @@ from .mapping import (
     QuadGeometry,
     bilinear_coefficients,
     bilinear_jacobians,
-    bilinear_params,
     build_scheme,
     monomial_values,
 )
@@ -157,6 +155,10 @@ def _validate_mesh(mesh: Mesh):
              repeated.reshape(conn.shape).any(axis=1))
     bad = np.flatnonzero(np.logical_or.reduce(flags))
     if bad.size == 0:
+        unused = np.flatnonzero(np.bincount(conn.ravel(), minlength=n) == 0)
+        if unused.size:
+            raise DegenerateGeometryError(
+                f"node {unused[0]} belongs to no element")
         return
     ei = int(bad[0])
     for flag, fault in zip(flags, ("repeats nodes",
@@ -464,61 +466,34 @@ def modal_analysis(mesh: Mesh, material: PlateMaterial,
 # structured mesh generation
 # ---------------------------------------------------------------------------
 
-class _GridBuilder:
-    """Accumulates structured quad patches, merging coincident nodes."""
+def _lattice_mesh(quad: QuadGeometry, m: int, n: int,
+                  apex: bool = False) -> Mesh:
+    """Structured m x n bilinear grid over ``quad``.
 
-    def __init__(self, scale: float):
-        self.quantum = max(scale, 1e-300) * 1e-9
-        self._ids = {}
-        self.points = []
-        self.elements = []
-
-    def _node(self, p) -> int:
-        key = (int(round(p[0] / self.quantum)), int(round(p[1] / self.quantum)))
-        nid = self._ids.get(key)
-        if nid is None:
-            nid = len(self.points)
-            self._ids[key] = nid
-            self.points.append((float(p[0]), float(p[1])))
-        return nid
-
-    def add_patch(self, corners, m: int, n: int, allow_collapsed=False):
-        """Subdivide one counterclockwise quad into an m x n bilinear grid."""
-        params = bilinear_params(
-            QuadGeometry(corners, allow_collapsed=allow_collapsed)
-        )
-        ids = np.empty((m + 1, n + 1), dtype=int)
-        for i in range(m + 1):
-            t1 = -1.0 + 2.0 * i / m
-            for j in range(n + 1):
-                t2 = -1.0 + 2.0 * j / n
-                ids[i, j] = self._node(params.point((t1, t2)))
-        for i in range(m):
-            for j in range(n):
-                self.elements.append(
-                    (ids[i, j], ids[i + 1, j], ids[i + 1, j + 1], ids[i, j + 1])
-                )
-
-    def mesh(self) -> Mesh:
-        nodes = np.array(self.points)
-        if len(nodes) > 1:
-            # Guard against near-coincident distinct nodes (mesh cracks).
-            d = scipy.spatial.distance.pdist(nodes)
-            if d.min() <= 0.5 * self.quantum:
-                raise DegenerateGeometryError(
-                    "distinct mesh nodes nearly coincide; refine failed"
-                )
-        return Mesh(nodes=nodes, elements=np.array(self.elements, dtype=int))
+    Nodes are numbered t1-outer, t2-inner; element (i, j) joins lattice
+    nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1).  With ``apex`` the
+    collapsed t1 = +1 edge is one node, that row's first, numbered last.
+    """
+    t1, t2 = np.meshgrid(-1.0 + 2.0 * np.arange(m + 1) / m,
+                         -1.0 + 2.0 * np.arange(n + 1) / n, indexing="ij")
+    monomials = np.stack([np.ones_like(t1), t1, t2, t1 * t2], axis=-1)
+    # (1, 4) @ (4, 2) per node, the product ``params.point`` makes
+    nodes = (monomials.reshape(-1, 1, 4)
+             @ bilinear_coefficients(quad.vertices)).reshape(-1, 2)
+    ids = np.arange(len(nodes)).reshape(m + 1, n + 1)
+    if apex:
+        ids[m] = ids[m, 0]
+        nodes = nodes[:ids[m, 0] + 1]
+    elements = np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:],
+                         ids[:-1, 1:]], axis=-1)
+    return Mesh(nodes=nodes, elements=elements.reshape(-1, 4))
 
 
 def mesh_quad(vertices, m: int, n: int) -> Mesh:
     """Bilinear transfinite m x n grid over a quadrilateral."""
     if m < 1 or n < 1:
         raise ValidationError("grid subdivisions must be >= 1")
-    quad = QuadGeometry(vertices)
-    builder = _GridBuilder(scale=quad.diameter)
-    builder.add_patch(quad.vertices, m, n)
-    return builder.mesh()
+    return _lattice_mesh(QuadGeometry(vertices), m, n)
 
 
 def mesh_triangle(vertices, level: int) -> Mesh:
@@ -546,10 +521,9 @@ def mesh_triangle(vertices, level: int) -> Mesh:
     if area2 < 0.0:
         warnings.warn("triangle given clockwise; reordering", stacklevel=2)
         v = v[[0, 2, 1]]
-    builder = _GridBuilder(scale=scale)
-    corners = np.vstack([v[0], v[1], v[1], v[2]])
-    builder.add_patch(corners, 3 * level, level, allow_collapsed=True)
-    return builder.mesh()
+    quad = QuadGeometry(np.vstack([v[0], v[1], v[1], v[2]]),
+                        allow_collapsed=True)
+    return _lattice_mesh(quad, 3 * level, level, apex=True)
 
 
 def nodes_on_segment(mesh: Mesh, p0, p1, tol: float | None = None) -> tuple:

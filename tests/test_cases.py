@@ -49,9 +49,10 @@ def write_square_case(tmp_path, edit=None):
     return str(path)
 
 
-def square_mesh(boundary_sets, elements=([0, 1, 2, 3],)):
+def square_mesh(boundary_sets, elements=([0, 1, 2, 3],),
+                nodes=([0, 0], [1, 0], [1, 1], [0, 1])):
     """An explicit one-element unit-square mesh geometry block."""
-    return {"mesh": {"nodes": [[0, 0], [1, 0], [1, 1], [0, 1]],
+    return {"mesh": {"nodes": list(nodes),
                      "elements": list(elements),
                      "boundary_sets": boundary_sets}}
 
@@ -378,6 +379,20 @@ class TestCli:
         lambda doc: doc["geometry"]["quad"].update(clamped_edges=[0.7]),
         lambda doc: doc.update(geometry=square_mesh(
             {}, elements=[[0.5, 1, 2, 3]])),
+        lambda doc: doc["material"].update(t=True),
+        lambda doc: doc["material"].update(E="1365"),
+        lambda doc: doc["geometry"].update(reference_length="2"),
+        lambda doc: doc["geometry"]["quad"].update(
+            vertices=[[False, 0], [1, 0], [1, 1], [0, 1]]),
+        lambda doc: doc["geometry"]["quad"].update(
+            vertices=[["0", 0], [1, 0], [1, 1], [0, 1]]),
+        lambda doc: doc.update(geometry={"triangle": {
+            "vertices": [["0", 0], [1, 0.25], [0, 0.5]], "levels": [1]}}),
+        lambda doc: doc.update(geometry=square_mesh(
+            {}, nodes=[[0, 0], [1, 0], [1, True], [0, 1]])),
+        lambda doc: doc.update(geometry=square_mesh(
+            {"edge": {"condition": "clamped", "nodes": [0, 1]}},
+            nodes=[[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])),
     ], ids=["gauss-text", "E-text", "E-nan", "quad-without-vertices",
             "analysis-unknown-key", "rotary-text", "mode-shapes-number",
             "analysis-list", "vertices-text", "mesh-size-not-pair",
@@ -387,7 +402,10 @@ class TestCli:
             "reference-length-zero", "reference-length-negative",
             "gauss-fraction", "modes-fraction", "modes-bool",
             "mesh-size-fraction", "levels-text", "clamped-edge-fraction",
-            "element-node-fraction"])
+            "element-node-fraction", "t-bool", "E-numeric-text",
+            "reference-length-text", "vertex-bool", "vertex-numeric-text",
+            "triangle-vertex-numeric-text", "mesh-node-bool",
+            "mesh-unused-node"])
     def test_invalid_case_values_exit_two(self, tmp_path, capsys, edit):
         path = write_square_case(tmp_path, edit)
         assert main(["modal", "--case", path]) == 2
@@ -400,6 +418,16 @@ class TestCli:
             "quad": {"vertices": [["a", 0], [1, 0], [1, 1], [0, 1]]}}))
         assert main([verb, "--case", path]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck"])
+    @pytest.mark.parametrize("corner", [[False, 0], ["0", 0]],
+                             ids=["bool", "numeric-text"])
+    def test_single_quad_number_like_vertices_exit_two(self, tmp_path,
+                                                       capsys, verb, corner):
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "quad": {"vertices": [corner, [1, 0], [1, 1], [0, 1]]}}))
+        assert main([verb, "--case", path]) == 2
+        assert "vertex coordinate must be a number" in capsys.readouterr().err
 
     def test_folded_element_in_mesh_exit_three(self, tmp_path, capsys):
         # a 2x2 grid whose center node is pushed towards the far corner:

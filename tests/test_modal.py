@@ -1,3 +1,11 @@
+import contextlib
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +44,10 @@ from conftest import BIUNIT_SQUARE, SECTION_QUAD, UNIT_SQUARE, convex_quads
 MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)
 RULE = gauss_rule(3)
 TIP = [[0, 0], [1, 0.25], [1, 0.25], [0, 0.5]]
+#: SHA-256 digests of structured mesh arrays, recorded from the
+#: coordinate-merging mesh generator that the lattice one replaced.
+RECORDED_MESHES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "mesh_arrays.json").read_text())
 
 
 def scalar_assemble(mesh, material, rule=RULE, rotary=False):
@@ -153,9 +165,12 @@ class TestAssemble:
          "elements 0 and 2 traverse edge (4, 3) in the same direction"),
         ([[0, 1, 4, 3], [1, 2, 5, 4], [1, 2, 5, 4]],
          "elements 1 and 2 traverse edge (1, 2) in the same direction"),
-    ], ids=["repeats", "non-adjacent", "clockwise-first", "edge", "copy"])
+        ([[0, 1, 4, 3], [1, 2, 5, 4]], "node 6 belongs to no element"),
+    ], ids=["repeats", "non-adjacent", "clockwise-first", "edge", "copy",
+            "unused-node"])
     def test_mesh_fault_names_first_element(self, elements, message):
-        # a 2x1 strip of unit squares plus two points inside the first
+        # a 2x1 strip of unit squares plus two points inside the first;
+        # the spare points are reported only when every element passes
         nodes = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1],
                  [0.2, 0.4], [0.8, 0.4]]
         mesh = Mesh(nodes=nodes, elements=elements)
@@ -397,6 +412,50 @@ class TestMeshGenerators:
             mesh_triangle([[0, 0], [1, 0], [0, 1]], 0)
         with pytest.raises(DegenerateGeometryError):
             mesh_triangle([[0, 0], [1, 1], [2, 2]], 1)
+
+    @pytest.mark.parametrize("entry", RECORDED_MESHES,
+                             ids=[e["id"] for e in RECORDED_MESHES])
+    def test_matches_recorded_arrays(self, entry):
+        clockwise = entry["id"].startswith("clockwise")
+        with (pytest.warns(UserWarning, match="clockwise") if clockwise
+              else contextlib.nullcontext()):
+            if entry["kind"] == "quad":
+                mesh = mesh_quad(entry["vertices"], *entry["size"])
+            else:
+                mesh = mesh_triangle(entry["vertices"], entry["size"])
+        assert (mesh.n_nodes, mesh.n_elements) == (entry["n_nodes"],
+                                                   entry["n_elements"])
+        assert hashlib.sha256(mesh.nodes.tobytes()).hexdigest() \
+            == entry["nodes_sha256"]
+        assert hashlib.sha256(mesh.elements.astype(np.int64).tobytes()) \
+            .hexdigest() == entry["elements_sha256"]
+
+    def test_folded_quad_keeps_every_lattice_node(self):
+        # a non-convex quad folds its grid: distinct lattice points land
+        # close together but stay distinct nodes, and validation names the
+        # first inverted element
+        mesh = mesh_quad([[0, 0], [4, 0], [1, 1], [0, 4]], 9, 9)
+        assert mesh.n_nodes == 100
+        with pytest.raises(DegenerateGeometryError) as exc:
+            assemble(mesh, MAT)
+        assert str(exc.value) == "element 35 is degenerate or clockwise"
+
+    def test_large_quad_mesh_memory(self):
+        tracemalloc.start()
+        try:
+            mesh = mesh_quad(UNIT_SQUARE, 128, 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_nodes == 129 * 129
+        assert peak < 16 * 2 ** 20
+
+    def test_cli_import_skips_scipy_spatial(self):
+        code = ("import sys, quadplate.cli; "
+                "assert 'scipy.spatial' not in sys.modules")
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_nodes_on_segment(self):
         mesh = mesh_quad(UNIT_SQUARE, 2, 2)
