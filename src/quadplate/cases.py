@@ -287,14 +287,18 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _real(value, what: str):
-    """``value`` as a float, or (nested) lists of them as a float array;
-    booleans and strings are rejected rather than converted."""
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return np.array([_real(item, what) for item in value], dtype=float)
+def _real(value, what: str) -> float:
+    """``value`` as a float; booleans, strings and lists are rejected
+    rather than converted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidCaseError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _points(rows, what: str) -> np.ndarray:
+    """Coordinate rows as a float array, each coordinate read by ``_real``."""
+    return np.array([[_real(c, what) for c in row] for row in rows],
+                    dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +328,7 @@ def case_meshes(case: CaseFile) -> list:
     try:
         if "quad" in geometry:
             block = geometry["quad"]
-            vertices = _real(block["vertices"], "vertex coordinate")
+            vertices = _points(block["vertices"], "vertex coordinate")
             out = []
             for size in block.get("meshes", [[1, 1]]):
                 m, n = (_integer(k, "mesh size") for k in size)
@@ -334,7 +338,7 @@ def case_meshes(case: CaseFile) -> list:
             return out
         if "triangle" in geometry:
             block = geometry["triangle"]
-            vertices = _real(block["vertices"], "vertex coordinate")
+            vertices = _points(block["vertices"], "vertex coordinate")
             out = []
             for level in block.get("levels", [1]):
                 level = _integer(level, "triangle level")
@@ -354,7 +358,7 @@ def case_meshes(case: CaseFile) -> list:
             for name, entry in sets.items()
         }
         mesh = Mesh(
-            nodes=_real(block["nodes"], "node coordinate"),
+            nodes=_points(block["nodes"], "node coordinate"),
             elements=np.asarray([[_integer(i, "element node") for i in row]
                                  for row in block["elements"]], dtype=int),
             boundary_sets=boundary,
@@ -378,7 +382,7 @@ def _single_quad(case: CaseFile) -> QuadGeometry:
             "this analysis runs on a single quad; drop the meshes list"
         )
     try:
-        vertices = _real(block["vertices"], "vertex coordinate")
+        vertices = _points(block["vertices"], "vertex coordinate")
     except (TypeError, ValueError) as exc:
         raise InvalidCaseError(f"malformed quad vertices: {exc!r}") from exc
     return QuadGeometry(vertices)

@@ -486,7 +486,21 @@ def _lattice_mesh(quad: QuadGeometry, m: int, n: int,
         nodes = nodes[:ids[m, 0] + 1]
     elements = np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:],
                          ids[:-1, 1:]], axis=-1)
-    return Mesh(nodes=nodes, elements=elements.reshape(-1, 4))
+    mesh = Mesh(nodes=nodes, elements=elements.reshape(-1, 4))
+    # boundary sets take the nodes within nodes_on_segment's tolerance of
+    # an edge: on a plate too thin for the grid, nodes off the edge's
+    # lattice side too (a folded grid is left to validation instead, which
+    # names its first inverted element)
+    if np.any(_twice_areas(mesh.nodes[mesh.elements]) <= 0.0):
+        return mesh
+    v = quad.vertices
+    for p, side in enumerate((ids[:, 0], ids[m], ids[:, n], ids[0])):
+        if not (apex and p == 1) and len(nodes_on_segment(
+                mesh, v[p], v[(p + 1) % 4])) > len(np.unique(side)):
+            raise DegenerateGeometryError(
+                f"plate too thin for a {m} x {n} grid: nodes off edge "
+                f"{p} lie within its boundary tolerance")
+    return mesh
 
 
 def mesh_quad(vertices, m: int, n: int) -> Mesh:

@@ -393,6 +393,14 @@ class TestCli:
         lambda doc: doc.update(geometry=square_mesh(
             {"edge": {"condition": "clamped", "nodes": [0, 1]}},
             nodes=[[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])),
+        lambda doc: doc["material"].update(E=[1365]),
+        lambda doc: doc["material"].update(E=[1, 2]),
+        lambda doc: doc["geometry"].update(reference_length=[2]),
+        lambda doc: doc["geometry"].update(reference_length=[1, 2]),
+        lambda doc: doc["geometry"]["quad"].update(
+            vertices=[[[0], 0], [1, 0], [1, 1], [0, 1]]),
+        lambda doc: doc["geometry"]["quad"].update(
+            vertices=[[0, 0], [1, 0], [1, 1e-10], [0, 1e-10]]),
     ], ids=["gauss-text", "E-text", "E-nan", "quad-without-vertices",
             "analysis-unknown-key", "rotary-text", "mode-shapes-number",
             "analysis-list", "vertices-text", "mesh-size-not-pair",
@@ -405,7 +413,9 @@ class TestCli:
             "element-node-fraction", "t-bool", "E-numeric-text",
             "reference-length-text", "vertex-bool", "vertex-numeric-text",
             "triangle-vertex-numeric-text", "mesh-node-bool",
-            "mesh-unused-node"])
+            "mesh-unused-node", "E-list", "E-pair", "reference-length-list",
+            "reference-length-pair", "vertex-coordinate-list",
+            "quad-too-thin"])
     def test_invalid_case_values_exit_two(self, tmp_path, capsys, edit):
         path = write_square_case(tmp_path, edit)
         assert main(["modal", "--case", path]) == 2

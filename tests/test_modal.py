@@ -440,6 +440,26 @@ class TestMeshGenerators:
             assemble(mesh, MAT)
         assert str(exc.value) == "element 35 is degenerate or clockwise"
 
+    @pytest.mark.parametrize("width, size, thin", [
+        (1e-10, 2, True), (1e-8, 2, False), (1e-8, 8, False),
+        (1e-8, 16, True)])
+    def test_thin_quad_rejected_against_boundary_tolerance(self, width, size,
+                                                           thin):
+        # grid lines width / size apart fall inside the boundary-set
+        # tolerance of the unit-length long edges (1e-9) when thin
+        vertices = [[0, 0], [1, 0], [1, width], [0, width]]
+        if thin:
+            with pytest.raises(DegenerateGeometryError, match="too thin"):
+                mesh_quad(vertices, size, size)
+        else:
+            mesh = mesh_quad(vertices, size, size)
+            on_edge = nodes_on_segment(mesh, [0, 0], [1, 0])
+            assert len(on_edge) == size + 1
+
+    def test_thin_triangle_rejected(self):
+        with pytest.raises(DegenerateGeometryError, match="too thin"):
+            mesh_triangle([[0, 0], [1, 1e-10], [0, 2e-10]], 1)
+
     def test_large_quad_mesh_memory(self):
         tracemalloc.start()
         try:
