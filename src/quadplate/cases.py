@@ -24,6 +24,8 @@ from .mapping import (
     SCHEME_KINDS,
     build_scheme,
     compute_poles_cartesian,
+    distance,
+    lattice_points,
     map_point,
     random_convex_quad,
 )
@@ -82,6 +84,8 @@ def _case_paper_quad(seed):
 
 
 def _case_random_quad(seed):
+    if seed is not None and seed < 0:
+        raise InvalidCaseError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(0 if seed is None else seed)
     quad = random_convex_quad(rng, scale=2.0)
     return {
@@ -531,24 +535,19 @@ def run_mapcheck(case: CaseFile) -> Report:
     deviation for a single quad."""
     quad = _single_quad(case)
     poles = compute_poles_cartesian(quad)
-    bilinear = build_scheme(quad, "bilinear")
-    grid = np.linspace(-1.0, 1.0, 9)
+    built = {kind: build_scheme(quad, kind) for kind in SCHEME_KINDS}
+    bilinear = built["bilinear"]
+    grid = lattice_points(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9))
+    reference = map_point(bilinear, grid)
 
     schemes = {}
-    for kind in SCHEME_KINDS:
-        scheme = build_scheme(quad, kind)
+    for kind, scheme in built.items():
         coeffs = scheme.shapes.coeffs
         unity = coeffs.sum(axis=0)
         unity[0] -= 1.0
-        kron = np.vstack([
-            scheme.shapes.evaluate(row) for row in scheme.shapes.nodes.rows
-        ]) - np.eye(coeffs.shape[0])
-        deviation = max(
-            float(np.linalg.norm(
-                map_point(scheme, (t1, t2)) - map_point(bilinear, (t1, t2))
-            ))
-            for t1 in grid for t2 in grid
-        )
+        kron = scheme.shapes.evaluate(scheme.shapes.nodes.rows) \
+            - np.eye(coeffs.shape[0])
+        deviation = float(distance(map_point(scheme, grid), reference).max())
         entry = {
             "partition_of_unity_residual": float(np.abs(unity).max()),
             "kronecker_residual": float(np.abs(kron).max()),
@@ -558,18 +557,11 @@ def run_mapcheck(case: CaseFile) -> Report:
         }
         if kind == "pascal6" and not scheme.fallback:
             entry["condition_estimate"] = scheme.cond_a
-            entry["pole_natural"] = [
-                [float(c) for c in scheme.poles.p5_nat],
-                [float(c) for c in scheme.poles.p6_nat],
-            ]
-            entry["pole_round_trip_residual"] = max(
-                float(np.linalg.norm(
-                    map_point(bilinear, scheme.poles.p5_nat) - poles.p5_xy
-                )),
-                float(np.linalg.norm(
-                    map_point(bilinear, scheme.poles.p6_nat) - poles.p6_xy
-                )),
-            ) / quad.diameter
+            nat = [scheme.poles.p5_nat, scheme.poles.p6_nat]
+            entry["pole_natural"] = [[float(c) for c in p] for p in nat]
+            entry["pole_round_trip_residual"] = float(distance(
+                map_point(bilinear, nat), [poles.p5_xy, poles.p6_xy]
+            ).max()) / quad.diameter
         schemes[kind] = entry
 
     return Report(

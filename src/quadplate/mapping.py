@@ -72,25 +72,55 @@ _SERENDIPITY_SHAPE_COEFFS.setflags(write=False)
 
 
 def monomial_values(exponents, theta) -> np.ndarray:
-    """Evaluate each basis monomial at ``theta = (t1, t2)``."""
-    t1, t2 = float(theta[0]), float(theta[1])
-    return np.array([t1 ** e1 * t2 ** e2 for e1, e2 in exponents])
+    """Each basis monomial at natural points ``theta`` (..., 2); shape
+    (..., n_terms)."""
+    t = np.asarray(theta, dtype=float)
+    return np.stack([t[..., 0] ** e1 * t[..., 1] ** e2
+                     for e1, e2 in exponents], axis=-1)
 
 
 def monomial_gradients(exponents, theta) -> np.ndarray:
-    """Partial derivatives of each monomial; shape (n_terms, 2)."""
-    t1, t2 = float(theta[0]), float(theta[1])
-    out = np.empty((len(exponents), 2))
-    for q, (e1, e2) in enumerate(exponents):
-        out[q, 0] = 0.0 if e1 == 0 else e1 * t1 ** (e1 - 1) * t2 ** e2
-        out[q, 1] = 0.0 if e2 == 0 else e2 * t1 ** e1 * t2 ** (e2 - 1)
-    return out
+    """Partial derivatives of each monomial at natural points ``theta``
+    (..., 2); shape (..., n_terms, 2)."""
+    t = np.asarray(theta, dtype=float)
+    t1, t2 = t[..., 0], t[..., 1]
+    zero = np.zeros_like(t1)
+    return np.stack([
+        np.stack([zero if e1 == 0 else e1 * t1 ** (e1 - 1) * t2 ** e2,
+                  zero if e2 == 0 else e2 * t1 ** e1 * t2 ** (e2 - 1)],
+                 axis=-1)
+        for e1, e2 in exponents], axis=-2)
 
 
-def _shoelace(vertices: np.ndarray) -> float:
-    """Twice the signed area of a polygon."""
-    x, y = vertices[:, 0], vertices[:, 1]
-    return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def det2(matrix) -> np.ndarray:
+    """Determinants of 2x2 matrices (..., 2, 2)."""
+    return (matrix[..., 0, 0] * matrix[..., 1, 1]
+            - matrix[..., 0, 1] * matrix[..., 1, 0])
+
+
+def twice_signed_area(vertices) -> np.ndarray:
+    """Twice the signed area of polygons (..., k, 2) (shoelace formula)."""
+    x, y = vertices[..., 0], vertices[..., 1]
+    return np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
+                  axis=-1)
+
+
+def distance(a, b) -> np.ndarray:
+    """Distances |a - b| of points (..., 2), each rounded exactly as
+    ``np.linalg.norm`` of one difference vector."""
+    d = np.asarray(a, dtype=float) - b
+    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+
+
+def pair_distances(vertices) -> np.ndarray:
+    """Distances of vertex pairs p < q (row-major) of polygons (..., k, 2)."""
+    p, q = np.triu_indices(vertices.shape[-2], 1)
+    return distance(vertices[..., p, :], vertices[..., q, :])
+
+
+def lattice_points(s1, s2) -> np.ndarray:
+    """Natural points (len(s1) * len(s2), 2) of a tensor lattice, t1 outer."""
+    return np.stack(np.meshgrid(s1, s2, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,15 +148,13 @@ class QuadGeometry:
             )
         if not np.all(np.isfinite(v)):
             raise DegenerateGeometryError("non-finite vertex coordinate")
-        diam = _diameter(v)
+        pairs = pair_distances(v)
+        diam = float(pairs.max())
         if diam == 0.0:
             raise DegenerateGeometryError("all vertices coincide")
-        coincident = [
-            (p, q)
-            for p in range(4)
-            for q in range(p + 1, 4)
-            if np.linalg.norm(v[p] - v[q]) <= 1e-12 * diam
-        ]
+        coincident = [(int(p), int(q))
+                      for p, q, d in zip(*np.triu_indices(4, 1), pairs)
+                      if d <= 1e-12 * diam]
         if coincident:
             adjacent = all((q - p) in (1, 3) for p, q in coincident)
             if not (allow_collapsed and len(coincident) == 1 and adjacent):
@@ -134,7 +162,7 @@ class QuadGeometry:
                 raise DegenerateGeometryError(
                     f"vertices {p + 1} and {q + 1} coincide"
                 )
-        area2 = _shoelace(v)
+        area2 = float(twice_signed_area(v))
         if area2 < 0.0:
             warnings.warn(
                 "vertices given clockwise; reordering to counterclockwise",
@@ -150,20 +178,12 @@ class QuadGeometry:
 
     @property
     def signed_area(self) -> float:
-        return 0.5 * _shoelace(self.vertices)
+        return 0.5 * float(twice_signed_area(self.vertices))
 
     @property
     def centroid(self) -> np.ndarray:
         """Arithmetic mean of the vertices (the mapped image of (0, 0))."""
         return self.vertices.mean(axis=0)
-
-
-def _diameter(v: np.ndarray) -> float:
-    d = 0.0
-    for p in range(len(v)):
-        for q in range(p + 1, len(v)):
-            d = max(d, float(np.linalg.norm(v[p] - v[q])))
-    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +230,9 @@ class GeneralizedParams:
     first row is the mapped center (the element centroid for straight
     edges); the t1, t2 rows are the covariant base-vector components at
     the center, and the quadratic rows are the center-evaluated second
-    derivatives of the map.
+    derivatives of the map.  Leading axes of ``coeffs`` (..., n_terms, 2)
+    hold several maps; they broadcast against the leading axes of the
+    natural points (..., 2) that ``point`` and ``gradient`` take.
     """
 
     exponents: tuple
@@ -218,7 +240,7 @@ class GeneralizedParams:
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
-        if c.shape != (len(self.exponents), 2):
+        if c.shape[-2:] != (len(self.exponents), 2):
             raise ValidationError(
                 f"coefficient shape {c.shape} does not match "
                 f"{len(self.exponents)} basis terms"
@@ -227,12 +249,15 @@ class GeneralizedParams:
         object.__setattr__(self, "coeffs", c)
 
     def point(self, theta) -> np.ndarray:
-        """Cartesian image of a natural point."""
-        return monomial_values(self.exponents, theta) @ self.coeffs
+        """Cartesian images (..., 2) of natural points, one
+        (1, n_terms) @ (n_terms, 2) product per point."""
+        values = monomial_values(self.exponents, theta)[..., None, :]
+        return (values @ self.coeffs)[..., 0, :]
 
     def gradient(self, theta) -> np.ndarray:
-        """Covariant base vectors; row a is d x / d theta_a."""
-        return monomial_gradients(self.exponents, theta).T @ self.coeffs
+        """Covariant base vectors (..., 2, 2); row a is d x / d theta_a."""
+        grads = monomial_gradients(self.exponents, theta)
+        return np.swapaxes(grads, -1, -2) @ self.coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +300,18 @@ class ShapeFunctionSet:
     nodes: NaturalNodeTable
 
     def evaluate(self, theta) -> np.ndarray:
-        return self.coeffs @ monomial_values(self.exponents, theta)
+        """All shape functions at natural points (..., 2); shape
+        (..., n_nodes)."""
+        values = monomial_values(self.exponents, theta)
+        return (self.coeffs @ values[..., :, None])[..., 0]
+
+
+_BILINEAR_SHAPES = ShapeFunctionSet(
+    "bilinear", _BILINEAR_SHAPE_COEFFS, BILINEAR_MONOMIALS,
+    NaturalNodeTable.corners())
+_SERENDIPITY_SHAPES = ShapeFunctionSet(
+    "serendipity8", _SERENDIPITY_SHAPE_COEFFS, SERENDIPITY_MONOMIALS,
+    NaturalNodeTable.serendipity())
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,17 +378,14 @@ def bilinear_jacobians(coeffs: np.ndarray, points) -> tuple:
     the natural points; returns ``(matrix, det)`` of shapes (m, n, 2, 2)
     and (m, n), ``matrix[e, k, a, i]`` being d x_i / d theta_a.
     """
-    grads = np.stack([monomial_gradients(BILINEAR_MONOMIALS, p)
-                      for p in points])
-    matrix = np.swapaxes(grads, 1, 2) @ coeffs[:, None]
-    det = (matrix[..., 0, 0] * matrix[..., 1, 1]
-           - matrix[..., 0, 1] * matrix[..., 1, 0])
-    return matrix, det
+    matrix = GeneralizedParams(BILINEAR_MONOMIALS, coeffs[:, None]) \
+        .gradient(points)
+    return matrix, det2(matrix)
 
 
 def serendipity_shapes(theta) -> np.ndarray:
-    """The eight serendipity shape functions at a natural point."""
-    return _SERENDIPITY_SHAPE_COEFFS @ monomial_values(SERENDIPITY_MONOMIALS, theta)
+    """The eight serendipity shape functions at natural points (..., 2)."""
+    return _SERENDIPITY_SHAPES.evaluate(theta)
 
 
 def compute_poles_cartesian(quad: QuadGeometry) -> PoleSet:
@@ -374,12 +407,10 @@ def _line_intersection(a, b, c, d):
     """Intersection of lines through segments (a, b) and (c, d)."""
     u = b - a
     w = d - c
-    cross = u[0] * w[1] - u[1] * w[0]
+    cross = det2(np.array([u, w]))
     if abs(cross) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(w):
         return None, True
-    ca = c - a
-    s = (ca[0] * w[1] - ca[1] * w[0]) / cross
-    point = a + s * u
+    point = a + det2(np.array([c - a, w])) / cross * u
     point.setflags(write=False)
     return point, False
 
@@ -443,8 +474,7 @@ def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
             if norm <= tol:
                 return theta
             tangent = params.gradient(theta).T
-            det = tangent[0, 0] * tangent[1, 1] - tangent[0, 1] * tangent[1, 0]
-            if abs(det) < 1e-13 * diam * diam:
+            if abs(det2(tangent)) < 1e-13 * diam * diam:
                 singular = True
                 break
             theta = theta - np.linalg.solve(tangent, residual)
@@ -467,7 +497,7 @@ def pascal_interpolation_matrix(nodes: NaturalNodeTable) -> np.ndarray:
     evaluated at node p."""
     if nodes.rows.shape[0] != 6:
         raise ValidationError("pascal interpolation needs 6 nodes (corners + poles)")
-    return np.vstack([monomial_values(PASCAL_MONOMIALS, row) for row in nodes.rows])
+    return monomial_values(PASCAL_MONOMIALS, nodes.rows)
 
 
 def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
@@ -512,13 +542,8 @@ def _pascal_build(quad: QuadGeometry, poles: PoleSet):
 
 
 def _bilinear_scheme(quad: QuadGeometry) -> MappingScheme:
-    shapes = ShapeFunctionSet(
-        "bilinear",
-        _BILINEAR_SHAPE_COEFFS,
-        BILINEAR_MONOMIALS,
-        NaturalNodeTable.corners(),
-    )
-    return MappingScheme("bilinear", quad, bilinear_params(quad), shapes)
+    return MappingScheme("bilinear", quad, bilinear_params(quad),
+                         _BILINEAR_SHAPES)
 
 
 def _serendipity_scheme(quad: QuadGeometry) -> MappingScheme:
@@ -528,13 +553,7 @@ def _serendipity_scheme(quad: QuadGeometry) -> MappingScheme:
     params = GeneralizedParams(
         SERENDIPITY_MONOMIALS, _SERENDIPITY_SHAPE_COEFFS.T @ node_xy
     )
-    shapes = ShapeFunctionSet(
-        "serendipity8",
-        _SERENDIPITY_SHAPE_COEFFS,
-        SERENDIPITY_MONOMIALS,
-        NaturalNodeTable.serendipity(),
-    )
-    return MappingScheme("serendipity8", quad, params, shapes)
+    return MappingScheme("serendipity8", quad, params, _SERENDIPITY_SHAPES)
 
 
 def _pascal_scheme(quad: QuadGeometry, pole_guesses=None) -> MappingScheme:
@@ -545,7 +564,7 @@ def _pascal_scheme(quad: QuadGeometry, pole_guesses=None) -> MappingScheme:
         # bilinear one, so degrade to that and report it.  Collapsed-edge
         # (triangle) elements degrade by design and stay silent.
         v = quad.vertices
-        edge_lengths = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+        edge_lengths = distance(np.roll(v, -1, axis=0), v)
         if edge_lengths.min() > 1e-12 * quad.diameter:
             warnings.warn(
                 "parallel edge pair: pascal6 falls back to the bilinear "
@@ -556,14 +575,9 @@ def _pascal_scheme(quad: QuadGeometry, pole_guesses=None) -> MappingScheme:
         coeffs = np.zeros((6, 2))
         coeffs[[0, 1, 2, 4]] = bil.coeffs
         params = GeneralizedParams(PASCAL_MONOMIALS, coeffs)
-        shapes = ShapeFunctionSet(
-            "bilinear",
-            _BILINEAR_SHAPE_COEFFS,
-            BILINEAR_MONOMIALS,
-            NaturalNodeTable.corners(),
-        )
         return MappingScheme(
-            "pascal6", quad, params, shapes, poles=poles, fallback=True
+            "pascal6", quad, params, _BILINEAR_SHAPES, poles=poles,
+            fallback=True
         )
     guess5, guess6 = pole_guesses if pole_guesses is not None else (None, None)
     nat5 = solve_pole_natural(quad, poles.p5_xy, guess5)
@@ -611,7 +625,8 @@ def build_scheme(quad: QuadGeometry, kind: str = "pascal6",
 # ---------------------------------------------------------------------------
 
 def map_point(scheme: MappingScheme, theta) -> np.ndarray:
-    """Cartesian image of a natural point under the scheme's transformation.
+    """Cartesian images (..., 2) of natural points (..., 2) under the
+    scheme's transformation.
 
     Defined for all theta, including outside the bi-unit square (the poles
     themselves lie outside it).
@@ -626,7 +641,7 @@ def jacobian(scheme: MappingScheme, theta) -> Jacobian:
     the squared quad diameter (folded or degenerate mapping).
     """
     matrix = scheme.params.gradient(theta)
-    det = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
+    det = float(det2(matrix))
     diam = scheme.quad.diameter
     if abs(det) < 1e-12 * diam * diam:
         raise NumericalError(
@@ -654,9 +669,8 @@ def random_convex_quad(rng: np.random.Generator, center=(0.0, 0.0),
             [np.cos(angles), np.sin(angles)], axis=1
         )
         edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] - \
-            edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-        if np.all(cross > 1e-3 * scale * scale) and \
-                _shoelace(v) > 0.2 * scale * scale:
+        turns = det2(np.stack([edges, np.roll(edges, -1, axis=0)], axis=1))
+        if np.all(turns > 1e-3 * scale * scale) and \
+                twice_signed_area(v) > 0.2 * scale * scale:
             return QuadGeometry(v)
     raise RuntimeError("failed to draw a convex quadrilateral")

@@ -34,12 +34,16 @@ from .errors import (
 from .mapping import (
     BILINEAR_MONOMIALS,
     CORNER_NATURAL,
+    GeneralizedParams,
     MappingScheme,
     QuadGeometry,
     bilinear_coefficients,
     bilinear_jacobians,
+    bilinear_params,
     build_scheme,
-    monomial_values,
+    lattice_points,
+    pair_distances,
+    twice_signed_area,
 )
 from .plate_element import (
     QUADRANT_CENTERS,
@@ -121,13 +125,6 @@ class ModalSpectrum:
         return self.omega ** 2
 
 
-def _twice_areas(v: np.ndarray) -> np.ndarray:
-    """Twice the signed area of each quadrilateral in ``v`` (m, 4, 2)."""
-    x, y = v[..., 0], v[..., 1]
-    return np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y,
-                  axis=1)
-
-
 def _validate_mesh(mesh: Mesh):
     if mesh.nodes.ndim != 2 or mesh.nodes.shape[1] != 2:
         raise DegenerateGeometryError("mesh nodes must be an (n, 2) array")
@@ -143,7 +140,7 @@ def _validate_mesh(mesh: Mesh):
     # repeated node is adjacent in the cycle
     non_adjacent = (distinct == 3) & (
         np.count_nonzero(conn == following, axis=1) != 1)
-    area2 = _twice_areas(mesh.nodes[conn])
+    area2 = twice_signed_area(mesh.nodes[conn])
     # each directed edge that an earlier one (in element, then cycle
     # order) already traversed; collapsed edges are skipped
     keys = (conn * n + following).ravel()
@@ -209,9 +206,8 @@ def _element_scheme(mesh: Mesh, conn) -> MappingScheme:
 
 #: Per corner, the element DOF indices of its two rotations.
 _CORNER_ROTATIONS = 3 * np.arange(4)[:, None] + np.array([1, 2])
-#: Vertex index pairs (p, q), p < q, and whether p and q are adjacent.
-_PAIRS = np.array([(p, q) for p in range(4) for q in range(p + 1, 4)])
-_ADJACENT = np.isin(_PAIRS[:, 1] - _PAIRS[:, 0], (1, 3))
+#: Whether each vertex pair (p, q) of ``pair_distances`` is adjacent.
+_ADJACENT = np.isin(np.ptp(np.triu_indices(4, 1), axis=0), (1, 3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,11 +241,11 @@ def _element_batch(mesh: Mesh, rule: GaussRule, check) -> _ElementBatch:
 
     # QuadGeometry(allow_collapsed=True): finite, at most one coincident
     # adjacent vertex pair, no (near-)zero area
-    dist = np.linalg.norm(v[:, _PAIRS[:, 0]] - v[:, _PAIRS[:, 1]], axis=-1)
+    dist = pair_distances(v)
     diam = dist.max(axis=1)
     tol = 1e-12 * diam * diam
     coincident = dist <= 1e-12 * diam[:, None]
-    area2 = _twice_areas(v)
+    area2 = twice_signed_area(v)
     bad = (~np.isfinite(v).all(axis=(1, 2))
            | (np.count_nonzero(coincident, axis=1) > 1)
            | (coincident & ~_ADJACENT).any(axis=1)
@@ -267,9 +263,8 @@ def _element_batch(mesh: Mesh, rule: GaussRule, check) -> _ElementBatch:
     _, qdet = bilinear_jacobians(coeffs, quadrant)
     bad |= (np.abs(qdet) < tol[:, None]).any(axis=1)
     qdet = qdet.reshape(-1, 4, weights.size)
-    areas = np.zeros(qdet.shape[:2])
-    for p, weight in enumerate(0.25 * weights):  # the scalar summation order
-        areas += weight * qdet[:, :, p]
+    # summed in point order, as the scalar loop adds
+    areas = np.cumsum(0.25 * weights * qdet, axis=-1)[..., -1]
     fractions = areas / areas.sum(axis=1, keepdims=True)
     bad |= ((fractions <= 0.0) | (fractions >= 1.0)).any(axis=1) \
         | (np.abs(fractions.sum(axis=1) - 1.0) > 1e-12)
@@ -474,12 +469,8 @@ def _lattice_mesh(quad: QuadGeometry, m: int, n: int,
     nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1).  With ``apex`` the
     collapsed t1 = +1 edge is one node, that row's first, numbered last.
     """
-    t1, t2 = np.meshgrid(-1.0 + 2.0 * np.arange(m + 1) / m,
-                         -1.0 + 2.0 * np.arange(n + 1) / n, indexing="ij")
-    monomials = np.stack([np.ones_like(t1), t1, t2, t1 * t2], axis=-1)
-    # (1, 4) @ (4, 2) per node, the product ``params.point`` makes
-    nodes = (monomials.reshape(-1, 1, 4)
-             @ bilinear_coefficients(quad.vertices)).reshape(-1, 2)
+    nodes = bilinear_params(quad).point(lattice_points(
+        -1.0 + 2.0 * np.arange(m + 1) / m, -1.0 + 2.0 * np.arange(n + 1) / n))
     ids = np.arange(len(nodes)).reshape(m + 1, n + 1)
     if apex:
         ids[m] = ids[m, 0]
@@ -491,7 +482,7 @@ def _lattice_mesh(quad: QuadGeometry, m: int, n: int,
     # an edge: on a plate too thin for the grid, nodes off the edge's
     # lattice side too (a folded grid is left to validation instead, which
     # names its first inverted element)
-    if np.any(_twice_areas(mesh.nodes[mesh.elements]) <= 0.0):
+    if np.any(twice_signed_area(mesh.nodes[mesh.elements]) <= 0.0):
         return mesh
     v = quad.vertices
     for p, side in enumerate((ids[:, 0], ids[m], ids[:, n], ids[0])):
@@ -525,11 +516,8 @@ def mesh_triangle(vertices, level: int) -> Mesh:
     v = np.asarray(vertices, dtype=float)
     if v.shape != (3, 2):
         raise DegenerateGeometryError("triangle needs exactly 3 vertices")
-    area2 = float(
-        np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
-    )
-    scale = max(float(np.linalg.norm(v[p] - v[q]))
-                for p in range(3) for q in range(p + 1, 3))
+    area2 = float(twice_signed_area(v))
+    scale = float(pair_distances(v).max())
     if abs(area2) <= 1e-12 * scale * scale:
         raise DegenerateGeometryError("degenerate triangle")
     if area2 < 0.0:
@@ -557,13 +545,9 @@ def nodes_on_segment(mesh: Mesh, p0, p1, tol: float | None = None) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(dist <= tol))
 
 
-#: The 5x5 natural lattice ``mode_shape_samples`` evaluates (t1 outer) and
-#: the bilinear monomials at its points.
-_SAMPLE_POINTS = np.stack(
-    np.meshgrid(np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5),
-                indexing="ij"), axis=-1).reshape(-1, 2)
-_SAMPLE_MONOMIALS = np.stack([monomial_values(BILINEAR_MONOMIALS, p)
-                              for p in _SAMPLE_POINTS])
+#: The 5x5 natural lattice ``mode_shape_samples`` evaluates (t1 outer).
+_SAMPLE_POINTS = lattice_points(np.linspace(-1.0, 1.0, 5),
+                                np.linspace(-1.0, 1.0, 5))
 
 
 def mode_shape_samples(mesh: Mesh, rule: GaussRule, system: GlobalSystem,
@@ -579,8 +563,8 @@ def mode_shape_samples(mesh: Mesh, rule: GaussRule, system: GlobalSystem,
     full[:, kept >= 0] = modes[kept[kept >= 0]].T
     batch = _element_batch(mesh, rule,
                            lambda scheme: subarea_weights(scheme, rule))
-    # (1, 4) @ (4, 2) per sample, the product ``params.point`` makes
-    xy = (_SAMPLE_MONOMIALS[:, None, :] @ batch.coeffs[:, None])[:, :, 0]
+    xy = GeneralizedParams(BILINEAR_MONOMIALS, batch.coeffs[:, None]) \
+        .point(_SAMPLE_POINTS)
     rows = deflection_rows(_SAMPLE_POINTS, batch.fractions)
     x = xy[..., 0].ravel().tolist()
     y = xy[..., 1].ravel().tolist()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .mapping import MappingScheme, jacobian
+from .mapping import MappingScheme, det2, jacobian, lattice_points
 
 # Nodes and weights are hard-coded (radicals up to n=5, standard 16-digit
 # literals for n=6) for determinism; no root finding at runtime.
@@ -96,32 +96,32 @@ def gauss_rule(order: int) -> GaussRule:
 def tensor_points(rule: GaussRule) -> tuple:
     """Points (n*n, 2) and weights (n*n,) of the two-dimensional tensor
     rule, in the order the element loops visit them (t1 outer)."""
-    t1, t2 = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    points = np.column_stack([t1.ravel(), t2.ravel()])
-    return points, np.outer(rule.weights, rule.weights).ravel()
+    return (lattice_points(rule.nodes, rule.nodes),
+            np.outer(rule.weights, rule.weights).ravel())
 
 
-def integrate_element(scheme: MappingScheme, f, rule: GaussRule) -> float:
-    """Integrate a scalar field over the mapped element.
+def integrate_element(scheme: MappingScheme, f, rule: GaussRule):
+    """Integrate one field (a float) or k fields (an array (k,)) over the
+    mapped element, with area element det J dtheta1 dtheta2.
 
-    ``f(theta, x)`` receives the natural point and its Cartesian image;
-    the area element is det J dtheta1 dtheta2.  A non-positive Jacobian
+    ``f(theta, x)`` gets every point of ``tensor_points(rule)`` at once,
+    natural (n, 2) and Cartesian (n, 2), and returns values (n,) or (k, n);
+    the terms are summed in point order.  A non-positive Jacobian
     determinant at a quadrature point (folded mapping) raises
     ``NumericalError``.
     """
-    total = 0.0
+    points, weights = tensor_points(rule)
+    det = det2(scheme.params.gradient(points))
     diam = scheme.quad.diameter
-    for t1, w1 in zip(rule.nodes, rule.weights):
-        for t2, w2 in zip(rule.nodes, rule.weights):
-            theta = (t1, t2)
-            jac = jacobian(scheme, theta)
-            if jac.det <= 1e-12 * diam * diam:
-                raise NumericalError(
-                    f"non-positive Jacobian at quadrature point {theta}"
-                )
-            x = scheme.params.point(theta)
-            total += w1 * w2 * f(theta, x) * jac.det
-    return total
+    bad = np.flatnonzero(det <= 1e-12 * diam * diam)
+    if bad.size:
+        theta = tuple(map(float, points[bad[0]]))
+        jacobian(scheme, theta)  # raises its own error where det J ~ 0
+        raise NumericalError(
+            f"non-positive Jacobian at quadrature point {theta}")
+    values = np.asarray(f(points, scheme.params.point(points)), dtype=float)
+    total = np.cumsum(weights * values * det, axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,12 +149,12 @@ class SectionProperties:
 
 def section_properties(scheme: MappingScheme, rule: GaussRule) -> SectionProperties:
     """Area and moments of inertia of the mapped element."""
-    return SectionProperties(
-        area=integrate_element(scheme, lambda t, x: 1.0, rule),
-        i_x1=integrate_element(scheme, lambda t, x: x[1] * x[1], rule),
-        i_x2=integrate_element(scheme, lambda t, x: x[0] * x[0], rule),
-        i_x1x2=integrate_element(scheme, lambda t, x: x[0] * x[1], rule),
-    )
+    return SectionProperties(*map(float, integrate_element(
+        scheme,
+        lambda t, x: [np.ones(len(x)), x[:, 1] * x[:, 1], x[:, 0] * x[:, 0],
+                      x[:, 0] * x[:, 1]],
+        rule,
+    )))
 
 
 def polygon_section_properties(vertices) -> SectionProperties:

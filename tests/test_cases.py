@@ -1,5 +1,7 @@
+import hashlib
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,12 @@ from quadplate.quadrature import gauss_rule
 
 RECORDED_OMEGA = json.loads(
     (pathlib.Path(__file__).parent / "data" / "builtin_omega.json")
+    .read_text())
+#: SHA-256 digests of ``sectprops``/``mapcheck`` stdout, with exit codes
+#: and warnings, recorded from the one-point evaluator that the array one
+#: replaced.
+RECORDED_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "mapping_reports.json")
     .read_text())
 
 BUILTINS = ("paper-quad", "cantilever-isosceles", "clamped-isosceles",
@@ -180,6 +188,28 @@ class TestMapcheck:
             report = run_mapcheck(case)
         assert report.tables["poles"]["parallel_flags"] == [True, True]
         assert report.tables["poles"]["p5_xy"] is None
+
+
+class TestRecordedReports:
+    @pytest.mark.parametrize("entry", RECORDED_REPORTS,
+                             ids=[e["id"] for e in RECORDED_REPORTS])
+    def test_matches_recorded_report(self, tmp_path, capsys, entry):
+        case = entry["case"]
+        if isinstance(case, dict):
+            path = tmp_path / "case.json"
+            path.write_text(json.dumps(case))
+            case = str(path)
+        argv = [entry["verb"], "--case", case, "--format", entry["format"]]
+        if entry["seed"] is not None:
+            argv += ["--seed", str(entry["seed"])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out = capsys.readouterr().out
+        assert code == entry["exit"]
+        assert [str(w.message) for w in caught] == entry["warnings"]
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == entry["stdout_sha256"]
 
 
 class TestModalReports:
@@ -453,6 +483,21 @@ class TestCli:
         assert "numerical failure: element 3: folded element" in err
         assert "theta=" in err
         assert "np.float64" not in err
+
+    def test_folded_single_quad_exit_three(self, tmp_path, capsys):
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "quad": {"vertices": [[0, 0], [4, 0], [1, 1], [0, 4]]}}))
+        assert main(["sectprops", "--case", path]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-positive Jacobian at quadrature " \
+            "point (0.0, 0.7745966692414834)" in err
+        assert "np.float64" not in err
+
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck", "modal"])
+    def test_negative_seed_exit_two(self, capsys, verb):
+        assert main([verb, "--case", "random-quad", "--seed", "-1"]) == 2
+        assert "invalid input: seed must be non-negative" \
+            in capsys.readouterr().err
 
     def test_workers_option_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

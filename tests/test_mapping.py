@@ -18,7 +18,14 @@ from quadplate import (
     serendipity_shapes,
     solve_pole_natural,
 )
-from quadplate.mapping import CORNER_NATURAL, SCHEME_KINDS
+from quadplate.mapping import (
+    CORNER_NATURAL,
+    SCHEME_KINDS,
+    monomial_gradients,
+    monomial_values,
+    pair_distances,
+    twice_signed_area,
+)
 
 from conftest import convex_quads, fd_jacobian
 
@@ -342,3 +349,56 @@ class TestNodeTable:
         assert NaturalNodeTable.serendipity().rows.shape == (8, 2)
         table = NaturalNodeTable.with_poles((4, 1), (1, 3))
         np.testing.assert_allclose(table.rows[4], [4, 1])
+
+
+class TestArrayEvaluation:
+    """Calls on a point stack equal the stacked one-point results bit for
+    bit, and a one-point call equals the scalar formula it replaced."""
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_point_stack_matches_one_point_calls(self, kind):
+        rng = np.random.default_rng(5)
+        for quad in convex_quads(20, seed=21):
+            scheme = build_scheme(quad, kind)
+            exponents, coeffs = scheme.params.exponents, scheme.params.coeffs
+            shapes = scheme.shapes
+            points = rng.uniform(-1.5, 1.5, (7, 2))
+            cases = [
+                (lambda t: monomial_values(exponents, t), (len(exponents),),
+                 lambda t: np.array([t[0] ** e1 * t[1] ** e2
+                                     for e1, e2 in exponents])),
+                (lambda t: monomial_gradients(exponents, t),
+                 (len(exponents), 2),
+                 lambda t: np.array([
+                     [0.0 if e1 == 0 else e1 * t[0] ** (e1 - 1) * t[1] ** e2,
+                      0.0 if e2 == 0 else e2 * t[0] ** e1 * t[1] ** (e2 - 1)]
+                     for e1, e2 in exponents])),
+                (lambda t: map_point(scheme, t), (2,),
+                 lambda t: monomial_values(exponents, t) @ coeffs),
+                (scheme.params.gradient, (2, 2),
+                 lambda t: monomial_gradients(exponents, t).T @ coeffs),
+                (shapes.evaluate, (len(shapes.coeffs),),
+                 lambda t: shapes.coeffs
+                 @ monomial_values(shapes.exponents, t)),
+            ]
+            for func, shape, scalar in cases:
+                one = [func(tuple(map(float, p))) for p in points]
+                assert one[0].shape == shape
+                assert np.array_equal(func(points), np.stack(one))
+                assert all(np.array_equal(value, scalar(tuple(map(float, p))))
+                           for value, p in zip(one, points))
+
+    def test_area_and_distances_match_one_polygon_calls(self):
+        stack = np.stack([quad.vertices
+                          for quad in convex_quads(20, seed=21)])
+        areas = twice_signed_area(stack)
+        distances = pair_distances(stack)
+        assert areas.shape == (20,) and distances.shape == (20, 6)
+        for v, area, dist in zip(stack, areas, distances):
+            x, y = v[:, 0], v[:, 1]
+            assert area == twice_signed_area(v) == float(
+                np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+            assert np.array_equal(dist, pair_distances(v))
+            assert dist.tolist() == [float(np.linalg.norm(v[p] - v[q]))
+                                     for p in range(4)
+                                     for q in range(p + 1, 4)]

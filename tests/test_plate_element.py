@@ -500,13 +500,13 @@ class TestElementMatrices:
         # the diameter is stored at construction; Jacobians at the Gauss
         # and subarea points read it instead of recomputing it
         calls = []
-        diameter = mapping._diameter
+        pair_distances = mapping.pair_distances
 
         def counting(v):
             calls.append(1)
-            return diameter(v)
+            return pair_distances(v)
 
-        monkeypatch.setattr(mapping, "_diameter", counting)
+        monkeypatch.setattr(mapping, "pair_distances", counting)
         quad = QuadGeometry(section_quad.vertices)
         assert len(calls) == 1
         assert quad.diameter == section_quad.diameter == pytest.approx(

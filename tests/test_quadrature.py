@@ -67,7 +67,8 @@ class TestIntegrateElement:
 
     def test_unit_square_x_squared(self, unit_square):
         scheme = build_scheme(unit_square, "bilinear")
-        value = integrate_element(scheme, lambda t, x: x[0] ** 2, gauss_rule(3))
+        value = integrate_element(scheme, lambda t, x: x[:, 0] ** 2,
+                                  gauss_rule(3))
         assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_folded_element_rejected(self):

@@ -1,5 +1,8 @@
-"""Every command in README's "Command line" block runs as documented."""
+"""README's "Quick start" code and "Command line" commands run as
+documented."""
 
+import contextlib
+import io
 import pathlib
 import shlex
 
@@ -20,3 +23,13 @@ def readme_commands():
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
 def test_readme_command_exits_zero(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "report")]) == 0
+
+
+def test_readme_quick_start_prints_documented_values():
+    section = README.read_text(encoding="utf-8").split("## Quick start")[1]
+    block = section.split("```python\n")[1].split("```")[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    lines = [" ".join(line.split()) for line in out.getvalue().splitlines()]
+    assert lines[:2] == ["[10. 0.]", "22.0"]
