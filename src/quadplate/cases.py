@@ -18,12 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidCaseError
+from .errors import InvalidCaseError, NumericalError
 from .mapping import (
+    CORNER_NATURAL,
     QuadGeometry,
     SCHEME_KINDS,
+    bilinear_params,
     build_scheme,
     compute_poles_cartesian,
+    det2,
     distance,
     lattice_points,
     map_point,
@@ -74,7 +77,7 @@ def builtin_case_names() -> tuple:
     return tuple(sorted(_BUILTIN_BUILDERS))
 
 
-def _case_paper_quad(seed):
+def _case_paper_quad():
     return {
         "name": "paper-quad",
         "material": dict(_BENCHMARK_MATERIAL),
@@ -96,7 +99,7 @@ def _case_random_quad(seed):
     }
 
 
-def _case_cantilever_isosceles(seed):
+def _case_cantilever_isosceles():
     return {
         "name": "cantilever-isosceles",
         "material": dict(_BENCHMARK_MATERIAL),
@@ -112,7 +115,7 @@ def _case_cantilever_isosceles(seed):
     }
 
 
-def _case_clamped_isosceles(seed):
+def _case_clamped_isosceles():
     return {
         "name": "clamped-isosceles",
         "material": dict(_BENCHMARK_MATERIAL),
@@ -128,7 +131,7 @@ def _case_clamped_isosceles(seed):
     }
 
 
-def _case_clamped_equilateral(seed):
+def _case_clamped_equilateral():
     return {
         "name": "clamped-equilateral",
         "material": dict(_BENCHMARK_MATERIAL),
@@ -144,7 +147,7 @@ def _case_clamped_equilateral(seed):
     }
 
 
-def _case_clamped_quad(seed):
+def _case_clamped_quad():
     return {
         "name": "clamped-quad",
         "material": dict(_BENCHMARK_MATERIAL),
@@ -160,7 +163,7 @@ def _case_clamped_quad(seed):
     }
 
 
-def _case_cantilever_quad(seed):
+def _case_cantilever_quad():
     return {
         "name": "cantilever-quad",
         "material": dict(_BENCHMARK_MATERIAL),
@@ -199,9 +202,14 @@ class CaseFile:
 
 
 def load_case(source: str, seed=None, overrides: dict | None = None) -> CaseFile:
-    """Load a case from a built-in name or a JSON file path."""
-    if source in _BUILTIN_BUILDERS:
-        raw = _BUILTIN_BUILDERS[source](seed)
+    """Load a case from a built-in name or a JSON file path; ``seed``
+    applies only to the random-quad built-in."""
+    if seed is not None and source != "random-quad":
+        raise InvalidCaseError("--seed applies only to the random-quad case")
+    if source == "random-quad":
+        raw = _case_random_quad(seed)
+    elif source in _BUILTIN_BUILDERS:
+        raw = _BUILTIN_BUILDERS[source]()
     else:
         try:
             with open(source, "r", encoding="utf-8") as handle:
@@ -532,8 +540,14 @@ def run_sectprops(case: CaseFile) -> Report:
 
 def run_mapcheck(case: CaseFile) -> Report:
     """Pole data, shape-function residuals and scheme-vs-bilinear map
-    deviation for a single quad."""
+    deviation for a single quad whose bilinear map is regular: det J is
+    affine in theta, so it must exceed 1e-12 * diam^2 at every corner."""
     quad = _single_quad(case)
+    corner_det = det2(bilinear_params(quad).gradient(CORNER_NATURAL))
+    for corner, value in enumerate(corner_det):
+        if value <= 1e-12 * quad.diameter * quad.diameter:
+            raise NumericalError(f"bilinear map is not regular at corner "
+                                 f"{corner + 1}: det J = {value:.3e}")
     poles = compute_poles_cartesian(quad)
     built = {kind: build_scheme(quad, kind) for kind in SCHEME_KINDS}
     bilinear = built["bilinear"]

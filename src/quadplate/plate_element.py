@@ -101,37 +101,24 @@ def _hermite(t: float, direction: int):
     The slope-conjugate functions h2, h4 carry opposite signs in the two
     directions so that the end derivative paired with a rotation DOF is
     always +1 under that direction's sign convention (phi2 = -du/dtheta1,
-    phi1 = +du/dtheta2).
+    phi1 = +du/dtheta2); direction 2 negates them, which is exact.
     """
+    if direction not in (1, 2):
+        raise ValidationError(f"direction must be 1 or 2, got {direction}")
     t2 = t * t
     t3 = t2 * t
-    h1 = 0.25 * (2.0 - 3.0 * t + t3)
-    h3 = 0.25 * (2.0 + 3.0 * t - t3)
     d1 = 0.25 * (-3.0 + 3.0 * t2)
-    d3 = -d1
     dd1 = 1.5 * t
-    dd3 = -dd1
-    if direction == 1:
-        h2 = 0.25 * (-1.0 + t + t2 - t3)
-        h4 = 0.25 * (1.0 + t - t2 - t3)
-        d2 = 0.25 * (1.0 + 2.0 * t - 3.0 * t2)
-        d4 = 0.25 * (1.0 - 2.0 * t - 3.0 * t2)
-        dd2 = 0.25 * (2.0 - 6.0 * t)
-        dd4 = 0.25 * (-2.0 - 6.0 * t)
-    elif direction == 2:
-        h2 = 0.25 * (1.0 - t - t2 + t3)
-        h4 = 0.25 * (-1.0 - t + t2 + t3)
-        d2 = 0.25 * (-1.0 - 2.0 * t + 3.0 * t2)
-        d4 = 0.25 * (-1.0 + 2.0 * t + 3.0 * t2)
-        dd2 = 0.25 * (-2.0 + 6.0 * t)
-        dd4 = 0.25 * (2.0 + 6.0 * t)
-    else:
-        raise ValidationError(f"direction must be 1 or 2, got {direction}")
-    return (
-        np.array([h1, h2, h3, h4]),
-        np.array([d1, d2, d3, d4]),
-        np.array([dd1, dd2, dd3, dd4]),
-    )
+    table = np.array([
+        [0.25 * (2.0 - 3.0 * t + t3), 0.25 * (-1.0 + t + t2 - t3),
+         0.25 * (2.0 + 3.0 * t - t3), 0.25 * (1.0 + t - t2 - t3)],
+        [d1, 0.25 * (1.0 + 2.0 * t - 3.0 * t2),
+         -d1, 0.25 * (1.0 - 2.0 * t - 3.0 * t2)],
+        [dd1, 0.25 * (2.0 - 6.0 * t), -dd1, 0.25 * (-2.0 - 6.0 * t)],
+    ])
+    if direction == 2:
+        table *= [1.0, -1.0, 1.0, -1.0]
+    return table[0], table[1], table[2]
 
 
 def hermite_basis(t: float, direction: int):
@@ -325,8 +312,7 @@ def element_stiffness(scheme: MappingScheme, material: PlateMaterial,
 
 
 def element_mass(scheme: MappingScheme, material: PlateMaterial,
-                 rule: GaussRule, rotary: bool = False,
-                 weights: SubareaWeights | None = None) -> np.ndarray:
+                 rule: GaussRule, rotary: bool = False) -> np.ndarray:
     """12x12 consistent mass.
 
     Translational inertia rho*t acts on the deflection expansion; rotary
@@ -334,8 +320,7 @@ def element_mass(scheme: MappingScheme, material: PlateMaterial,
     (default off for thin-plate frequency tables).
     """
     _check_rule(rule)
-    if weights is None:
-        weights = subarea_weights(scheme, rule)
+    weights = subarea_weights(scheme, rule)
     r = material.rho * material.t ** 3 / 12.0 if rotary else 0.0
     density = np.diag([material.rho * material.t, r, r])
     m = np.zeros((12, 12))

@@ -57,6 +57,15 @@ def write_square_case(tmp_path, edit=None):
     return str(path)
 
 
+def centered_grid(center):
+    """A 2x2 unit-square mesh geometry block with its center node moved."""
+    nodes = [[x, y] for y in (0.0, 0.5, 1.0) for x in (0.0, 0.5, 1.0)]
+    nodes[4] = center
+    return {"mesh": {"nodes": nodes,
+                     "elements": [[0, 1, 4, 3], [1, 2, 5, 4],
+                                  [3, 4, 7, 6], [4, 5, 8, 7]]}}
+
+
 def square_mesh(boundary_sets, elements=([0, 1, 2, 3],),
                 nodes=([0, 0], [1, 0], [1, 1], [0, 1])):
     """An explicit one-element unit-square mesh geometry block."""
@@ -302,8 +311,7 @@ class TestModalReports:
                     mesh, rule, reduced, modes[:, [j]])[0]
 
     def test_modal_run_builds_no_element_scheme(self, monkeypatch):
-        # assembly and mode-shape sampling work on all elements at once;
-        # the scalar element path runs only to report a failing element
+        # assembly and mode-shape sampling work on all elements at once
         calls = []
 
         def counting(function):
@@ -312,7 +320,7 @@ class TestModalReports:
                 return function(*args, **kwargs)
             return wrapper
 
-        for name in ("build_scheme", "element_matrices", "subarea_weights"):
+        for name in ("build_scheme", "element_matrices"):
             monkeypatch.setattr(quadplate.modal, name,
                                 counting(getattr(quadplate.modal, name)))
         case = load_case("cantilever-isosceles")
@@ -472,17 +480,59 @@ class TestCli:
     def test_folded_element_in_mesh_exit_three(self, tmp_path, capsys):
         # a 2x2 grid whose center node is pushed towards the far corner:
         # every element keeps a positive area, element 3 folds
-        nodes = [[x, y] for y in (0.0, 0.5, 1.0) for x in (0.0, 0.5, 1.0)]
-        nodes[4] = [0.95, 0.95]
-        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
-            "mesh": {"nodes": nodes,
-                     "elements": [[0, 1, 4, 3], [1, 2, 5, 4],
-                                  [3, 4, 7, 6], [4, 5, 8, 7]]}}))
+        path = write_square_case(tmp_path, lambda doc: doc.update(
+            geometry=centered_grid([0.95, 0.95])))
         assert main(["modal", "--case", path]) == 3
         err = capsys.readouterr().err
         assert "numerical failure: element 3: folded element" in err
         assert "theta=" in err
         assert "np.float64" not in err
+
+    def test_element_folded_only_at_a_corner_exit_three(self, tmp_path,
+                                                         capsys):
+        # element 3 folds at theta = (-1, -1) while det J stays positive
+        # at every Gauss point
+        path = write_square_case(tmp_path, lambda doc: doc.update(
+            geometry=centered_grid([0.77, 0.77])))
+        assert main(["modal", "--case", path]) == 3
+        assert "numerical failure: element 3: folded element: det J = " \
+            "-5.000e-03 at theta=(-1.0, -1.0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("geometry,message", [
+        (square_mesh({}, nodes=([0, 0], [0.5, 0], [1, 0], [0, 1])),
+         "element 0: degenerate corner: det J = 0.000e+00 at "
+         "theta=(1.0, -1.0)"),
+        (centered_grid([0.75, 0.75]),
+         "element 3: degenerate corner: det J = 0.000e+00 at "
+         "theta=(-1.0, -1.0)"),
+    ], ids=["straight-corner-element", "straight-corner-center-node"])
+    def test_flat_corner_exit_two(self, tmp_path, capsys, geometry, message):
+        path = write_square_case(tmp_path,
+                                 lambda doc: doc.update(geometry=geometry))
+        assert main(["modal", "--case", path]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+
+    def test_non_finite_mesh_node_exit_two(self, tmp_path, capsys):
+        path = write_square_case(tmp_path, lambda doc: doc.update(
+            geometry=centered_grid([0.5, float("nan")])))
+        assert main(["modal", "--case", path]) == 2
+        assert "invalid input: node 4 has a non-finite coordinate" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vertices,corner", [
+        ([[0, 0], [4, 0], [1, 1], [0, 4]], 3),
+        ([[0, 0], [4, 0], [1.9, 1.9], [0, 4]], 3),
+        ([[0, 0], [0.5, 0], [1, 0], [0, 1]], 2),
+    ], ids=["folded", "folded-near-diagonal", "straight-corner"])
+    def test_mapcheck_of_irregular_quad_exit_three(self, tmp_path, capsys,
+                                                   vertices, corner):
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "quad": {"vertices": vertices}}))
+        assert main(["mapcheck", "--case", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure: bilinear map is not regular at corner " \
+            f"{corner}: det J = " in captured.err
 
     def test_folded_single_quad_exit_three(self, tmp_path, capsys):
         path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
@@ -497,6 +547,19 @@ class TestCli:
     def test_negative_seed_exit_two(self, capsys, verb):
         assert main([verb, "--case", "random-quad", "--seed", "-1"]) == 2
         assert "invalid input: seed must be non-negative" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,source", [
+        ("modal", "clamped-quad"), ("sectprops", "paper-quad"),
+        ("mapcheck", "paper-quad"), ("modal", "file")],
+        ids=["modal-builtin", "sectprops-builtin", "mapcheck-builtin",
+             "case-file"])
+    def test_seed_for_other_case_exit_two(self, tmp_path, capsys, verb,
+                                          source):
+        if source == "file":
+            source = write_square_case(tmp_path)
+        assert main([verb, "--case", source, "--seed", "7"]) == 2
+        assert "invalid input: --seed applies only to the random-quad case" \
             in capsys.readouterr().err
 
     def test_workers_option_removed(self, tmp_path, capsys):

@@ -119,7 +119,7 @@ class TestAssemble:
             QuadGeometry(TIP, allow_collapsed=True)]
         mesh = Mesh(nodes=np.vstack([q.vertices for q in quads]),
                     elements=np.arange(4 * len(quads)).reshape(-1, 4))
-        batch = _element_batch(mesh, rule, check=None)
+        batch = _element_batch(mesh, rule)
         for rotary in (False, True):
             k, m = batch_element_matrices(batch.jac, batch.det,
                                           batch.fractions, MAT, rule,
