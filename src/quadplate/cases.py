@@ -382,6 +382,9 @@ def case_meshes(case: CaseFile) -> list:
 
 
 def _single_quad(case: CaseFile) -> QuadGeometry:
+    """The case's single quad, whose bilinear map must be regular: det J
+    is affine in theta, so it must exceed 1e-12 * diam^2 at every corner
+    (a folded quad raises ``NumericalError``)."""
     geometry = case.geometry
     if "quad" not in geometry:
         raise InvalidCaseError(
@@ -397,7 +400,13 @@ def _single_quad(case: CaseFile) -> QuadGeometry:
         vertices = _points(block["vertices"], "vertex coordinate")
     except (TypeError, ValueError) as exc:
         raise InvalidCaseError(f"malformed quad vertices: {exc!r}") from exc
-    return QuadGeometry(vertices)
+    quad = QuadGeometry(vertices)
+    corner_det = det2(bilinear_params(quad).gradient(CORNER_NATURAL))
+    for corner, value in enumerate(corner_det):
+        if value <= 1e-12 * quad.diameter * quad.diameter:
+            raise NumericalError(f"bilinear map is not regular at corner "
+                                 f"{corner + 1}: det J = {value:.3e}")
+    return quad
 
 
 def _requested_schemes(case: CaseFile) -> tuple:
@@ -511,8 +520,9 @@ def emit(report: Report, fmt: str = "csv", destination: str = "-"):
 # ---------------------------------------------------------------------------
 
 def run_sectprops(case: CaseFile) -> Report:
-    """Section properties of a single quad under each requested scheme,
-    with deltas against the closed-form polygon values."""
+    """Section properties of a single quad (regular, see ``_single_quad``)
+    under each requested scheme, with deltas against the closed-form
+    polygon values."""
     quad = _single_quad(case)
     rule = gauss_rule(case.analysis["gauss"])
     exact = polygon_section_properties(quad.vertices)
@@ -540,14 +550,8 @@ def run_sectprops(case: CaseFile) -> Report:
 
 def run_mapcheck(case: CaseFile) -> Report:
     """Pole data, shape-function residuals and scheme-vs-bilinear map
-    deviation for a single quad whose bilinear map is regular: det J is
-    affine in theta, so it must exceed 1e-12 * diam^2 at every corner."""
+    deviation for a single quad (regular, see ``_single_quad``)."""
     quad = _single_quad(case)
-    corner_det = det2(bilinear_params(quad).gradient(CORNER_NATURAL))
-    for corner, value in enumerate(corner_det):
-        if value <= 1e-12 * quad.diameter * quad.diameter:
-            raise NumericalError(f"bilinear map is not regular at corner "
-                                 f"{corner + 1}: det J = {value:.3e}")
     poles = compute_poles_cartesian(quad)
     built = {kind: build_scheme(quad, kind) for kind in SCHEME_KINDS}
     bilinear = built["bilinear"]

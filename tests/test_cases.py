@@ -535,13 +535,18 @@ class TestCli:
             f"{corner}: det J = " in captured.err
 
     def test_folded_single_quad_exit_three(self, tmp_path, capsys):
-        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
-            "quad": {"vertices": [[0, 0], [4, 0], [1, 1], [0, 4]]}}))
-        assert main(["sectprops", "--case", path]) == 3
-        err = capsys.readouterr().err
-        assert "numerical failure: non-positive Jacobian at quadrature " \
-            "point (0.0, 0.7745966692414834)" in err
-        assert "np.float64" not in err
+        # sectprops applies mapcheck's corner rule; the second quad folds
+        # only between the Gauss points, where det J stays positive
+        for third, det in (([1, 1], "-2.000e+00"), ([1.9, 1.9], "-2.000e-01")):
+            path = write_square_case(tmp_path, lambda doc: doc.update(
+                geometry={"quad": {"vertices": [[0, 0], [4, 0], third,
+                                                [0, 4]]}}))
+            assert main(["sectprops", "--case", path]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "numerical failure: bilinear map is not regular at " \
+                f"corner 3: det J = {det}" in captured.err
+            assert "np.float64" not in captured.err
 
     @pytest.mark.parametrize("verb", ["sectprops", "mapcheck", "modal"])
     def test_negative_seed_exit_two(self, capsys, verb):

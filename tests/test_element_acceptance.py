@@ -28,7 +28,7 @@ def vertex_turns(vertices):
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def accepts_exactly_convex_elements(x, y):
+def test_assemble_accepts_exactly_convex_elements(x, y):
     nodes = GRID_NODES.copy()
     nodes[4] = (x, y)
     turns = vertex_turns(nodes[GRID_ELEMENTS])
@@ -41,10 +41,3 @@ def accepts_exactly_convex_elements(x, y):
         accepted = False
     assert accepted == bool(np.all(turns > 0.0))
 
-
-def test_assemble_accepts_exactly_convex_elements():
-    # called from a plain test: for a failing @given test item, hypothesis's
-    # pytest plugin imports libcst to suggest a patch, whose deprecation
-    # warning is an error under this suite's filterwarnings and would end
-    # the whole session
-    accepts_exactly_convex_elements()
