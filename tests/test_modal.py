@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from quadplate import (
     BoundarySet,
@@ -233,8 +234,8 @@ class TestApplyBcs:
 class TestSolveModes:
     def test_diagonal_oracle(self):
         system = GlobalSystem(
-            k=np.diag([1.0, 4.0]), m=np.eye(2),
-            dof_map=np.array([[0, -1, -1], [1, -1, -1]]),
+            k=csr_array(np.diag([1.0, 4.0])), m=csr_array(np.eye(2)),
+            dof_map=np.array([[0, -1, -1], [1, -1, -1]]), scale=1.0,
         )
         spectrum = solve_modes(system, 2)
         np.testing.assert_allclose(spectrum.omega, [1.0, 2.0], rtol=1e-12)
@@ -256,8 +257,8 @@ class TestSolveModes:
         assert params[-1] > 1.0
 
     def test_count_exceeding_dimension_rejected(self):
-        system = GlobalSystem(k=np.eye(2), m=np.eye(2),
-                              dof_map=np.array([[0, 1, -1]]))
+        system = GlobalSystem(k=csr_array(np.eye(2)), m=csr_array(np.eye(2)),
+                              dof_map=np.array([[0, 1, -1]]), scale=1.0)
         with pytest.raises(ValidationError):
             solve_modes(system, 3)
 
@@ -293,11 +294,14 @@ class TestSolveModes:
         # either entry the larger one but leaves the sign alone
         k = np.array([[2.0, 1.0], [1.0, 2.0]])
         dof_map = np.array([[0, 1, -1]])
-        plain = solve_modes(GlobalSystem(k=k, m=np.eye(2), dof_map=dof_map),
-                            1).modes[:, 0]
+        def first_mode():
+            system = GlobalSystem(k=csr_array(k), m=csr_array(np.eye(2)),
+                                  dof_map=dof_map, scale=1.0)
+            return solve_modes(system, 1).modes[:, 0]
+
+        plain = first_mode()
         k[entry, entry] += 1e-12
-        perturbed = solve_modes(
-            GlobalSystem(k=k, m=np.eye(2), dof_map=dof_map), 1).modes[:, 0]
+        perturbed = first_mode()
         assert plain[0] > 0 > plain[1]
         np.testing.assert_allclose(perturbed, plain, atol=1e-9)
 
