@@ -9,12 +9,13 @@ phi2_cart = -du/dx1.
 
 Straight-edged elements get the bilinear transformation from every
 scheme, so an element's K and M depend only on its four bilinear
-coefficients.  ``assemble`` therefore integrates all elements together
-(``batch_element_matrices``) and sums them from COO triplets into CSR
-matrices; the scalar ``element_stiffness``/``element_mass`` and
+coefficients.  ``assemble`` therefore integrates the elements in chunks
+of ``_ASSEMBLY_CHUNK`` (``batch_element_matrices``) and sums each chunk
+into CSR matrices whose layout comes from the element node pairs
+(``_CsrPattern``); the scalar ``element_stiffness``/``element_mass`` and
 ``_element_transform`` are the reference implementation, which the batch
-reproduces operation for operation.  An element is accepted by the signs
-of det J at its four corners (see ``_element_batch``).
+matches to 1e-12 relative.  An element is accepted by the signs of det J
+at its four corners (see ``_element_corners``).
 
 ``scipy.sparse`` is imported inside the functions that use it, so the
 single-quad verbs (``sectprops``, ``mapcheck``) never load it.
@@ -228,11 +229,13 @@ _CORNER_ROTATIONS = 3 * np.arange(4)[:, None] + np.array([1, 2])
 
 @dataclass(frozen=True, eq=False)
 class _ElementBatch:
-    """Geometry of every mesh element, from its bilinear coefficients.
+    """Geometry of mesh elements (all, or one chunk), from their bilinear
+    coefficients.
 
     ``jac``/``det`` are taken at the points of ``tensor_points(rule)``;
-    ``transform`` (m, 12, 12) is ``_element_transform`` of each element
-    and ``dofs`` (m, 12) its global DOF indices.
+    ``transform`` (m, 12, 12) is ``_element_transform`` of each element,
+    ``dofs`` (m, 12) its global DOF indices and ``collapsed`` (m,) marks
+    the elements with a collapsed edge (triangle tips).
     """
 
     coeffs: np.ndarray
@@ -241,11 +244,12 @@ class _ElementBatch:
     fractions: np.ndarray
     transform: np.ndarray
     dofs: np.ndarray
+    collapsed: np.ndarray
 
 
-def _element_batch(mesh: Mesh, rule: GaussRule) -> _ElementBatch:
-    """Vectorized ``subarea_weights`` and ``_element_transform`` over all
-    elements, with the Jacobians ``element_stiffness`` integrates.
+def _element_corners(mesh: Mesh) -> tuple:
+    """Bilinear coefficients (m, 4, 2), corner Jacobians (m, 4, 2, 2) and
+    flat-corner mask (m, 4) of every element, once each is accepted.
 
     det J of a bilinear map a0 + a1 t1 + a2 t2 + a3 t1 t2 is
     a1 x a2 + t1 (a1 x a3) + t2 (a3 x a2), affine in theta, so its four
@@ -272,15 +276,26 @@ def _element_batch(mesh: Mesh, rule: GaussRule) -> _ElementBatch:
                         else (DegenerateGeometryError, "degenerate corner"))
         raise error(f"element {ei}: {fault}: det J = {value:.3e} at "
                     f"theta={tuple(map(float, CORNER_NATURAL[corner]))}")
+    return coeffs, cjac, flat
 
-    points, weights = tensor_points(rule)
-    jac, det = bilinear_jacobians(coeffs, points)
-    quadrant = (np.array(QUADRANT_CENTERS)[:, None, :]
-                + 0.5 * points).reshape(-1, 2)
-    _, qdet = bilinear_jacobians(coeffs, quadrant)
-    qdet = qdet.reshape(-1, 4, weights.size)
-    # summed in point order, as the scalar loop adds
-    areas = np.cumsum(0.25 * weights * qdet, axis=-1)[..., -1]
+
+def _element_batch(mesh: Mesh, rule: GaussRule, corners: tuple | None = None,
+                   part: slice = slice(None)) -> _ElementBatch:
+    """Vectorized ``subarea_weights`` and ``_element_transform`` over the
+    elements ``part``, with the Jacobians ``element_stiffness``
+    integrates.
+
+    ``corners`` is ``_element_corners(mesh)``, which accepts or rejects
+    every element (of the whole mesh) first; it is computed when not
+    given.
+    """
+    coeffs, cjac, flat = _element_corners(mesh) if corners is None \
+        else corners
+    coeffs, cjac, flat = coeffs[part], cjac[part], flat[part]
+    jac, det = bilinear_jacobians(coeffs, tensor_points(rule)[0])
+    # det J is affine in theta, so a quadrant's area (natural area 1) is
+    # det J at its center
+    _, areas = bilinear_jacobians(coeffs, QUADRANT_CENTERS)
     fractions = areas / areas.sum(axis=1, keepdims=True)
 
     # corner transforms; the identity block stays at a collapsed corner
@@ -289,11 +304,63 @@ def _element_batch(mesh: Mesh, rule: GaussRule) -> _ElementBatch:
         np.stack([-cjac[..., 0, 1], cjac[..., 0, 0]], axis=-1),
     ], axis=-2)
     blocks[flat] = np.eye(2)
-    transform = np.tile(np.eye(12), (len(v), 1, 1))
+    transform = np.tile(np.eye(12), (len(coeffs), 1, 1))
     transform[:, _CORNER_ROTATIONS[:, :, None],
               _CORNER_ROTATIONS[:, None, :]] = blocks
-    dofs = (3 * mesh.elements[:, :, None] + np.arange(3)).reshape(-1, 12)
-    return _ElementBatch(coeffs, jac, det, fractions, transform, dofs)
+    dofs = (3 * mesh.elements[part, :, None] + np.arange(3)).reshape(-1, 12)
+    return _ElementBatch(coeffs, jac, det, fractions, transform, dofs,
+                         flat.any(axis=1))
+
+
+@dataclass(frozen=True, eq=False)
+class _CsrPattern:
+    """CSR layout of the global matrices, the sorted unique (row, column)
+    entries of all element DOF blocks, and the slot of each element entry.
+
+    It is built from the 16 node pairs of each element: node pair (a, b)
+    stands for the DOF block (3a + i, 3b + j), so sorting the node pairs
+    sorts the DOF entries.  ``pairs`` (m, 4, 4) indexes each element's
+    node pairs u, whose entry (i, j) has slot base[u] + i * stride[u] + j.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    pairs: np.ndarray
+    base: np.ndarray
+    stride: np.ndarray
+
+    @classmethod
+    def of(cls, elements: np.ndarray, n_nodes: int) -> "_CsrPattern":
+        keys = (elements[:, :, None] * n_nodes + elements[:, None, :]).ravel()
+        unique, pairs = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(unique, n_nodes)
+        start = np.searchsorted(rows, np.arange(n_nodes + 1))
+        degree = np.diff(start)
+        # node row a fills slots from 9 * start[a], 3 * degree[a] per DOF row
+        base = 9 * start[rows] + 3 * (np.arange(unique.size) - start[rows])
+        stride = 3 * degree[rows]
+        indptr = np.append(
+            (9 * start[:-1, None] + 3 * degree[:, None] * np.arange(3))
+            .ravel(), 9 * unique.size)
+        indices = np.empty(9 * unique.size, dtype=cols.dtype)
+        block = np.arange(3)
+        indices[base[:, None, None] + stride[:, None, None] * block[:, None]
+                + block] = 3 * cols[:, None, None] + block
+        return cls(indptr, indices, pairs.reshape(elements.shape + (4,)),
+                   base, stride)
+
+    def slots(self, part: slice = slice(None)) -> np.ndarray:
+        """(c, 144) slots of elements ``part``, each in the row-major order
+        of its 12x12 matrix (node, DOF; node, DOF)."""
+        pairs = self.pairs[part][:, :, None, :, None]
+        block = np.arange(3)
+        return (self.base[pairs] + self.stride[pairs] * block[:, None, None]
+                + block).reshape(len(pairs), 144)
+
+
+#: Elements integrated, transformed and summed per step of ``assemble``,
+#: so its temporaries stay the same size on any mesh.
+_ASSEMBLY_CHUNK = 1024
 
 
 def assemble(mesh: Mesh, material: PlateMaterial,
@@ -301,38 +368,50 @@ def assemble(mesh: Mesh, material: PlateMaterial,
              rotary: bool = False) -> GlobalSystem:
     """Assemble global stiffness and mass over all elements, as CSR.
 
-    All elements are integrated together on their bilinear coefficients
-    (``batch_element_matrices``) and summed into the global matrices from
-    (row, column, value) triplets, in element order, so every entry equals
-    a dense accumulating add bit for bit.  The system also carries the
-    plate's omega^2 scale D / (rho t L^4), L the diagonal of the node
-    bounding box, from which ``solve_modes`` takes its sparse shift.
+    Every element is accepted or rejected first (``_element_corners``).
+    Then ``_ASSEMBLY_CHUNK`` elements at a time are integrated together on
+    their bilinear coefficients (``batch_element_matrices``), transformed
+    to the global frame and summed into the CSR entries of
+    ``_CsrPattern`` by ``np.bincount``, in element order within a chunk.
+    The system also carries the plate's omega^2 scale D / (rho t L^4), L
+    the diagonal of the node bounding box, from which ``solve_modes``
+    takes its sparse shift.
     """
     import scipy.sparse
 
     if rule is None:
         rule = gauss_rule(3)
     _validate_mesh(mesh)
-    batch = _element_batch(mesh, rule)
-    t = batch.transform
+    corners = _element_corners(mesh)
     ndof = 3 * mesh.n_nodes
-    # flat (row, column) index of every element entry; its sorted unique
-    # values are the CSR layout, and bincount over each entry's slot sums
-    # the COO triplets in element order, as an accumulating add would
-    # (collapsed-edge elements carry a repeated node).  scipy's own
-    # duplicate summing is not used: its sort is not stable.
-    index = (batch.dofs[:, :, None] * ndof + batch.dofs[:, None, :]).ravel()
-    flat, slot = np.unique(index, return_inverse=True)
-    rows, cols = np.divmod(flat, ndof)
-    indptr = np.searchsorted(rows, np.arange(ndof + 1))
-    k, m = (
-        scipy.sparse.csr_array(
-            (np.bincount(slot, (np.swapaxes(t, 1, 2) @ a @ t).ravel()),
-             cols, indptr), shape=(ndof, ndof))
-        for a in batch_element_matrices(batch.jac, batch.det,
-                                        batch.fractions, material, rule,
-                                        rotary=rotary)
-    )
+    pattern = _CsrPattern.of(mesh.elements, mesh.n_nodes)
+    values = np.zeros((2, pattern.indices.size))
+    for start in range(0, mesh.n_elements, _ASSEMBLY_CHUNK):
+        part = slice(start, start + _ASSEMBLY_CHUNK)
+        batch = _element_batch(mesh, rule, corners, part)
+        t = batch.transform
+        slots = pattern.slots(part)
+        # the slots of a chunk of lattice elements span a narrow band
+        low = int(slots.min())
+        slots = (slots - low).ravel()
+        size = int(slots.max()) + 1
+        k, m = batch_element_matrices(batch.jac, batch.det, batch.fractions,
+                                      material, rule, rotary=rotary)
+        tips = batch.collapsed
+        # a collapsed edge makes the stiffness ill-conditioned: integrated
+        # in double, omega_1 of the 27-element cantilever triangle lands
+        # up to 1e-8 (median 4e-9 over rotated copies) off its value in
+        # extended precision, in long double within 2e-10 (median 4e-11)
+        if tips.any():
+            k[tips], m[tips] = batch_element_matrices(
+                *(a[tips].astype(np.longdouble)
+                  for a in (batch.jac, batch.det, batch.fractions)),
+                material, rule, rotary=rotary)
+        for total, a in zip(values, (k, m)):
+            total[low:low + size] += np.bincount(
+                slots, (np.swapaxes(t, 1, 2) @ a @ t).ravel(), size)
+    k, m = (scipy.sparse.csr_array((total, pattern.indices, pattern.indptr),
+                                   shape=(ndof, ndof)) for total in values)
     dof_map = np.arange(ndof).reshape(mesh.n_nodes, 3)
     diagonal = float(np.linalg.norm(np.ptp(mesh.nodes, axis=0)))
     scale = material.rigidity / (material.rho * material.t * diagonal ** 4)
@@ -397,17 +476,11 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
             omega=np.empty(0), modes=np.empty((n, 0)), residuals=np.empty(0)
         )
     if _solves_densely(n, count):
-        k, m = system.k.toarray(), system.m.toarray()
-        omega_sq, v, scale_k = _dense_pairs(k, m, count)
+        v, scale_k = _dense_pairs(system.k.toarray(), system.m.toarray(),
+                                  count)
     else:
-        k, m = system.k, system.m
-        omega_sq, v, scale_k = _shift_invert_pairs(k, m, count,
-                                                   -system.scale)
-    if np.any(omega_sq < -1e-10 * max(1.0, float(omega_sq.max(initial=0.0)))):
-        raise NumericalError(
-            f"spurious negative eigenvalue {omega_sq.min():.3e}"
-        )
-    omega_sq = np.clip(omega_sq, 0.0, None)
+        v, scale_k = _shift_invert_pairs(system.k, system.m, count,
+                                         -system.scale)
 
     # Deterministic sign: the first entry within 1e-6 of the largest
     # magnitude is positive.  Mirrored entries of symmetric meshes have
@@ -416,14 +489,33 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     lead = np.argmax(size >= (1.0 - 1e-6) * size.max(axis=0), axis=0)
     v[:, v[lead, np.arange(count)] < 0.0] *= -1.0
 
+    # omega^2 is the Rayleigh quotient of each returned mode, in long
+    # double.  On the level-3 cantilever triangle the dense eigenvalue
+    # 1/mu - sigma is 5e-10 off it (rotary inertia), and so is the
+    # quotient with K phi in double by 1.5e-10: a smooth mode barely
+    # strains the stiff collapsed-tip elements.  Both paths then agree
+    # to 1e-13.  A double mode may come out one ulp out of order, so the
+    # quotients are sorted.
+    wide = v.astype(np.longdouble)
+    kv, mv = (a.astype(np.longdouble) @ wide for a in (system.k, system.m))
+    omega_sq = (np.einsum("ij,ij->j", wide, kv)
+                / np.einsum("ij,ij->j", wide, mv)).astype(float)
+    order = np.argsort(omega_sq, kind="stable")
+    omega_sq, v = omega_sq[order], v[:, order]
+    kv, mv = kv[:, order].astype(float), mv[:, order].astype(float)
+    if np.any(omega_sq < -1e-10 * max(1.0, float(omega_sq.max(initial=0.0)))):
+        raise NumericalError(
+            f"spurious negative eigenvalue {omega_sq.min():.3e}"
+        )
+    omega_sq = np.clip(omega_sq, 0.0, None)
+
     # Relative eigen-residual per mode.  For rigid modes K phi underflows,
     # so the denominator is floored at the tolerance times the matrix
     # scale; elastic modes are measured strictly against ||K phi||.
     residuals = np.empty(count)
     for j in range(count):
-        kv = k @ v[:, j]
-        r = kv - omega_sq[j] * (m @ v[:, j])
-        denom = max(float(np.linalg.norm(kv)),
+        r = kv[:, j] - omega_sq[j] * mv[:, j]
+        denom = max(float(np.linalg.norm(kv[:, j])),
                     1e-8 * scale_k * float(np.linalg.norm(v[:, j])))
         residuals[j] = float(np.linalg.norm(r)) / denom
 
@@ -433,8 +525,8 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
 
 
 def _dense_pairs(k: np.ndarray, m: np.ndarray, count: int) -> tuple:
-    """(omega^2, M-normalized modes, ||K||_F) of the ``count`` smallest
-    modes, from every eigenpair of the dense pencil.
+    """(M-normalized modes, ||K||_F) of the ``count`` smallest modes, in
+    ascending order, from every eigenpair of the dense pencil.
 
     The pencil is solved in reversed form with a positive spectral shift:
     M phi = mu (K + sigma M) phi with mu = 1/(omega^2 + sigma); modes with
@@ -463,14 +555,13 @@ def _dense_pairs(k: np.ndarray, m: np.ndarray, count: int) -> tuple:
     # eigh returns mu ascending; the largest mu are the smallest omega^2.
     order = np.argsort(mu)[::-1][:count]
     mu_sel = mu[order]
-    v = vectors[:, order] / np.sqrt(mu_sel)  # phi^T M phi = 1
-    return 1.0 / mu_sel - sigma, v, scale_k
+    return vectors[:, order] / np.sqrt(mu_sel), scale_k  # phi^T M phi = 1
 
 
 def _shift_invert_pairs(k, m, count: int, sigma: float) -> tuple:
-    """(omega^2, M-normalized modes, ||K||_F) of the ``count`` smallest
-    modes of sparse (K, M), by Lanczos on (K - sigma M)^-1 M (ARPACK's
-    shift-invert mode).
+    """(M-normalized modes, ||K||_F) of the ``count`` smallest modes of
+    sparse (K, M), in ascending order, by Lanczos on (K - sigma M)^-1 M
+    (ARPACK's shift-invert mode).
 
     sigma < 0 lies below every omega^2, so K - sigma M is positive
     definite even for a free plate, and it is factored once with a
@@ -510,10 +601,9 @@ def _shift_invert_pairs(k, m, count: int, sigma: float) -> tuple:
             f"requested {count} modes but Lanczos returned an "
             "infinite-frequency one (semidefinite mass)"
         )
-    order = np.argsort(omega_sq, kind="stable")
-    v = v[:, order]
+    v = v[:, np.argsort(omega_sq, kind="stable")]
     v /= np.sqrt(np.einsum("ij,ij->j", v, m @ v))  # phi^T M phi = 1
-    return omega_sq[order], v, scale_k
+    return v, scale_k
 
 
 def frequency_parameter(omega, a: float, material: PlateMaterial,

@@ -21,14 +21,15 @@ pushed through the inverse Jacobian.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .mapping import MappingScheme, Jacobian, jacobian
-from .quadrature import GaussRule, gauss_rule, tensor_points
+from .mapping import MappingScheme, Jacobian, jacobian, lattice_points
+from .quadrature import GaussRule, gauss_rule
 
 #: Positions of the deflection and rotation DOFs in the 12-entry vector.
 U_DOFS = np.array([0, 3, 6, 9])
@@ -358,6 +359,49 @@ def element_matrices(scheme: MappingScheme, material: PlateMaterial,
     )
 
 
+#: Upper-triangle Voigt pairs (I, J) of the symmetric natural rigidity.
+_UPPER_I, _UPPER_J = np.triu_indices(3)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_tables(nodes: tuple) -> tuple:
+    """Fixed tables of ``batch_element_matrices`` for the tensor rule on
+    the one-dimensional Gauss ``nodes``, read-only, each with 144 columns
+    (a flattened 12x12).
+
+    Returns ``(stiffness, mass, rotary)``.  ``stiffness`` row (p, q) is
+    B_I^T B_J + B_J^T B_I (B_I^T B_I when I = J), B_I the curvature rows
+    at point p and (I, J) the q-th pair of ``_UPPER_I``, ``_UPPER_J``.
+    ``mass`` stacks a_p^T a_p (P rows), e_i^T a_p + a_p^T e_i (4P rows,
+    p outer) and e_i^T e_j (16 rows), a_p being the deflection row at
+    point p with zero subarea fractions and e_i the unit row on the i-th
+    deflection DOF.  ``rotary`` rows are R_p^T R_p, R_p the rotation
+    field.
+    """
+    points = lattice_points(np.array(nodes), np.array(nodes))
+    b = np.stack([curvature_operator(theta) for theta in points])
+    outer = b[:, _UPPER_I, :, None] * b[:, _UPPER_J, None, :]
+    outer[:, _UPPER_I != _UPPER_J] += np.swapaxes(
+        outer[:, _UPPER_I != _UPPER_J], 2, 3)
+    a = deflection_rows(points, np.zeros(4))
+    unit = np.eye(12)[U_DOFS]
+    cross = unit[None, :, :, None] * a[:, None, None, :]
+    rotation = np.stack([rotation_field(theta) for theta in points])
+    tables = (
+        outer.reshape(-1, 144),
+        np.concatenate([
+            (a[:, :, None] * a[:, None, :]).reshape(-1, 144),
+            (cross + np.swapaxes(cross, 2, 3)).reshape(-1, 144),
+            (unit[:, None, :, None] * unit[None, :, None, :])
+            .reshape(-1, 144),
+        ]),
+        np.einsum("pki,pkj->pij", rotation, rotation).reshape(-1, 144),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def batch_element_matrices(jac: np.ndarray, det: np.ndarray,
                            fractions: np.ndarray, material: PlateMaterial,
                            rule: GaussRule, rotary: bool = False) -> tuple:
@@ -365,30 +409,44 @@ def batch_element_matrices(jac: np.ndarray, det: np.ndarray,
 
     ``jac`` (m, n, 2, 2) and ``det`` (m, n) are each element's Jacobian at
     the points of ``tensor_points(rule)``, ``fractions`` (m, 4) its subarea
-    fractions.  Returns ``(k, m)``, each (m, 12, 12).  The caller checks
-    the Jacobians and fractions.  Every element sees the operations of
-    ``element_stiffness`` and ``element_mass`` in the same order, so the
-    results equal theirs.
+    fractions.  Returns ``(k, m)``, each (m, 12, 12), in the precision of
+    ``jac``.  The caller checks the Jacobians and fractions.  The results
+    agree with ``element_stiffness`` and ``element_mass`` to round-off
+    (1e-12 relative), not bit for bit.
+
+    With s_p = w_p det J_p at Gauss point p, K is linear in s_p E_p (E_p
+    the natural rigidity) and M in s_p, s_p f and sum_p s_p f f^T (f the
+    subarea fractions), so each is one product with a fixed table of
+    ``_kernel_tables``; rotary inertia adds s_p against ``rotary``.  E_p
+    is the closed form D [nu h_ab h_cd + (1 - nu)/2 (h_ac h_bd + h_ad h_bc)]
+    with h = g g^T, g the contravariant components.
     """
     _check_rule(rule)
-    points, weights = tensor_points(rule)
+    stiffness, mass, rotation = _kernel_tables(tuple(rule.nodes))
     count = det.shape[0]
-    scale = (weights * det)[:, :, None, None]
-    rigidity = _voigt_rigidity(material, np.linalg.inv(np.swapaxes(jac, 2, 3)))
-    deflection = deflection_rows(points, fractions)[:, :, None, :]
-    r = material.rho * material.t ** 3 / 12.0 if rotary else 0.0
-    density = np.diag([material.rho * material.t, r, r])
-    k = np.zeros((count, 12, 12))
-    m = np.zeros((count, 12, 12))
-    for p, theta in enumerate(points):
-        b = curvature_operator(theta)
-        k += scale[:, p] * (b.T @ rigidity[:, p] @ b)
-        n = np.concatenate([
-            deflection[:, p],
-            np.broadcast_to(rotation_field(theta), (count, 2, 12)),
-        ], axis=1)
-        m += scale[:, p] * (np.swapaxes(n, 1, 2) @ density @ n)
-    return 0.5 * (k + np.swapaxes(k, 1, 2)), 0.5 * (m + np.swapaxes(m, 1, 2))
+    scale = np.outer(rule.weights, rule.weights).ravel() * det
+    # h = g g^T, the inverse of the metric J J^T (determinant det^2)
+    j = jac / det[..., None, None]
+    h00 = j[..., 1, 0] ** 2 + j[..., 1, 1] ** 2
+    h11 = j[..., 0, 0] ** 2 + j[..., 0, 1] ** 2
+    h01 = -(j[..., 0, 0] * j[..., 1, 0] + j[..., 0, 1] * j[..., 1, 1])
+    # the closed form at the (I, J) of _UPPER_I, _UPPER_J: Voigt pairs
+    # (11, 11), (11, 22), (11, 12), (22, 22), (22, 12), (12, 12)
+    nu = material.nu
+    rigidity = material.rigidity * np.stack([
+        h00 * h00, nu * h00 * h11 + (1.0 - nu) * h01 * h01, h00 * h01,
+        h11 * h11, h11 * h01,
+        0.5 * (1.0 + nu) * h01 * h01 + 0.5 * (1.0 - nu) * h00 * h11,
+    ], axis=-1)
+    k = (scale[..., None] * rigidity).reshape(count, -1) @ stiffness
+    features = [scale,
+                (scale[:, :, None] * fractions[:, None, :]).reshape(count, -1),
+                (scale.sum(axis=1)[:, None, None] * fractions[:, :, None]
+                 * fractions[:, None, :]).reshape(count, -1)]
+    m = material.rho * material.t * (np.concatenate(features, axis=1) @ mass)
+    if rotary:
+        m += material.rho * material.t ** 3 / 12.0 * (scale @ rotation)
+    return k.reshape(count, 12, 12), m.reshape(count, 12, 12)
 
 
 def _check_rule(rule: GaussRule):

@@ -488,6 +488,17 @@ class TestCli:
         assert "theta=" in err
         assert "np.float64" not in err
 
+    def test_folded_element_in_a_later_chunk_exit_three(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # every element is checked before the first chunk is integrated,
+        # and the fault names the element's index in the mesh
+        monkeypatch.setattr(quadplate.modal, "_ASSEMBLY_CHUNK", 2)
+        path = write_square_case(tmp_path, lambda doc: doc.update(
+            geometry=centered_grid([0.95, 0.95])))
+        assert main(["modal", "--case", path]) == 3
+        assert "numerical failure: element 3: folded element" in \
+            capsys.readouterr().err
+
     def test_element_folded_only_at_a_corner_exit_three(self, tmp_path,
                                                          capsys):
         # element 3 folds at theta = (-1, -1) while det J stays positive

@@ -33,7 +33,8 @@ from quadplate import (
     nodes_on_segment,
     solve_modes,
 )
-from quadplate.modal import _element_batch, _element_transform
+from quadplate import modal
+from quadplate.modal import _CsrPattern, _element_batch, _element_transform
 from quadplate.plate_element import (
     batch_element_matrices,
     element_mass,
@@ -66,6 +67,23 @@ def scalar_assemble(mesh, material, rule=RULE, rotary=False):
         np.add.at(k, np.ix_(dofs, dofs), t.T @ em.k @ t)
         np.add.at(m, np.ix_(dofs, dofs), t.T @ em.m @ t)
     return k, m
+
+
+def shuffled_quad_mesh(seed=5):
+    """An explicit 3x4 mesh of a skew quad, its nodes numbered at random."""
+    mesh = mesh_quad(SECTION_QUAD, 3, 4)
+    order = np.random.default_rng(seed).permutation(mesh.n_nodes)
+    number = np.argsort(order)  # old node index -> new
+    return Mesh(nodes=mesh.nodes[order], elements=number[mesh.elements])
+
+
+PATTERN_MESHES = [
+    mesh_quad([[0, 0], [1, 0], [0.7929, 0.7727], [0.2394, 0.6577]], 5, 7),
+    mesh_triangle([[0, 0], [1, 0.25], [0, 0.5]], 3),
+    shuffled_quad_mesh(),
+]
+PATTERN_IDS = ["clamped-quad-5x7", "cantilever-isosceles-level-3",
+               "explicit-shuffled"]
 
 
 def assert_relative(got, want, rtol, label=None):
@@ -110,6 +128,30 @@ class TestAssemble:
         k, m = scalar_assemble(mesh, MAT, rotary=rotary)
         assert_relative(system.k, k, 1e-12)
         assert_relative(system.m, m, 1e-12)
+
+    @pytest.mark.parametrize("mesh", PATTERN_MESHES, ids=PATTERN_IDS)
+    def test_node_pattern_matches_dof_pattern(self, mesh):
+        # the CSR layout from the sorted unique DOF entries of every
+        # element, and each element entry's slot in it
+        ndof = 3 * mesh.n_nodes
+        dofs = (3 * mesh.elements[:, :, None] + np.arange(3)).reshape(-1, 12)
+        index = (dofs[:, :, None] * ndof + dofs[:, None, :]).ravel()
+        flat, slot = np.unique(index, return_inverse=True)
+        rows, cols = np.divmod(flat, ndof)
+        pattern = _CsrPattern.of(mesh.elements, mesh.n_nodes)
+        assert np.array_equal(pattern.indptr,
+                              np.searchsorted(rows, np.arange(ndof + 1)))
+        assert np.array_equal(pattern.indices, cols)
+        assert np.array_equal(pattern.slots().ravel(), slot.ravel())
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    @pytest.mark.parametrize("mesh", PATTERN_MESHES, ids=PATTERN_IDS)
+    def test_chunked_assembly_matches_scalar(self, monkeypatch, mesh, chunk):
+        monkeypatch.setattr(modal, "_ASSEMBLY_CHUNK", chunk)
+        system = assemble(mesh, MAT, rule=RULE, rotary=True)
+        k, m = scalar_assemble(mesh, MAT, rotary=True)
+        assert_relative(system.k.toarray(), k, 1e-12)
+        assert_relative(system.m.toarray(), m, 1e-12)
 
     @pytest.mark.parametrize("order", [3, 4, 5, 6])
     def test_batched_elements_match_scalar_elements(self, order):
@@ -472,6 +514,18 @@ class TestMeshGenerators:
             tracemalloc.stop()
         assert mesh.n_nodes == 129 * 129
         assert peak < 16 * 2 ** 20
+
+    def test_large_quad_mesh_assembly_memory(self):
+        # elements are integrated in chunks of _ASSEMBLY_CHUNK, so only
+        # the CSR system and its pattern grow with the mesh
+        mesh = mesh_quad(UNIT_SQUARE, 64, 64)
+        tracemalloc.start()
+        try:
+            assemble(mesh, MAT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 2 ** 20
 
     def test_cli_import_skips_scipy_spatial(self):
         code = ("import sys, quadplate.cli; "

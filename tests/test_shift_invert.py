@@ -82,22 +82,18 @@ def solve_both(monkeypatch, system, count):
 
 
 def rayleigh_omega(system, modes):
-    return np.sqrt(np.einsum("ij,ij->j", modes, system.k @ modes)
-                   / np.einsum("ij,ij->j", modes, system.m @ modes))
+    """Square roots of the modes' Rayleigh quotients, every product and
+    sum in long double."""
+    v = modes.astype(np.longdouble)
+    k, m = (a.toarray().astype(np.longdouble) for a in (system.k, system.m))
+    return np.sqrt(np.einsum("ij,ij->j", v, k @ v)
+                   / np.einsum("ij,ij->j", v, m @ v)).astype(float)
 
 
-def assert_sparse_matches_dense(monkeypatch, lanczos, system, count,
-                                rotary=False):
+def assert_sparse_matches_dense(monkeypatch, lanczos, system, count):
     dense, sparse = solve_both(monkeypatch, system, count)
     assert len(lanczos) == 1
-    # With rotary inertia the dense path's shift 1e-3 ||K|| / ||M|| can
-    # dwarf omega^2 (1.3e7 against 49 on the level-3 cantilever triangle),
-    # and omega^2 = 1/mu - sigma then cancels digits: its omega_1 is off
-    # its own modes' Rayleigh quotient by 5e-10.  Those quotients are the
-    # dense oracle there.
-    np.testing.assert_allclose(sparse.omega,
-                               rayleigh_omega(system, dense.modes)
-                               if rotary else dense.omega, rtol=1e-10)
+    np.testing.assert_allclose(sparse.omega, dense.omega, rtol=1e-10)
     assert np.all(sparse.residuals <= 1e-8)
     gram = sparse.modes.T @ (system.m @ sparse.modes)
     np.testing.assert_allclose(gram, np.eye(count), rtol=0.0, atol=1e-10)
@@ -124,7 +120,20 @@ def test_sparse_path_matches_dense_on_builtin_meshes(monkeypatch, lanczos,
                                                      rotary):
     system = constrained(mesh, rotary)
     assert_sparse_matches_dense(monkeypatch, lanczos, system,
-                                min(6, system.n_dofs - 1), rotary)
+                                min(6, system.n_dofs - 1))
+
+
+def test_dense_omega_is_the_rayleigh_quotient_of_its_mode(monkeypatch):
+    # with rotary inertia the dense shift 1e-3 ||K|| / ||M|| (1.3e7) dwarfs
+    # omega_1^2 (49), so 1/mu - sigma would lose digits
+    (mesh,) = [mesh for name, label, mesh in BUILTIN_MESHES
+               if (name, label) == ("cantilever-isosceles", "27-elements")]
+    system = constrained(mesh, rotary=True)
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: True)
+    spectrum = solve_modes(system, 6)
+    np.testing.assert_allclose(spectrum.omega,
+                               rayleigh_omega(system, spectrum.modes),
+                               rtol=1e-12)
 
 
 @pytest.mark.parametrize("vertices,edges", [
