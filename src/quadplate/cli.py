@@ -7,7 +7,10 @@ Verbs: sectprops, mapcheck, modal.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+
+import numpy as np
 
 from .cases import (
     builtin_case_names,
@@ -55,7 +58,10 @@ def _overrides(args, modal: bool) -> dict:
     return overrides
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    returns a fresh namespace and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="quadplate",
         description="quadrilateral mapping schemes and thin-plate modal "
@@ -68,15 +74,26 @@ def main(argv=None) -> int:
         "mapcheck", help="poles, shape-function checks, map deviations"))
     _add_common(sub.add_parser(
         "modal", help="free-vibration frequency tables"), modal=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     runners = {"sectprops": run_sectprops, "mapcheck": run_mapcheck,
                "modal": run_modal}
     try:
-        case = load_case(args.case, seed=args.seed,
-                         overrides=_overrides(args, args.verb == "modal"))
-        report = runners[args.verb](case)
+        # Input magnitudes near the ends of the double range overflow in
+        # products such as t**3 or |J|**4: a numerical failure, not a
+        # warning beside a report of infinities.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            case = load_case(args.case, seed=args.seed,
+                             overrides=_overrides(args, args.verb == "modal"))
+            report = runners[args.verb](case)
         emit(report, fmt=args.format, destination=args.out)
+    except ArithmeticError as exc:
+        print(f"quadplate: numerical failure: {exc} (input magnitudes "
+              f"beyond the floating-point range)", file=sys.stderr)
+        return 3
     except ValidationError as exc:
         print(f"quadplate: invalid input: {exc}", file=sys.stderr)
         return 2

@@ -75,8 +75,11 @@ def monomial_values(exponents, theta) -> np.ndarray:
     """Each basis monomial at natural points ``theta`` (..., 2); shape
     (..., n_terms)."""
     t = np.asarray(theta, dtype=float)
-    return np.stack([t[..., 0] ** e1 * t[..., 1] ** e2
-                     for e1, e2 in exponents], axis=-1)
+    t1, t2 = t[..., 0], t[..., 1]
+    out = np.empty(t.shape[:-1] + (len(exponents),))
+    for q, (e1, e2) in enumerate(exponents):
+        out[..., q] = t1 ** e1 * t2 ** e2
+    return out
 
 
 def monomial_gradients(exponents, theta) -> np.ndarray:
@@ -84,12 +87,13 @@ def monomial_gradients(exponents, theta) -> np.ndarray:
     (..., 2); shape (..., n_terms, 2)."""
     t = np.asarray(theta, dtype=float)
     t1, t2 = t[..., 0], t[..., 1]
-    zero = np.zeros_like(t1)
-    return np.stack([
-        np.stack([zero if e1 == 0 else e1 * t1 ** (e1 - 1) * t2 ** e2,
-                  zero if e2 == 0 else e2 * t1 ** e1 * t2 ** (e2 - 1)],
-                 axis=-1)
-        for e1, e2 in exponents], axis=-2)
+    out = np.zeros(t.shape[:-1] + (len(exponents), 2))
+    for q, (e1, e2) in enumerate(exponents):
+        if e1:
+            out[..., q, 0] = e1 * t1 ** (e1 - 1) * t2 ** e2
+        if e2:
+            out[..., q, 1] = e2 * t1 ** e1 * t2 ** (e2 - 1)
+    return out
 
 
 def det2(matrix) -> np.ndarray:
@@ -148,8 +152,17 @@ class QuadGeometry:
             )
         if not np.all(np.isfinite(v)):
             raise DegenerateGeometryError("non-finite vertex coordinate")
-        pairs = pair_distances(v)
+        # Distances square the coordinate differences, which overflow to
+        # inf or underflow to 0 at magnitudes near 1e+-154.
+        with np.errstate(over="ignore", under="ignore"):
+            pairs = pair_distances(v)
+            span = float(np.ptp(v, axis=0).max())
         diam = float(pairs.max())
+        if not math.isfinite(diam) or (diam == 0.0 and span > 0.0):
+            raise DegenerateGeometryError(
+                f"vertex coordinates span {span:.3e}, outside the range "
+                f"whose squared distances are finite and nonzero"
+            )
         if diam == 0.0:
             raise DegenerateGeometryError("all vertices coincide")
         coincident = [(int(p), int(q))
@@ -455,25 +468,35 @@ def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
     if pole_xy is None:
         raise ValidationError("pole is flagged parallel (at infinity)")
     target = np.asarray(pole_xy, dtype=float)
-    params = bilinear_params(quad)
+    coeffs = bilinear_params(quad).coeffs
     diam = quad.diameter
     tol = 1e-12 * diam
     if guess is None:
         guess = default_pole_guess(quad, target)
     guess = np.asarray(guess, dtype=float)
 
+    # The basis [1, t1, t2, t1*t2] and its (4, 2) gradient, refilled at
+    # each iterate.  The products have the shapes and layout of
+    # ``GeneralizedParams.point`` and ``.gradient``, so every iterate is
+    # bit-identical to evaluating those.
+    values = np.ones((1, 4))
+    grads = np.zeros((4, 2))
+    grads[1, 0] = grads[2, 1] = 1.0
     last_residual = math.inf
     last_theta = guess
     for shift in _NEWTON_PERTURBATIONS:
         theta = guess + shift
         singular = False
         for _ in range(50):
-            residual = params.point(theta) - target
+            values[0, 1:3] = theta
+            values[0, 3] = theta[0] * theta[1]
+            residual = (values @ coeffs)[0] - target
             norm = float(np.linalg.norm(residual))
             last_residual, last_theta = norm, theta
             if norm <= tol:
                 return theta
-            tangent = params.gradient(theta).T
+            grads[3] = theta[::-1]
+            tangent = (grads.T @ coeffs).T
             if abs(det2(tangent)) < 1e-13 * diam * diam:
                 singular = True
                 break

@@ -1,10 +1,17 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
 import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadplate.modal
 from quadplate import InvalidCaseError
@@ -18,7 +25,7 @@ from quadplate.cases import (
     run_modal,
     run_sectprops,
 )
-from quadplate.cli import main
+from quadplate.cli import _parser, main
 from quadplate.modal import (
     apply_bcs,
     assemble,
@@ -367,6 +374,48 @@ class TestCli:
         assert lines[0] == "mesh,mode,omega,param_plain,param_per_pi2"
         assert len(lines) == 1 + 4 * 2
 
+    def test_parser_carries_no_state_between_calls(self, tmp_path, capsys):
+        path = write_square_case(tmp_path)
+        _parser.cache_clear()
+        assert main(["modal", "--case", path]) == 0
+        fresh = capsys.readouterr().out
+        assert main(["modal", "--case", path, "--rotary"]) == 0
+        assert capsys.readouterr().out != fresh
+        assert main(["modal", "--case", path]) == 0
+        assert capsys.readouterr().out == fresh
+        # a seed given for random-quad is not applied to a later case
+        assert main(["sectprops", "--case", "random-quad",
+                     "--seed", "3"]) == 0
+        assert main(["sectprops", "--case", "paper-quad"]) == 0
+        # a usage error leaves the next call unaffected
+        with pytest.raises(SystemExit) as exc:
+            main(["modal", "--case", path, "--modes", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["modal", "--case", path]) == 0
+        assert capsys.readouterr().out == fresh
+
+    @pytest.mark.parametrize("verb,edit,code,message", [
+        ("sectprops", lambda doc: doc.update(geometry={"quad": {
+            "vertices": [[0, 0], [4e160, 0], [3e160, 2e160], [0, 3e160]]}}),
+         2, "invalid input: vertex coordinates span 4.000e+160"),
+        ("mapcheck", lambda doc: doc.update(geometry={"quad": {
+            "vertices": [[0, 0], [4e-170, 0], [3e-170, 2e-170],
+                         [0, 3e-170]]}}),
+         2, "invalid input: vertex coordinates span 4.000e-170"),
+        ("modal", lambda doc: doc["material"].update(t=1e160),
+         3, "numerical failure: (34, 'Numerical result out of range') "
+            "(input magnitudes beyond the floating-point range)"),
+        ("modal", lambda doc: doc["material"].update(E=1e160),
+         3, "numerical failure: overflow encountered in "),
+    ], ids=["quad-1e160", "quad-1e-170", "thickness-1e160", "E-1e160"])
+    def test_magnitudes_beyond_double_range_exit_cleanly(
+            self, tmp_path, capsys, verb, edit, code, message):
+        # no numpy warning escapes, and no OverflowError traceback
+        path = write_square_case(tmp_path, edit)
+        assert main([verb, "--case", path]) == code
+        assert message in capsys.readouterr().err
+
     def test_unknown_case_exit_two(self, capsys):
         assert main(["sectprops", "--case", "missing"]) == 2
         assert "invalid input" in capsys.readouterr().err
@@ -614,3 +663,116 @@ class TestCli:
     def test_emit_rejects_unknown_format(self):
         with pytest.raises(InvalidCaseError):
             emit(Report(kind="modal", tables={"rows": []}), fmt="xml")
+
+
+# ---------------------------------------------------------------------------
+# case-document fuzzing
+# ---------------------------------------------------------------------------
+
+_MATERIAL = {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0}
+_SINGLE_QUAD = {"name": "fuzz", "material": _MATERIAL,
+                "geometry": {"quad": {"vertices": [[0, 0], [8, 0], [4, 3],
+                                                   [0, 5]]}},
+                "analysis": {"scheme": "all", "gauss": 3}}
+_MODAL_DOCS = (
+    {"name": "fuzz-quad", "material": _MATERIAL,
+     "geometry": {"quad": {"vertices": [[0, 0], [1, 0], [1.2, 0.9], [0, 1]],
+                           "meshes": [[2, 2], [3, 4]],
+                           "clamped_edges": [0], "ss_edges": [2]},
+                  "reference_length": 1.0},
+     "analysis": {"modes": 2, "scheme": "pascal6", "gauss": 3,
+                  "normalization": "per_pi2", "rotary": False}},
+    {"name": "fuzz-triangle", "material": _MATERIAL,
+     "geometry": {"triangle": {"vertices": [[0, 0], [1, 0.25], [0, 0.5]],
+                               "levels": [1, 2], "clamped_edges": [2]}},
+     "analysis": {"modes": 2}},
+    {"name": "fuzz-mesh", "material": _MATERIAL,
+     "geometry": {"mesh": dict(centered_grid([0.5, 0.45])["mesh"],
+                               boundary_sets={"left": {
+                                   "condition": "clamped",
+                                   "nodes": [0, 3, 6]}})},
+     "analysis": {"modes": 1, "mode_shapes": True}},
+)
+# Replacement values: every type a JSON document can hold, non-finite
+# numbers, and no integer above 4, so a mutated mesh stays at most 4x4.
+_SWAPS = (None, True, False, "x", "2", [], {}, [1], [[0, 0]], 0, -1, 2.5,
+          4, math.nan, math.inf, -math.inf)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, path + (index,))
+
+
+def _scale_coordinates(node, factor):
+    if isinstance(node, list):
+        return [_scale_coordinates(value, factor) for value in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return node * factor
+    return node
+
+
+def _swap(data):
+    return copy.deepcopy(data.draw(st.sampled_from(_SWAPS)))
+
+
+def _mutate(doc, data):
+    """One mutation of ``doc`` at a drawn position: a type swap, a removed
+    or an extra entry, a nesting in a list, or coordinates scaled by
+    1e+-160."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    kind = data.draw(st.sampled_from(
+        ("swap", "remove", "extra", "nest", "scale")))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else doc
+    if kind == "swap":
+        node = _swap(data)
+    elif kind == "remove" and path:
+        del parent[path[-1]]
+        return doc
+    elif kind == "extra" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(("extra", "E", "quad", "meshes")))] \
+            = _swap(data)
+    elif kind == "extra" and isinstance(node, list):
+        node.append(copy.deepcopy(node[-1]) if node else _swap(data))
+    elif kind == "nest":
+        node = [node]
+    elif kind == "scale":
+        node = _scale_coordinates(
+            node, data.draw(st.sampled_from((1e160, 1e-160))))
+    if not path:
+        return node
+    parent[path[-1]] = node
+    return doc
+
+
+class TestCaseFuzzing:
+    """Mutated case documents end in exit 0, 2 or 3, never an exception;
+    the only warnings allowed are the program's own notices."""
+
+    @pytest.mark.filterwarnings("ignore:vertices given clockwise")
+    @pytest.mark.filterwarnings("ignore:parallel edge pair")
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck", "modal"])
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              database=None)
+    @given(data=st.data())
+    def test_mutated_documents_exit_cleanly(self, verb, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(_MODAL_DOCS))
+                            if verb == "modal" else _SINGLE_QUAD)
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(doc, data)
+        with tempfile.TemporaryDirectory() as directory:
+            path = pathlib.Path(directory) / "case.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([verb, "--case", str(path), "--format", "json"])
+        assert code in (0, 2, 3), err.getvalue()

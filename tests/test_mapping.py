@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -18,16 +21,23 @@ from quadplate import (
     serendipity_shapes,
     solve_pole_natural,
 )
+from quadplate.errors import NonconvergenceError
 from quadplate.mapping import (
+    BILINEAR_MONOMIALS,
     CORNER_NATURAL,
+    PASCAL_MONOMIALS,
     SCHEME_KINDS,
+    SERENDIPITY_MONOMIALS,
+    _NEWTON_PERTURBATIONS,
+    default_pole_guess,
+    det2,
     monomial_gradients,
     monomial_values,
     pair_distances,
     twice_signed_area,
 )
 
-from conftest import convex_quads, fd_jacobian
+from conftest import SECTION_QUAD, convex_quads, fd_jacobian
 
 
 class TestQuadGeometry:
@@ -56,6 +66,22 @@ class TestQuadGeometry:
         with pytest.raises(DegenerateGeometryError):
             QuadGeometry([[0, 0], [1, 0], [0, 0], [0, 1]],
                          allow_collapsed=True)
+
+    @pytest.mark.parametrize("scale, range_fault", [
+        (1e160, True), (1e-170, True), (1e150, False), (1e-150, False)])
+    def test_coordinates_beyond_squared_range_rejected(self, scale,
+                                                       range_fault):
+        # squared distances overflow above ~1e154 and vanish below ~1e-162;
+        # that is an input range fault, not a coincidence, and no numpy
+        # warning escapes (this suite turns warnings into errors)
+        vertices = scale * np.array(SECTION_QUAD)
+        if not range_fault:
+            assert QuadGeometry(vertices).diameter == pytest.approx(
+                scale * math.sqrt(89.0))
+            return
+        message = re.escape(f"span {8 * scale:.3e}, outside the range")
+        with pytest.raises(DegenerateGeometryError, match=message):
+            QuadGeometry(vertices)
 
     def test_centroid_and_diameter(self, section_quad):
         np.testing.assert_allclose(section_quad.centroid, [3.0, 2.0])
@@ -402,3 +428,123 @@ class TestArrayEvaluation:
             assert dist.tolist() == [float(np.linalg.norm(v[p] - v[q]))
                                      for p in range(4)
                                      for q in range(p + 1, 4)]
+
+
+# The evaluators and the pole Newton as they were built from ``np.stack``
+# and ``GeneralizedParams.point``/``.gradient``: the oracle that the
+# preallocated versions must match bit for bit.
+
+def _stacked_values(exponents, theta):
+    t = np.asarray(theta, dtype=float)
+    return np.stack([t[..., 0] ** e1 * t[..., 1] ** e2
+                     for e1, e2 in exponents], axis=-1)
+
+
+def _stacked_gradients(exponents, theta):
+    t = np.asarray(theta, dtype=float)
+    t1, t2 = t[..., 0], t[..., 1]
+    zero = np.zeros_like(t1)
+    return np.stack([
+        np.stack([zero if e1 == 0 else e1 * t1 ** (e1 - 1) * t2 ** e2,
+                  zero if e2 == 0 else e2 * t1 ** e1 * t2 ** (e2 - 1)],
+                 axis=-1)
+        for e1, e2 in exponents], axis=-2)
+
+
+def _stacked_newton(quad, pole_xy, guess=None):
+    """``solve_pole_natural`` on the stacked evaluators; returns the root
+    or the ``NonconvergenceError`` raised."""
+    target = np.asarray(pole_xy, dtype=float)
+    coeffs = bilinear_params(quad).coeffs
+    diam = quad.diameter
+    if guess is None:
+        guess = default_pole_guess(quad, target)
+    guess = np.asarray(guess, dtype=float)
+    last_residual, last_theta = math.inf, guess
+    for shift in _NEWTON_PERTURBATIONS:
+        theta = guess + shift
+        singular = False
+        for _ in range(50):
+            values = _stacked_values(BILINEAR_MONOMIALS, theta)[..., None, :]
+            residual = (values @ coeffs)[..., 0, :] - target
+            norm = float(np.linalg.norm(residual))
+            last_residual, last_theta = norm, theta
+            if norm <= 1e-12 * diam:
+                return theta
+            grads = _stacked_gradients(BILINEAR_MONOMIALS, theta)
+            tangent = (np.swapaxes(grads, -1, -2) @ coeffs).T
+            if abs(det2(tangent)) < 1e-13 * diam * diam:
+                singular = True
+                break
+            theta = theta - np.linalg.solve(tangent, residual)
+        if not singular:
+            return NonconvergenceError(
+                f"pole iteration did not converge in 50 steps "
+                f"(last residual {last_residual:.3e})",
+                residual=last_residual, theta=last_theta)
+    return NonconvergenceError(
+        "singular Jacobian at an iterate for every restart",
+        residual=last_residual, theta=last_theta)
+
+
+def _newton_outcome(solve, *args):
+    try:
+        return solve(*args)
+    except NonconvergenceError as exc:
+        return exc
+
+
+def _same_outcome(got, want):
+    if isinstance(want, NonconvergenceError):
+        return (type(got) is type(want) and str(got) == str(want)
+                and np.array_equal(got.theta, want.theta, equal_nan=True)
+                and np.array_equal(got.residual, want.residual,
+                                   equal_nan=True))
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestPreallocatedEvaluators:
+    """The filled evaluators and the pole Newton equal the stacked ones bit
+    for bit."""
+
+    @pytest.mark.parametrize("exponents", [
+        BILINEAR_MONOMIALS, PASCAL_MONOMIALS, SERENDIPITY_MONOMIALS])
+    @pytest.mark.parametrize("shape", [(2,), (9, 2), (3, 5, 2)])
+    def test_monomials_match_stacked(self, exponents, shape):
+        rng = np.random.default_rng(len(exponents) * 10 + len(shape))
+        theta = rng.uniform(-6.0, 6.0, shape)
+        theta.flat[0] = 0.0
+        for new, old in ((monomial_values, _stacked_values),
+                         (monomial_gradients, _stacked_gradients)):
+            got, want = new(exponents, theta), old(exponents, theta)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(new(exponents, theta.tolist()), want)
+
+    def test_newton_matches_stacked_on_random_quads(self, section_quad):
+        quads = [section_quad] + convex_quads(50, seed=13)
+        solved = 0
+        for quad in quads:
+            poles = compute_poles_cartesian(quad)
+            for pole in (poles.p5_xy, poles.p6_xy):
+                if pole is None:
+                    continue
+                want = _newton_outcome(_stacked_newton, quad, pole)
+                got = _newton_outcome(solve_pole_natural, quad, pole)
+                assert _same_outcome(got, want)
+                solved += 1
+        assert solved >= 90
+
+    @pytest.mark.parametrize("pole, guess", [
+        ([10.0, 0.0], (4.0, 1.0)), ([10.0, 0.0], (1.5, -1.0)),
+        ([0.0, 6.0], (1.0, 3.0)), ([0.0, 6.0], (-1.0, 1.4)),
+        # on the singular line det J = 5.5 - 2 t1 - 2.5 t2: a restart
+        ([10.0, 0.0], (2.75, 0.0)),
+        ([0.0, 6.0], (1e8, 1e8)),
+        ([10.0, 0.0], (math.nan, 0.0)),
+    ])
+    def test_newton_matches_stacked_on_explicit_guesses(self, section_quad,
+                                                        pole, guess):
+        want = _newton_outcome(_stacked_newton, section_quad, pole, guess)
+        got = _newton_outcome(solve_pole_natural, section_quad, pole, guess)
+        assert _same_outcome(got, want)

@@ -561,3 +561,24 @@ class TestSchemeComparison:
                 for got, want in ((em.k, ref.k), (em.m, ref.m)):
                     assert np.abs(got - want).max() <= \
                         1e-9 * np.abs(want).max(), (index, kind)
+
+
+class TestMeshConvergence:
+    def test_clamped_square_converges_to_leissa(self):
+        # omega a^2 sqrt(rho t / D) with a = D = rho t = 1, three nested
+        # meshes: values derived from the program, and Leissa's reference
+        # (NASA SP-160, 1969) within the Richardson extrapolation
+        omega = []
+        for size in (16, 32, 64):
+            mesh = mesh_quad(UNIT_SQUARE, size, size)
+            clamp_polygon_boundary(mesh, UNIT_SQUARE)
+            omega.append(float(modal_analysis(mesh, MAT, RULE, count=1)
+                               .omega[0]))
+        np.testing.assert_allclose(
+            omega, [36.062863, 36.004953, 35.990152], rtol=0, atol=5e-7)
+        coarse, middle, fine = omega
+        order = np.log2((coarse - middle) / (middle - fine))
+        assert 1.8 <= order <= 2.2
+        richardson = fine - (middle - fine) / (2.0 ** order - 1.0)
+        assert richardson == pytest.approx(35.98507, abs=5e-6)
+        assert richardson == pytest.approx(35.985, rel=1e-4)
