@@ -710,9 +710,9 @@ def _paths(node, path=()):
             yield from _paths(value, path + (index,))
 
 
-def _scale_coordinates(node, factor):
+def _scale_numbers(node, factor):
     if isinstance(node, list):
-        return [_scale_coordinates(value, factor) for value in node]
+        return [_scale_numbers(value, factor) for value in node]
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return node * factor
     return node
@@ -724,8 +724,9 @@ def _swap(data):
 
 def _mutate(doc, data):
     """One mutation of ``doc`` at a drawn position: a type swap, a removed
-    or an extra entry, a nesting in a list, or coordinates scaled by
-    1e+-160."""
+    or an extra entry, a nesting in a list, or every number in it scaled
+    by 1e+-160 (a scaled mesh size is fractional or too large to
+    allocate, so meshes stay small)."""
     path = data.draw(st.sampled_from(list(_paths(doc))))
     kind = data.draw(st.sampled_from(
         ("swap", "remove", "extra", "nest", "scale")))
@@ -746,7 +747,7 @@ def _mutate(doc, data):
     elif kind == "nest":
         node = [node]
     elif kind == "scale":
-        node = _scale_coordinates(
+        node = _scale_numbers(
             node, data.draw(st.sampled_from((1e160, 1e-160))))
     if not path:
         return node
