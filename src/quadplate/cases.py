@@ -526,6 +526,12 @@ def run_sectprops(case: CaseFile) -> Report:
     quad = _single_quad(case)
     rule = gauss_rule(case.analysis["gauss"])
     exact = polygon_section_properties(quad.vertices)
+    # the moments scale as size^4; numpy underflows to 0 without a signal
+    if min(exact.area, exact.i_x1, exact.i_x2) < np.finfo(float).tiny:
+        span = float(np.ptp(quad.vertices, axis=0).max())
+        raise InvalidCaseError(
+            f"vertex coordinates span {span:.3e}, too small for the section "
+            "area and moments to be normal floating-point numbers")
     rows = []
     for kind in _requested_schemes(case):
         scheme = build_scheme(quad, kind)

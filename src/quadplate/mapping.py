@@ -484,30 +484,34 @@ def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
     grads[1, 0] = grads[2, 1] = 1.0
     last_residual = math.inf
     last_theta = guess
-    for shift in _NEWTON_PERTURBATIONS:
-        theta = guess + shift
-        singular = False
-        for _ in range(50):
-            values[0, 1:3] = theta
-            values[0, 3] = theta[0] * theta[1]
-            residual = (values @ coeffs)[0] - target
-            norm = float(np.linalg.norm(residual))
-            last_residual, last_theta = norm, theta
-            if norm <= tol:
-                return theta
-            grads[3] = theta[::-1]
-            tangent = (grads.T @ coeffs).T
-            if abs(det2(tangent)) < 1e-13 * diam * diam:
-                singular = True
-                break
-            theta = theta - np.linalg.solve(tangent, residual)
-        if not singular:
-            raise NonconvergenceError(
-                f"pole iteration did not converge in 50 steps "
-                f"(last residual {last_residual:.3e})",
-                residual=last_residual,
-                theta=last_theta,
-            )
+    # an iterate beyond the float range (a non-finite residual or det J)
+    # counts as singular, so the next restart is tried
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shift in _NEWTON_PERTURBATIONS:
+            theta = guess + shift
+            singular = False
+            for _ in range(50):
+                values[0, 1:3] = theta
+                values[0, 3] = theta[0] * theta[1]
+                residual = (values @ coeffs)[0] - target
+                norm = float(np.linalg.norm(residual))
+                last_residual, last_theta = norm, theta
+                if norm <= tol:
+                    return theta
+                grads[3] = theta[::-1]
+                tangent = (grads.T @ coeffs).T
+                if not (1e-13 * diam * diam <= abs(det2(tangent)) < math.inf
+                        and norm < math.inf):
+                    singular = True
+                    break
+                theta = theta - np.linalg.solve(tangent, residual)
+            if not singular:
+                raise NonconvergenceError(
+                    f"pole iteration did not converge in 50 steps "
+                    f"(last residual {last_residual:.3e})",
+                    residual=last_residual,
+                    theta=last_theta,
+                )
     raise NonconvergenceError(
         "singular Jacobian at an iterate for every restart",
         residual=last_residual,

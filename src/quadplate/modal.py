@@ -94,9 +94,10 @@ class Mesh:
 
 
 #: Systems of at most this many DOFs are solved densely (``eigh``).  Six
-#: modes of the clamped skew quad on a 2-vCPU VM, BLAS on one thread:
-#: dense 3.0 and sparse 4.1 ms at 147 DOFs, 9.0 and 4.7 ms at 243 DOFs,
-#: 25 and 10 ms at 363 DOFs; every built-in mesh has at most 216.
+#: modes of the clamped skew quad on a 1-vCPU Xeon VM, BLAS on one
+#: thread, medians of 15 runs: dense 3.6-4.2 and sparse 7.2-10.7 ms at 147
+#: DOFs, 7.7-10.2 and 8.7-12.7 ms at 243, 20-21.5 and 12.7-13.6 ms at
+#: 363; every built-in mesh has at most 216.
 DENSE_MAX_DOFS = 300
 
 
@@ -106,14 +107,13 @@ def _solves_densely(n: int, count: int) -> bool:
     their modes.
 
     Lanczos slows with the count (its basis holds about 2 * count
-    vectors), the full dense solve barely does, and the crossover grows
-    with n.  Same VM, median of 3-7 runs: on the clamped skew quad at 363
-    DOFs dense 33 and sparse 31 ms at 36 modes, 35 and 42 ms at 50, 37 and
-    48 ms at 72; on the 16x16 cantilever quad at 816 DOFs 263 and 93 ms at
-    81 modes, 255 and 185 ms at 140, 270 and 285 ms at 163; on the 26x26
-    clamped quad at 1875 DOFs 2.0 and 0.26 s at 100 modes, 3.3 and 2.8 s
-    at 375.  So at a tenth the sparse path is never the slower one.  Every
-    benchmark workload asks for six modes, so none reaches the count rule.
+    vectors), the dense subset solve less so.  Same VM, medians of 5-15
+    runs: on the clamped skew quad at 363 DOFs dense 28-34 and sparse
+    34-39 ms at 36 modes, 34-39 and 50-52 ms at 50, 43-46 and 64-65 ms at
+    72; on the 16x16 cantilever quad at 816 DOFs 188-193 and 131-259 ms at
+    81 modes, 240-251 and 286-295 ms at 140.  So near a tenth neither path
+    is always the faster one.  Every benchmark workload asks for six
+    modes, so none reaches the count rule.
     """
     return n <= DENSE_MAX_DOFS or count > n // 10
 
@@ -125,7 +125,7 @@ class GlobalSystem:
     ``dof_map[node]`` holds the three global indices of that node's
     (u, phi1, phi2), with -1 for eliminated DOFs.  ``scale`` is the
     plate's omega^2 scale D / (rho t L^4), L the diagonal of the node
-    bounding box; the sparse eigensolve shifts by -scale.
+    bounding box; both eigensolves shift K by scale * M.
     """
 
     k: scipy.sparse.csr_array
@@ -458,13 +458,15 @@ def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
 def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     """Smallest eigenpairs of the symmetric pencil (K, M).
 
-    The mass matrix may be semidefinite (consistent mass without rotary
-    inertia has element rank 3), so modes in the nullspace of M (infinite
-    frequency) are never returned; rigid modes come out at omega ~ 0.
-    Systems of at most ``DENSE_MAX_DOFS`` DOFs, or asked for more than a
-    tenth of their modes, are solved densely (``_dense_pairs``), larger
-    ones by shift-invert Lanczos about sigma = -``system.scale``, below
-    every omega^2 (``_shift_invert_pairs``).
+    Both paths solve M phi = nu (K + sM) phi with s = ``system.scale``:
+    K + sM is positive definite even for a free plate, and the ``count``
+    largest nu = 1/(omega^2 + s) are the smallest omega^2.  Systems of at
+    most ``DENSE_MAX_DOFS`` DOFs, or asked for more than a tenth of their
+    modes, take that subset of a dense ``eigh``, larger ones shift-invert
+    Lanczos (``_shift_invert_pairs``).  M may be semidefinite (consistent
+    mass without rotary inertia has element rank 3); nu ~ 0 is a mode in
+    its nullspace (infinite frequency) and an error.  Rigid modes come out
+    at omega ~ 0.
     """
     n = system.n_dofs
     if count > n:
@@ -475,12 +477,31 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
         return ModalSpectrum(
             omega=np.empty(0), modes=np.empty((n, 0)), residuals=np.empty(0)
         )
+    k, m, s = system.k, system.m, system.scale
+    if not np.any(m.data):
+        raise NumericalError("mass matrix is zero")
+    scale_k = float(np.linalg.norm(k.data))
+    shifted = k + s * m
     if _solves_densely(n, count):
-        v, scale_k = _dense_pairs(system.k.toarray(), system.m.toarray(),
-                                  count)
+        try:
+            nu, v = scipy.linalg.eigh(m.toarray(), shifted.toarray(),
+                                      subset_by_index=(n - count, n - 1))
+        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(
+                f"K + sM is not positive definite at s = {s:.6e}"
+            ) from exc
     else:
-        v, scale_k = _shift_invert_pairs(system.k, system.m, count,
-                                         -system.scale)
+        nu, v = _shift_invert_pairs(k, m, shifted, count, s)
+    if not np.all(np.isfinite(nu)):
+        raise NumericalError(f"non-finite eigenvalue in nu = {nu}")
+    v = v[:, np.argsort(-nu, kind="stable")]
+    mass = np.einsum("ij,ij->j", v, m @ v)
+    if np.any(nu <= 1e-12 * nu.max()) or not np.all(mass > 0.0):
+        raise NumericalError(
+            f"requested {count} modes but the pencil has an "
+            "infinite-frequency one (semidefinite mass)"
+        )
+    v /= np.sqrt(mass)  # phi^T M phi = 1
 
     # Deterministic sign: the first entry within 1e-6 of the largest
     # magnitude is positive.  Mirrored entries of symmetric meshes have
@@ -491,13 +512,12 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
 
     # omega^2 is the Rayleigh quotient of each returned mode, in long
     # double.  On the level-3 cantilever triangle the dense eigenvalue
-    # 1/mu - sigma is 5e-10 off it (rotary inertia), and so is the
-    # quotient with K phi in double by 1.5e-10: a smooth mode barely
-    # strains the stiff collapsed-tip elements.  Both paths then agree
-    # to 1e-13.  A double mode may come out one ulp out of order, so the
-    # quotients are sorted.
+    # 1/nu - s is up to 4e-10 off it, and the quotient with K phi in
+    # double 1.4e-10: a smooth mode barely strains the stiff collapsed-tip
+    # elements.  Both paths then agree to 1e-13.  A double mode may come
+    # out one ulp out of order, so the quotients are sorted.
     wide = v.astype(np.longdouble)
-    kv, mv = (a.astype(np.longdouble) @ wide for a in (system.k, system.m))
+    kv, mv = (a.astype(np.longdouble) @ wide for a in (k, m))
     omega_sq = (np.einsum("ij,ij->j", wide, kv)
                 / np.einsum("ij,ij->j", wide, mv)).astype(float)
     order = np.argsort(omega_sq, kind="stable")
@@ -524,86 +544,35 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     )
 
 
-def _dense_pairs(k: np.ndarray, m: np.ndarray, count: int) -> tuple:
-    """(M-normalized modes, ||K||_F) of the ``count`` smallest modes, in
-    ascending order, from every eigenpair of the dense pencil.
+def _shift_invert_pairs(k, m, shifted, count: int, s: float) -> tuple:
+    """(nu, modes) of the ``count`` largest nu = 1/(omega^2 + s) of sparse
+    (K, M), by Lanczos on (K + sM)^-1 M (ARPACK's shift-invert mode about
+    sigma = -s, below every omega^2).
 
-    The pencil is solved in reversed form with a positive spectral shift:
-    M phi = mu (K + sigma M) phi with mu = 1/(omega^2 + sigma); modes with
-    mu ~ 0 are the infinite-frequency ones and are excluded from the count.
-    """
-    scale_k = float(np.linalg.norm(k))
-    scale_m = float(np.linalg.norm(m))
-    if scale_m == 0.0:
-        raise NumericalError("mass matrix is zero")
-    sigma = 1e-3 * scale_k / scale_m if scale_k > 0.0 else 1.0
-    shifted = k + sigma * m
-    try:
-        mu, vectors = scipy.linalg.eigh(m, shifted)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(
-            "pencil numerically indefinite after positive shift"
-        ) from exc
-
-    finite = mu > 1e-12 * mu.max()
-    n_finite = int(np.count_nonzero(finite))
-    if count > n_finite:
-        raise NumericalError(
-            f"requested {count} modes but the pencil has only {n_finite} "
-            "finite ones (semidefinite mass)"
-        )
-    # eigh returns mu ascending; the largest mu are the smallest omega^2.
-    order = np.argsort(mu)[::-1][:count]
-    mu_sel = mu[order]
-    return vectors[:, order] / np.sqrt(mu_sel), scale_k  # phi^T M phi = 1
-
-
-def _shift_invert_pairs(k, m, count: int, sigma: float) -> tuple:
-    """(M-normalized modes, ||K||_F) of the ``count`` smallest modes of
-    sparse (K, M), in ascending order, by Lanczos on (K - sigma M)^-1 M
-    (ARPACK's shift-invert mode).
-
-    sigma < 0 lies below every omega^2, so K - sigma M is positive
-    definite even for a free plate, and it is factored once with a
-    symmetric minimum-degree ordering and diagonal pivots.  Lanczos finds
-    the largest nu = 1/(omega^2 - sigma); nu ~ 0 is an infinite-frequency
-    mode of a semidefinite M, so a returned nu at most 1e-12 of the
-    largest is an error.  The start vector is fixed, so runs repeat, and
+    K + sM is factored once with a symmetric minimum-degree ordering and
+    diagonal pivots.  The start vector is fixed, so runs repeat, and
     random, so no symmetry class of a symmetric mesh is missing from it.
     """
     import scipy.sparse.linalg
 
-    scale_k = float(scipy.sparse.linalg.norm(k))
-    if scipy.sparse.linalg.norm(m) == 0.0:
-        raise NumericalError("mass matrix is zero")
     n = k.shape[0]
     try:
         lu = scipy.sparse.linalg.splu(
-            (k - sigma * m).tocsc(), permc_spec="MMD_AT_PLUS_A",
+            shifted.tocsc(), permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise NumericalError(
-            f"K - sigma M is singular at sigma = {sigma:.6e}: {exc}"
+            f"K - sigma M is singular at sigma = {-s:.6e}: {exc}"
         ) from exc
     opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve,
                                                dtype=float)
     try:
         omega_sq, v = scipy.sparse.linalg.eigsh(
-            k, count, m, sigma=sigma, OPinv=opinv,
+            k, count, m, sigma=-s, OPinv=opinv,
             v0=np.random.default_rng(0).standard_normal(n))
     except scipy.sparse.linalg.ArpackError as exc:
         raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
-    if not np.all(np.isfinite(omega_sq)):
-        raise NumericalError(f"non-finite eigenvalue in {omega_sq}")
-    nu = 1.0 / (omega_sq - sigma)
-    if np.any(nu <= 1e-12 * nu.max()):
-        raise NumericalError(
-            f"requested {count} modes but Lanczos returned an "
-            "infinite-frequency one (semidefinite mass)"
-        )
-    v = v[:, np.argsort(omega_sq, kind="stable")]
-    v /= np.sqrt(np.einsum("ij,ij->j", v, m @ v))  # phi^T M phi = 1
-    return v, scale_k
+    return 1.0 / (omega_sq + s), v
 
 
 def frequency_parameter(omega, a: float, material: PlateMaterial,

@@ -43,6 +43,11 @@ RECORDED_OMEGA = json.loads(
 RECORDED_REPORTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "mapping_reports.json")
     .read_text())
+#: SHA-256 digests of the ``modal`` CSV of every modal built-in, default
+#: and ``--rotary``, recorded from the eigensolver that shifted the dense
+#: pencil by 1e-3 ||K|| / ||M||.
+RECORDED_MODAL_CSV = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "modal_csv.json").read_text())
 
 BUILTINS = ("paper-quad", "cantilever-isosceles", "clamped-isosceles",
             "clamped-equilateral", "clamped-quad", "cantilever-quad")
@@ -171,6 +176,21 @@ class TestSectprops:
         with pytest.raises(InvalidCaseError):
             run_sectprops(load_case("clamped-quad"))
 
+    @pytest.mark.parametrize("vertices,code,message", [
+        ([[0, 0], [4e-160, 0], [3e-160, 2e-160], [0, 3e-160]], 2,
+         "invalid input: vertex coordinates span 4.000e-160, too small"),
+        ((np.array([[0, 0], [8, 0], [4, 3], [0, 5]]) * 1e-50).tolist(), 0,
+         ""),
+    ], ids=["quad-4e-160", "paper-quad-1e-50"])
+    def test_moments_below_the_normal_range_exit_two(
+            self, tmp_path, capsys, vertices, code, message):
+        # the moments scale as size^4: about 1e-639 for the first quad,
+        # which double holds as 0, and 1e-198 for the second
+        path = write_square_case(tmp_path, lambda doc: doc.update(
+            geometry={"quad": {"vertices": vertices}}))
+        assert main(["sectprops", "--case", path]) == code
+        assert message in capsys.readouterr().err
+
 
 class TestMapcheck:
     def test_paper_quad(self):
@@ -229,6 +249,15 @@ class TestRecordedReports:
 
 
 class TestModalReports:
+    @pytest.mark.parametrize("rotary", ["default", "rotary"])
+    @pytest.mark.parametrize("name", sorted(RECORDED_MODAL_CSV))
+    def test_builtin_csv_matches_recorded(self, capsys, name, rotary):
+        argv = ["modal", "--case", name, "--format", "csv"]
+        assert main(argv + (["--rotary"] if rotary == "rotary" else [])) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() \
+            == RECORDED_MODAL_CSV[name][rotary]
+
     def test_rows_carry_both_normalizations(self):
         case = load_case("clamped-quad")
         case.geometry["quad"]["meshes"] = [[2, 2]]

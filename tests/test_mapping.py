@@ -249,6 +249,15 @@ class TestPoles:
         with pytest.raises(ValidationError):
             solve_pole_natural(unit_square, poles.p5_xy)
 
+    @pytest.mark.parametrize("guess", [(-1e300, 1e300), (1e300, 1e300),
+                                       (math.inf, 0.0)])
+    def test_guess_beyond_float_range_is_nonconvergence(self, section_quad,
+                                                        guess):
+        # the first iterate overflows: det J is NaN, which counts as
+        # singular on every restart (warnings are errors in this suite)
+        with pytest.raises(NonconvergenceError, match="every restart"):
+            solve_pole_natural(section_quad, [10.0, 0.0], guess)
+
 
 class TestPascalScheme:
     def test_interpolation_matrix_rows(self):
@@ -473,7 +482,8 @@ def _stacked_newton(quad, pole_xy, guess=None):
                 return theta
             grads = _stacked_gradients(BILINEAR_MONOMIALS, theta)
             tangent = (np.swapaxes(grads, -1, -2) @ coeffs).T
-            if abs(det2(tangent)) < 1e-13 * diam * diam:
+            if not (1e-13 * diam * diam <= abs(det2(tangent)) < math.inf
+                    and norm < math.inf):
                 singular = True
                 break
             theta = theta - np.linalg.solve(tangent, residual)

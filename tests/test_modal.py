@@ -582,3 +582,22 @@ class TestMeshConvergence:
         richardson = fine - (middle - fine) / (2.0 ** order - 1.0)
         assert richardson == pytest.approx(35.98507, abs=5e-6)
         assert richardson == pytest.approx(35.985, rel=1e-4)
+
+    def test_clamped_skew_quad_converges(self):
+        # the clamped-quad built-in plate, omega per pi^2 with a = 1, on
+        # three nested meshes that all take the sparse eigensolve
+        skew = [[0.0, 0.0], [1.0, 0.0], [0.7929, 0.7727], [0.2394, 0.6577]]
+        omega = []
+        for size in (16, 32, 64):
+            mesh = mesh_quad(skew, size, size)
+            clamp_polygon_boundary(mesh, skew)
+            omega.append(float(frequency_parameter(
+                modal_analysis(mesh, MAT, RULE, count=1).omega[0], 1.0, MAT,
+                "per_pi2")))
+        np.testing.assert_allclose(
+            omega, [6.891966, 6.877550, 6.873887], rtol=0, atol=5e-7)
+        coarse, middle, fine = omega
+        order = np.log2((coarse - middle) / (middle - fine))
+        assert 1.8 <= order <= 2.2
+        richardson = fine - (middle - fine) / (2.0 ** order - 1.0)
+        assert richardson == pytest.approx(6.87266, rel=1e-5)

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse.linalg
 
 from quadplate import (
+    NumericalError,
     PlateMaterial,
     apply_bcs,
     assemble,
@@ -165,6 +166,20 @@ def test_free_square_rigid_modes(monkeypatch, lanczos):
     rigid = sparse.modes[:, :3]
     projected = rigid @ (rigid.T @ (system.m @ dense.modes[:, :3]))
     np.testing.assert_allclose(projected, dense.modes[:, :3], atol=1e-8)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("size", [2, 4])
+def test_semidefinite_mass_on_both_paths(monkeypatch, size, dense):
+    # consistent mass without rotary inertia has element rank 3, so M of a
+    # free size x size square has 3 size^2 finite modes; one more is an
+    # infinite-frequency mode (on the sparse 2x2 path one without mass)
+    system = constrained(mesh_quad(UNIT_SQUARE, size, size))
+    finite = 3 * size * size
+    assert np.linalg.matrix_rank(system.m.toarray()) == finite
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: dense)
+    with pytest.raises(NumericalError, match="semidefinite mass"):
+        solve_modes(system, finite + 1)
 
 
 @pytest.mark.parametrize("factor", [1e6, 1e-6])
