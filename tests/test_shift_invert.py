@@ -182,6 +182,19 @@ def test_semidefinite_mass_on_both_paths(monkeypatch, size, dense):
         solve_modes(system, finite + 1)
 
 
+@pytest.mark.parametrize("size,count", [(1, 3), (2, 12)])
+def test_inaccurate_modes_raise(monkeypatch, size, count):
+    # every finite mode of a free square: Lanczos returns residuals of 1.5
+    # (one element) and 8.8e-4 (2x2), the dense path 7e-9 and 1.3e-9
+    system = constrained(mesh_quad(UNIT_SQUARE, size, size))
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: False)
+    with pytest.raises(NumericalError, match="eigen-residual"):
+        solve_modes(system, count)
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: True)
+    spectrum = solve_modes(system, count)
+    assert spectrum.residuals.max() <= 1e-8
+
+
 @pytest.mark.parametrize("factor", [1e6, 1e-6])
 def test_stiffness_scale_leaves_iterations_unchanged(lanczos, factor):
     # the shift follows D / (rho t L^4), so scaling E scales the whole
@@ -240,6 +253,25 @@ def test_sparse_failure_exit_three(monkeypatch, capsys, sparse_case, target,
     assert captured.out == ""
     assert captured.err.startswith("quadplate: numerical failure: ")
     assert message in captured.err
+
+
+def test_single_quad_verbs_load_no_scipy():
+    # the dense eigensolve imports scipy.linalg on its first call
+    code = "\n".join([
+        "import sys, quadplate",
+        "from quadplate.cli import main",
+        "def scipy():",
+        "    return [m for m in sys.modules if m.startswith('scipy')]",
+        "assert scipy() == [], scipy()",
+        "assert main(['sectprops', '--case', 'paper-quad']) == 0",
+        "assert main(['mapcheck', '--case', 'paper-quad']) == 0",
+        "assert scipy() == [], scipy()",
+        "assert main(['modal', '--case', 'clamped-quad']) == 0",
+        "assert 'scipy.linalg' in sys.modules"])
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   stdout=subprocess.DEVNULL,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_single_quad_verbs_skip_scipy_sparse():
