@@ -1,9 +1,8 @@
 """Anatomy of the 12-DOF plate bending element on one skew quadrilateral.
 
 Shows the subarea weights that average the center deflection, the
-stiffness and mass, the consistent load of a unit pressure, and the
-sanity properties a bending element must have: symmetry, a
-rigid-translation nullvector, and exact total mass.
+stiffness and mass, and the sanity properties a bending element must
+have: symmetry, a rigid-translation nullvector, and exact total mass.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ from quadplate import (
     PlateMaterial,
     QuadGeometry,
     build_scheme,
-    element_load,
     element_matrices,
     gauss_rule,
     subarea_weights,
@@ -54,13 +52,6 @@ def main():
           f"(rho t A = {material.rho * material.t * quad.signed_area:.10f})")
     print(f"  mass eigenvalue range: [{np.linalg.eigvalsh(em.m).min():.2e}, "
           f"{np.linalg.eigvalsh(em.m).max():.2e}]")
-    print()
-
-    load = element_load(scheme, rule, 1.0, weights)
-    print(f"unit-pressure load vector (deflection components): "
-          f"{np.round(load[U_DOFS], 6)}")
-    print(f"  they sum to the plate area {quad.signed_area:.6f}: "
-          f"{load[U_DOFS].sum():.6f}")
 
 
 if __name__ == "__main__":

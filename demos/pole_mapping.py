@@ -2,9 +2,10 @@
 
 The two poles are the intersections of opposite edge extensions; together
 with the corners they carry a complete second-order interpolation of the
-geometry.  Their natural coordinates come from a Newton iteration with
-multiple valid roots: different roots give different shape functions but
-the same transformation.
+geometry.  Each pole has two natural roots, one on each extended edge of
+the bi-unit square whose image passes through it, read off in closed form
+from the edge-line intersection parameters: different roots give
+different shape functions but the same transformation.
 """
 
 import numpy as np
@@ -41,12 +42,12 @@ def main():
     print(f"  p6 = {poles.p6_xy} (edges 2-3 and 4-1)")
     print()
 
-    print("Newton roots for the natural pole coordinates:")
+    print("Natural roots of the poles:")
     default = build_scheme(quad, "pascal6")
-    describe(default, "default tangent-plane starting guess")
+    describe(default, "roots nearest the element center (default)")
     alt = build_scheme(quad, "pascal6",
                        pole_guesses=((4.0, 1.0), (1.0, 3.0)))
-    describe(alt, "starting from the other known root")
+    describe(alt, "the other root of each pole")
     print()
     print("both roots produce the bilinear transformation (quadratic rows"
           " vanish),")

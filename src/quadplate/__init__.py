@@ -3,7 +3,6 @@
 from .errors import (
     DegenerateGeometryError,
     InvalidCaseError,
-    NonconvergenceError,
     NumericalError,
     QuadplateError,
     ValidationError,
@@ -22,7 +21,6 @@ from .mapping import (
     bilinear_params,
     build_scheme,
     compute_poles_cartesian,
-    default_pole_guess,
     jacobian,
     map_point,
     pascal_interpolation_matrix,
@@ -52,7 +50,6 @@ from .plate_element import (
     boundary_rotation_matrix,
     curvature_operator,
     deflection_row,
-    element_load,
     element_mass,
     element_matrices,
     element_stiffness,

@@ -72,122 +72,56 @@ _EQUILATERAL_TRIANGLE = [[0.0, 0.0], [math.sqrt(3.0) / 2.0, 0.5], [0.0, 1.0]]
 _CLAMPED_QUAD = [[0.0, 0.0], [1.0, 0.0], [0.7929, 0.7727], [0.2394, 0.6577]]
 _CANTILEVER_QUAD = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.433, 0.75]]
 
+#: The modal built-ins: geometry source, vertices, clamped edges and
+#: normalization.  Each runs the published mesh sequence of its source.
+_PLATES = {
+    "cantilever-isosceles": ("triangle", _ISOSCELES_TRIANGLE, [2], "plain"),
+    "clamped-isosceles": ("triangle", _ISOSCELES_TRIANGLE, [0, 1, 2],
+                          "per_pi2"),
+    "clamped-equilateral": ("triangle", _EQUILATERAL_TRIANGLE, [0, 1, 2],
+                            "per_pi2"),
+    "clamped-quad": ("quad", _CLAMPED_QUAD, [0, 1, 2, 3], "per_pi2"),
+    "cantilever-quad": ("quad", _CANTILEVER_QUAD, [0], "per_pi2"),
+}
+_MESH_SEQUENCES = {"triangle": ("levels", [1, 2, 3]),
+                   "quad": ("meshes", [[2, 2], [4, 4], [6, 6], [8, 8]])}
+
 
 def builtin_case_names() -> tuple:
-    return tuple(sorted(_BUILTIN_BUILDERS))
+    return tuple(sorted(("paper-quad", "random-quad", *_PLATES)))
 
 
-def _case_paper_quad():
-    return {
-        "name": "paper-quad",
-        "material": dict(_BENCHMARK_MATERIAL),
-        "geometry": {"quad": {"vertices": _SECTION_QUAD}},
-        "analysis": {"scheme": "all"},
-    }
-
-
-def _case_random_quad(seed):
-    if seed is not None and seed < 0:
+def _single_quad_case(name: str, seed=None) -> dict:
+    """paper-quad, or random-quad: a convex quad drawn from ``seed``
+    (default 0)."""
+    if name == "paper-quad":
+        vertices = _SECTION_QUAD
+    elif seed is not None and seed < 0:
         raise InvalidCaseError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(0 if seed is None else seed)
-    quad = random_convex_quad(rng, scale=2.0)
+    else:
+        rng = np.random.default_rng(0 if seed is None else seed)
+        vertices = random_convex_quad(rng, scale=2.0).vertices.tolist()
     return {
-        "name": "random-quad",
+        "name": name,
         "material": dict(_BENCHMARK_MATERIAL),
-        "geometry": {"quad": {"vertices": quad.vertices.tolist()}},
+        "geometry": {"quad": {"vertices": vertices}},
         "analysis": {"scheme": "all"},
     }
 
 
-def _case_cantilever_isosceles():
+def _plate_case(name: str) -> dict:
+    source, vertices, clamped, normalization = _PLATES[name]
+    key, sizes = _MESH_SEQUENCES[source]
     return {
-        "name": "cantilever-isosceles",
+        "name": name,
         "material": dict(_BENCHMARK_MATERIAL),
         "geometry": {
-            "triangle": {
-                "vertices": _ISOSCELES_TRIANGLE,
-                "levels": [1, 2, 3],
-                "clamped_edges": [2],
-            },
+            source: {"vertices": vertices, key: sizes,
+                     "clamped_edges": clamped},
             "reference_length": 1.0,
         },
-        "analysis": {"normalization": "plain"},
+        "analysis": {"normalization": normalization},
     }
-
-
-def _case_clamped_isosceles():
-    return {
-        "name": "clamped-isosceles",
-        "material": dict(_BENCHMARK_MATERIAL),
-        "geometry": {
-            "triangle": {
-                "vertices": _ISOSCELES_TRIANGLE,
-                "levels": [1, 2, 3],
-                "clamped_edges": [0, 1, 2],
-            },
-            "reference_length": 1.0,
-        },
-        "analysis": {"normalization": "per_pi2"},
-    }
-
-
-def _case_clamped_equilateral():
-    return {
-        "name": "clamped-equilateral",
-        "material": dict(_BENCHMARK_MATERIAL),
-        "geometry": {
-            "triangle": {
-                "vertices": _EQUILATERAL_TRIANGLE,
-                "levels": [1, 2, 3],
-                "clamped_edges": [0, 1, 2],
-            },
-            "reference_length": 1.0,
-        },
-        "analysis": {"normalization": "per_pi2"},
-    }
-
-
-def _case_clamped_quad():
-    return {
-        "name": "clamped-quad",
-        "material": dict(_BENCHMARK_MATERIAL),
-        "geometry": {
-            "quad": {
-                "vertices": _CLAMPED_QUAD,
-                "meshes": [[2, 2], [4, 4], [6, 6], [8, 8]],
-                "clamped_edges": [0, 1, 2, 3],
-            },
-            "reference_length": 1.0,
-        },
-        "analysis": {"normalization": "per_pi2"},
-    }
-
-
-def _case_cantilever_quad():
-    return {
-        "name": "cantilever-quad",
-        "material": dict(_BENCHMARK_MATERIAL),
-        "geometry": {
-            "quad": {
-                "vertices": _CANTILEVER_QUAD,
-                "meshes": [[2, 2], [4, 4], [6, 6], [8, 8]],
-                "clamped_edges": [0],
-            },
-            "reference_length": 1.0,
-        },
-        "analysis": {"normalization": "per_pi2"},
-    }
-
-
-_BUILTIN_BUILDERS = {
-    "paper-quad": _case_paper_quad,
-    "random-quad": _case_random_quad,
-    "cantilever-isosceles": _case_cantilever_isosceles,
-    "clamped-isosceles": _case_clamped_isosceles,
-    "clamped-equilateral": _case_clamped_equilateral,
-    "clamped-quad": _case_clamped_quad,
-    "cantilever-quad": _case_cantilever_quad,
-}
 
 
 @dataclass
@@ -206,10 +140,10 @@ def load_case(source: str, seed=None, overrides: dict | None = None) -> CaseFile
     applies only to the random-quad built-in."""
     if seed is not None and source != "random-quad":
         raise InvalidCaseError("--seed applies only to the random-quad case")
-    if source == "random-quad":
-        raw = _case_random_quad(seed)
-    elif source in _BUILTIN_BUILDERS:
-        raw = _BUILTIN_BUILDERS[source]()
+    if source in ("paper-quad", "random-quad"):
+        raw = _single_quad_case(source, seed)
+    elif source in _PLATES:
+        raw = _plate_case(source)
     else:
         try:
             with open(source, "r", encoding="utf-8") as handle:
@@ -642,7 +576,7 @@ def run_modal(case: CaseFile) -> Report:
                 "param_per_pi2": float(per[mode]),
             })
         if analysis["mode_shapes"]:
-            samples = mode_shape_samples(mesh, rule, reduced, spectrum.modes)
+            samples = mode_shape_samples(mesh, reduced, spectrum.modes)
             shape_entries += [
                 {"mesh": label, "mode": mode + 1, "points": points}
                 for mode, points in enumerate(samples)

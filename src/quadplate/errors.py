@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
 Validation errors (bad geometry, bad case input) and numerical failures
-(singular Jacobians, nonconvergence, ill-conditioning) are kept apart so
+(singular Jacobians, ill-conditioning, failed eigensolves) are kept apart so
 callers can map them to distinct exit codes.
 """
 
@@ -25,11 +25,3 @@ class InvalidCaseError(ValidationError):
 class NumericalError(QuadplateError):
     """Numerical failure: singular Jacobian, ill-conditioned system, ..."""
 
-
-class NonconvergenceError(NumericalError):
-    """Iteration failed to converge; carries the last residual seen."""
-
-    def __init__(self, message, residual=None, theta=None):
-        super().__init__(message)
-        self.residual = residual
-        self.theta = theta

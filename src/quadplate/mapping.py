@@ -10,7 +10,9 @@ Three interpolation schemes are provided for straight-edged quadrilaterals:
 ``pascal6``
     The complete quadratic basis {1, t1, t2, t1^2, t1*t2, t2^2}
     interpolated at the four corners plus the two poles, the points where
-    the extensions of opposite edges intersect.
+    the extensions of opposite edges intersect.  Each pole has two natural
+    roots, one on each extended edge line of the bi-unit square whose
+    image passes through it, read off the line-intersection parameters.
 
 For straight edges all three produce the same point transformation; they
 differ only in their shape functions.  Every scheme stores the polynomial
@@ -23,16 +25,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometryError,
-    NonconvergenceError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import DegenerateGeometryError, NumericalError, ValidationError
 
 #: Natural coordinates of the four corner nodes, counterclockwise.
 CORNER_NATURAL = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -402,121 +399,82 @@ def serendipity_shapes(theta) -> np.ndarray:
 
 
 def compute_poles_cartesian(quad: QuadGeometry) -> PoleSet:
-    """Intersect the extensions of opposite edges.
+    """Intersect the extensions of opposite edges (``_pole_lines``).
 
-    Each pole is the solution of the 2x2 linear system of the two edge
-    lines.  Parallel pairs are flagged rather than rejected: a
-    parallelogram has both flags set and is not an error.
+    Parallel pairs are flagged rather than rejected: a parallelogram has
+    both flags set and is not an error.
     """
-    v = quad.vertices
-    p5, par5 = _line_intersection(v[0], v[1], v[2], v[3])
-    p6, par6 = _line_intersection(v[1], v[2], v[3], v[0])
-    return PoleSet(
-        p5_xy=p5, p6_xy=p6, p5_nat=None, p6_nat=None, parallel_flags=(par5, par6)
-    )
+    p5, p6 = (None if line is None else line[0] for line in _pole_lines(quad))
+    return PoleSet(p5_xy=p5, p6_xy=p6, p5_nat=None, p6_nat=None,
+                   parallel_flags=(p5 is None, p6 is None))
 
 
 def _line_intersection(a, b, c, d):
-    """Intersection of lines through segments (a, b) and (c, d)."""
+    """Intersection point = a + t (b - a) = c + s (d - c) of the lines
+    through (a, b) and (c, d) as ``(point, t, s)``; ``None`` if parallel.
+
+    t and s are correctly rounded: the determinants are exact in integer
+    multiples of the finest power-of-two unit among the coordinates (in
+    doubles, t of a pole 1e5 diameters out is 1e-11 off, relative)."""
     u = b - a
     w = d - c
-    cross = det2(np.array([u, w]))
-    if abs(cross) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(w):
-        return None, True
-    point = a + det2(np.array([c - a, w])) / cross * u
+    if abs(det2(np.array([u, w]))) <= \
+            1e-12 * np.linalg.norm(u) * np.linalg.norm(w):
+        return None
+    ratios = [x.as_integer_ratio()
+              for x in np.concatenate([a, b, c, d]).tolist()]
+    unit = max(den for _, den in ratios)
+    ax, ay, bx, by, cx, cy, dx, dy = (n * (unit // den) for n, den in ratios)
+    ux, uy, wx, wy, rx, ry = bx - ax, by - ay, dx - cx, dy - cy, cx - ax, cy - ay
+    cross = ux * wy - uy * wx
+    t = (rx * wy - ry * wx) / cross
+    s = (rx * uy - ry * ux) / cross
+    point = a + t * u
     point.setflags(write=False)
-    return point, False
+    return point, t, s
 
 
-def default_pole_guess(quad: QuadGeometry, pole_xy) -> np.ndarray:
-    """Initial natural coordinates for a pole: solve the linearization of
-    the bilinear map about the element center (one 2x2 solve)."""
-    params = bilinear_params(quad)
-    tangent = params.gradient((0.0, 0.0)).T  # d x / d theta, Cartesian rows
-    rhs = np.asarray(pole_xy, dtype=float) - params.coeffs[0]
-    try:
-        return np.linalg.solve(tangent, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded upstream
-        raise NumericalError("singular tangent at element center") from exc
-
-
-_NEWTON_PERTURBATIONS = (
-    (0.0, 0.0),
-    (0.3, -0.45),
-    (-0.45, 0.3),
-    (0.6, 0.6),
-    (-0.6, -0.6),
-)
+def _pole_lines(quad: QuadGeometry) -> tuple:
+    """``_line_intersection`` of the edge lines of p5, (1)(2) and (3)(4),
+    and of p6, (2)(3) and (4)(1)."""
+    v = quad.vertices
+    return (_line_intersection(v[0], v[1], v[2], v[3]),
+            _line_intersection(v[1], v[2], v[3], v[0]))
 
 
 def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
-    """Newton-iterate the bilinear map to locate a pole in natural space.
+    """Natural coordinates of a pole: of its two roots under the bilinear
+    map (which the pascal6 transformation equals for straight edges), the
+    one nearest ``guess``, by default the element center.
 
-    The residual is the bilinear map itself: for straight edges the
-    complete quadratic transformation coincides with it, so its root is
-    exact for both.  The edge equations are quadratic in the natural
-    variables, hence several roots exist; the root reached depends on the
-    starting point and any converged root is acceptable.
+    Each edge of the bi-unit square maps linearly onto its edge line, so
+    p5, at parameters t of edge (1)(2) and s of edge (3)(4), has the roots
+    (2t - 1, -1) and (1 - 2s, 1), and p6, at t of (2)(3) and s of (4)(1),
+    the roots (1, 2t - 1) and (-1, 1 - 2s).
 
-    Raises
-    ------
-    NonconvergenceError
-        After 50 iterations without meeting the tolerance, or when the
-        Jacobian is singular at an iterate for every restart (4 perturbed
-        restarts are attempted).
+    Raises ``ValidationError`` for a point that is neither pole, and for
+    a guess that is not finite or whose distances to the roots overflow.
     """
     if pole_xy is None:
         raise ValidationError("pole is flagged parallel (at infinity)")
     target = np.asarray(pole_xy, dtype=float)
-    coeffs = bilinear_params(quad).coeffs
-    diam = quad.diameter
-    tol = 1e-12 * diam
-    if guess is None:
-        guess = default_pole_guess(quad, target)
-    guess = np.asarray(guess, dtype=float)
-
-    # The basis [1, t1, t2, t1*t2] and its (4, 2) gradient, refilled at
-    # each iterate.  The products have the shapes and layout of
-    # ``GeneralizedParams.point`` and ``.gradient``, so every iterate is
-    # bit-identical to evaluating those.
-    values = np.ones((1, 4))
-    grads = np.zeros((4, 2))
-    grads[1, 0] = grads[2, 1] = 1.0
-    last_residual = math.inf
-    last_theta = guess
-    # an iterate beyond the float range (a non-finite residual or det J)
-    # counts as singular, so the next restart is tried
+    guess = np.zeros(2) if guess is None else np.asarray(guess, dtype=float)
+    for pole, line in enumerate(_pole_lines(quad)):
+        if line is not None:
+            point, t, s = line
+            scale = max(quad.diameter, np.abs(point - quad.centroid).max())
+            if np.abs(target - point).max() <= 1e-9 * scale:
+                break
+    else:
+        raise ValidationError(f"{target.tolist()} is neither pole of the quad")
+    roots = np.array([[2.0 * t - 1.0, -1.0], [1.0 - 2.0 * s, 1.0]] if pole == 0
+                     else [[1.0, 2.0 * t - 1.0], [-1.0, 1.0 - 2.0 * s]])
     with np.errstate(over="ignore", invalid="ignore"):
-        for shift in _NEWTON_PERTURBATIONS:
-            theta = guess + shift
-            singular = False
-            for _ in range(50):
-                values[0, 1:3] = theta
-                values[0, 3] = theta[0] * theta[1]
-                residual = (values @ coeffs)[0] - target
-                norm = float(np.linalg.norm(residual))
-                last_residual, last_theta = norm, theta
-                if norm <= tol:
-                    return theta
-                grads[3] = theta[::-1]
-                tangent = (grads.T @ coeffs).T
-                if not (1e-13 * diam * diam <= abs(det2(tangent)) < math.inf
-                        and norm < math.inf):
-                    singular = True
-                    break
-                theta = theta - np.linalg.solve(tangent, residual)
-            if not singular:
-                raise NonconvergenceError(
-                    f"pole iteration did not converge in 50 steps "
-                    f"(last residual {last_residual:.3e})",
-                    residual=last_residual,
-                    theta=last_theta,
-                )
-    raise NonconvergenceError(
-        "singular Jacobian at an iterate for every restart",
-        residual=last_residual,
-        theta=last_theta,
-    )
+        gaps = distance(roots, guess)
+    if not np.isfinite(gaps).any():
+        raise ValidationError(f"pole guess {guess.tolist()} is not finite "
+                              "or beyond the floating-point range")
+    return roots[np.argmin(gaps)]
 
 
 def pascal_interpolation_matrix(nodes: NaturalNodeTable) -> np.ndarray:
@@ -607,15 +565,9 @@ def _pascal_scheme(quad: QuadGeometry, pole_guesses=None) -> MappingScheme:
             fallback=True
         )
     guess5, guess6 = pole_guesses if pole_guesses is not None else (None, None)
-    nat5 = solve_pole_natural(quad, poles.p5_xy, guess5)
-    nat6 = solve_pole_natural(quad, poles.p6_xy, guess6)
-    located = PoleSet(
-        p5_xy=poles.p5_xy,
-        p6_xy=poles.p6_xy,
-        p5_nat=nat5,
-        p6_nat=nat6,
-        parallel_flags=poles.parallel_flags,
-    )
+    located = replace(
+        poles, p5_nat=solve_pole_natural(quad, poles.p5_xy, guess5),
+        p6_nat=solve_pole_natural(quad, poles.p6_xy, guess6))
     shapes, params, cond = _pascal_build(quad, located)
     return MappingScheme(
         "pascal6", quad, params, shapes, poles=located, cond_a=cond
@@ -632,10 +584,10 @@ def build_scheme(quad: QuadGeometry, kind: str = "pascal6",
     kind : str
         One of ``bilinear``, ``serendipity8``, ``pascal6``.
     pole_guesses : optional pair of natural pairs
-        Starting points for the two pole Newton iterations (pascal6 only).
-        By default the tangent-plane linearization about the center is
-        used.  Distinct valid roots yield distinct shape functions but the
-        same transformation.
+        Natural points near which the roots of the two poles are chosen
+        (pascal6 only, see ``solve_pole_natural``); by default the roots
+        nearest the element center.  Distinct roots yield distinct shape
+        functions but the same transformation.
     """
     if kind == "bilinear":
         return _bilinear_scheme(quad)

@@ -243,15 +243,13 @@ class _ElementBatch:
     """Geometry of mesh elements (all, or one chunk), from their bilinear
     coefficients.
 
-    ``jac``/``det`` are taken at the points of ``tensor_points(rule)``;
-    ``transform`` (m, 12, 12) is ``_element_transform`` of each element,
-    ``dofs`` (m, 12) its global DOF indices and ``collapsed`` (m,) marks
-    the elements with a collapsed edge (triangle tips).
+    ``fractions`` (m, 4) are the subarea fractions of each element,
+    ``transform`` (m, 12, 12) its ``_element_transform``, ``dofs`` (m, 12)
+    its global DOF indices and ``collapsed`` (m,) marks the elements with
+    a collapsed edge (triangle tips).
     """
 
     coeffs: np.ndarray
-    jac: np.ndarray
-    det: np.ndarray
     fractions: np.ndarray
     transform: np.ndarray
     dofs: np.ndarray
@@ -290,11 +288,10 @@ def _element_corners(mesh: Mesh) -> tuple:
     return coeffs, cjac, flat
 
 
-def _element_batch(mesh: Mesh, rule: GaussRule, corners: tuple | None = None,
+def _element_batch(mesh: Mesh, corners: tuple | None = None,
                    part: slice = slice(None)) -> _ElementBatch:
     """Vectorized ``subarea_weights`` and ``_element_transform`` over the
-    elements ``part``, with the Jacobians ``element_stiffness``
-    integrates.
+    elements ``part``.
 
     ``corners`` is ``_element_corners(mesh)``, which accepts or rejects
     every element (of the whole mesh) first; it is computed when not
@@ -303,7 +300,6 @@ def _element_batch(mesh: Mesh, rule: GaussRule, corners: tuple | None = None,
     coeffs, cjac, flat = _element_corners(mesh) if corners is None \
         else corners
     coeffs, cjac, flat = coeffs[part], cjac[part], flat[part]
-    jac, det = bilinear_jacobians(coeffs, tensor_points(rule)[0])
     # det J is affine in theta, so a quadrant's area (natural area 1) is
     # det J at its center
     _, areas = bilinear_jacobians(coeffs, QUADRANT_CENTERS)
@@ -319,7 +315,7 @@ def _element_batch(mesh: Mesh, rule: GaussRule, corners: tuple | None = None,
     transform[:, _CORNER_ROTATIONS[:, :, None],
               _CORNER_ROTATIONS[:, None, :]] = blocks
     dofs = (3 * mesh.elements[part, :, None] + np.arange(3)).reshape(-1, 12)
-    return _ElementBatch(coeffs, jac, det, fractions, transform, dofs,
+    return _ElementBatch(coeffs, fractions, transform, dofs,
                          flat.any(axis=1))
 
 
@@ -374,6 +370,31 @@ class _CsrPattern:
 _ASSEMBLY_CHUNK = 1024
 
 
+def _omega_scale(material: PlateMaterial, nodes: np.ndarray) -> float:
+    """The plate's omega^2 scale D / (rho t L^4), L the diagonal of the
+    node bounding box.
+
+    D, rho t and the scale must be finite normal doubles, and D^2 finite
+    too: ``solve_modes`` takes the norm of K, whose entries scale with D.
+    Other magnitudes raise ``ValidationError``.
+    """
+    try:
+        d = material.rigidity
+    except OverflowError:  # t ** 3
+        d = math.inf
+    rho_t = material.rho * material.t
+    with np.errstate(all="ignore"):
+        diagonal = np.linalg.norm(np.ptp(nodes, axis=0))
+        scale = float(d / (rho_t * diagonal ** 4))
+    if not (d * d < math.inf and max(rho_t, scale) < math.inf
+            and min(d, rho_t, scale) >= np.finfo(float).tiny):
+        raise ValidationError(
+            f"plate magnitudes beyond the double range: D = {d:.3e}, "
+            f"rho t = {rho_t:.3e}, D / (rho t L^4) = {scale:.3e} (each must "
+            "be a finite normal double, and D^2 finite)")
+    return scale
+
+
 def assemble(mesh: Mesh, material: PlateMaterial,
              rule: GaussRule | None = None,
              rotary: bool = False) -> GlobalSystem:
@@ -384,29 +405,32 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     their bilinear coefficients (``batch_element_matrices``), transformed
     to the global frame and summed into the CSR entries of
     ``_CsrPattern`` by ``np.bincount``, in element order within a chunk.
-    The system also carries the plate's omega^2 scale D / (rho t L^4), L
-    the diagonal of the node bounding box, from which ``solve_modes``
-    takes its sparse shift.
+    The system also carries the plate's omega^2 scale (``_omega_scale``,
+    which first rejects magnitudes beyond the double range), from which
+    ``solve_modes`` takes its shift.
     """
     import scipy.sparse
 
     if rule is None:
         rule = gauss_rule(3)
     _validate_mesh(mesh)
+    scale = _omega_scale(material, mesh.nodes)
     corners = _element_corners(mesh)
     ndof = 3 * mesh.n_nodes
     pattern = _CsrPattern.of(mesh.elements, mesh.n_nodes)
+    points = tensor_points(rule)[0]
     values = np.zeros((2, pattern.indices.size))
     for start in range(0, mesh.n_elements, _ASSEMBLY_CHUNK):
         part = slice(start, start + _ASSEMBLY_CHUNK)
-        batch = _element_batch(mesh, rule, corners, part)
+        batch = _element_batch(mesh, corners, part)
+        jac, det = bilinear_jacobians(batch.coeffs, points)
         t = batch.transform
         slots = pattern.slots(part)
         # the slots of a chunk of lattice elements span a narrow band
         low = int(slots.min())
         slots = (slots - low).ravel()
         size = int(slots.max()) + 1
-        k, m = batch_element_matrices(batch.jac, batch.det, batch.fractions,
+        k, m = batch_element_matrices(jac, det, batch.fractions,
                                       material, rule, rotary=rotary)
         tips = batch.collapsed
         # a collapsed edge makes the stiffness ill-conditioned: integrated
@@ -416,7 +440,7 @@ def assemble(mesh: Mesh, material: PlateMaterial,
         if tips.any():
             k[tips], m[tips] = batch_element_matrices(
                 *(a[tips].astype(np.longdouble)
-                  for a in (batch.jac, batch.det, batch.fractions)),
+                  for a in (jac, det, batch.fractions)),
                 material, rule, rotary=rotary)
         for total, a in zip(values, (k, m)):
             total[low:low + size] += np.bincount(
@@ -424,8 +448,6 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     k, m = (scipy.sparse.csr_array((total, pattern.indices, pattern.indptr),
                                    shape=(ndof, ndof)) for total in values)
     dof_map = np.arange(ndof).reshape(mesh.n_nodes, 3)
-    diagonal = float(np.linalg.norm(np.ptp(mesh.nodes, axis=0)))
-    scale = material.rigidity / (material.rho * material.t * diagonal ** 4)
     return GlobalSystem(k=k, m=m, dof_map=dof_map, scale=scale)
 
 
@@ -711,7 +733,7 @@ _SAMPLE_POINTS = lattice_points(np.linspace(-1.0, 1.0, 5),
                                 np.linspace(-1.0, 1.0, 5))
 
 
-def mode_shape_samples(mesh: Mesh, rule: GaussRule, system: GlobalSystem,
+def mode_shape_samples(mesh: Mesh, system: GlobalSystem,
                        modes: np.ndarray) -> list:
     """Sample mode deflections on a per-element natural grid.
 
@@ -722,7 +744,7 @@ def mode_shape_samples(mesh: Mesh, rule: GaussRule, system: GlobalSystem,
     full = np.zeros((modes.shape[1], 3 * mesh.n_nodes))  # one row per mode
     kept = system.dof_map.ravel()
     full[:, kept >= 0] = modes[kept[kept >= 0]].T
-    batch = _element_batch(mesh, rule)
+    batch = _element_batch(mesh)
     xy = GeneralizedParams(BILINEAR_MONOMIALS, batch.coeffs[:, None]) \
         .point(_SAMPLE_POINTS)
     rows = deflection_rows(_SAMPLE_POINTS, batch.fractions)

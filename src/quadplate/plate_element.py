@@ -282,7 +282,7 @@ def deflection_row(theta, weights: SubareaWeights) -> np.ndarray:
     center value is the subarea-weighted average of the nodal deflections
     and the two slopes are the center rotations, signed per the rotation
     convention (du/dtheta1 = -phi2, du/dtheta2 = +phi1).  This expansion
-    only distributes load and mass; it does not enter the stiffness.
+    only distributes mass; it does not enter the stiffness.
     """
     return deflection_rows([theta], weights.fractions)[0]
 
@@ -333,21 +333,6 @@ def element_mass(scheme: MappingScheme, material: PlateMaterial,
                            rotation_field(theta)])
             m += (w1 * w2 * jac.det) * (n.T @ density @ n)
     return 0.5 * (m + m.T)
-
-
-def element_load(scheme: MappingScheme, rule: GaussRule, qbar: float,
-                 weights: SubareaWeights | None = None) -> np.ndarray:
-    """Consistent nodal load of a uniform transverse pressure qbar."""
-    _check_rule(rule)
-    if weights is None:
-        weights = subarea_weights(scheme, rule)
-    f = np.zeros(12)
-    for t1, w1 in zip(rule.nodes, rule.weights):
-        for t2, w2 in zip(rule.nodes, rule.weights):
-            theta = (t1, t2)
-            jac = _positive_jacobian(scheme, theta)
-            f += (w1 * w2 * qbar * jac.det) * deflection_row(theta, weights)
-    return f
 
 
 def element_matrices(scheme: MappingScheme, material: PlateMaterial,

@@ -39,7 +39,9 @@ RECORDED_OMEGA = json.loads(
     .read_text())
 #: SHA-256 digests of ``sectprops``/``mapcheck`` stdout, with exit codes
 #: and warnings, recorded from the one-point evaluator that the array one
-#: replaced.
+#: replaced; the outputs that depend on the pole natural coordinates
+#: (``sectprops`` JSON, ``mapcheck`` CSV and JSON of every quad that
+#: builds pascal6) re-recorded from their closed form.
 RECORDED_REPORTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "mapping_reports.json")
     .read_text())
@@ -339,12 +341,12 @@ class TestModalReports:
             rule = gauss_rule(3)
             reduced = apply_bcs(assemble(mesh, case.material, rule), mesh)
             modes = solve_modes(reduced, 3).modes
-            samples = mode_shape_samples(mesh, rule, reduced, modes)
+            samples = mode_shape_samples(mesh, reduced, modes)
             assert len(samples) == 3
             for j, entry in enumerate(report.tables["mode_shapes"]):
                 assert entry["points"] == samples[j]
                 assert samples[j] == mode_shape_samples(
-                    mesh, rule, reduced, modes[:, [j]])[0]
+                    mesh, reduced, modes[:, [j]])[0]
 
     def test_modal_run_builds_no_element_scheme(self, monkeypatch):
         # assembly and mode-shape sampling work on all elements at once
@@ -433,11 +435,19 @@ class TestCli:
                          [0, 3e-170]]}}),
          2, "invalid input: vertex coordinates span 4.000e-170"),
         ("modal", lambda doc: doc["material"].update(t=1e160),
-         3, "numerical failure: (34, 'Numerical result out of range') "
-            "(input magnitudes beyond the floating-point range)"),
+         2, "invalid input: plate magnitudes beyond the double range: "
+            "D = inf, rho t = 5.000e+160"),
         ("modal", lambda doc: doc["material"].update(E=1e160),
-         3, "numerical failure: overflow encountered in "),
-    ], ids=["quad-1e160", "quad-1e-170", "thickness-1e160", "E-1e160"])
+         2, "invalid input: plate magnitudes beyond the double range: "
+            "D = 7.326e+156"),
+        ("modal", lambda doc: doc["geometry"]["quad"].update(
+            vertices=[[0, 0], [1e-160, 0], [1e-160, 1e-160], [0, 1e-160]]),
+         2, "D / (rho t L^4) = inf"),
+        ("modal", lambda doc: doc["geometry"]["quad"].update(
+            vertices=[[0, 0], [1e150, 0], [1e150, 1e150], [0, 1e150]]),
+         2, "D / (rho t L^4) = 0.000e+00"),
+    ], ids=["quad-1e160", "quad-1e-170", "thickness-1e160", "E-1e160",
+            "mesh-1e-160", "mesh-1e150"])
     def test_magnitudes_beyond_double_range_exit_cleanly(
             self, tmp_path, capsys, verb, edit, code, message):
         # no numpy warning escapes, and no OverflowError traceback
@@ -642,6 +652,12 @@ class TestCli:
         assert main([verb, "--case", "random-quad", "--seed", "-1"]) == 2
         assert "invalid input: seed must be non-negative" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck"])
+    def test_far_pole_quad_exit_zero(self, capsys, verb):
+        # a valid convex quad whose p6 lies about 1.3e5 diameters away
+        assert main([verb, "--case", "random-quad", "--seed", "2532"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("verb,source", [
         ("modal", "clamped-quad"), ("sectprops", "paper-quad"),

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,21 +22,18 @@ from quadplate import (
     serendipity_shapes,
     solve_pole_natural,
 )
-from quadplate.errors import NonconvergenceError
 from quadplate.mapping import (
     BILINEAR_MONOMIALS,
     CORNER_NATURAL,
     PASCAL_MONOMIALS,
     SCHEME_KINDS,
     SERENDIPITY_MONOMIALS,
-    _NEWTON_PERTURBATIONS,
-    default_pole_guess,
-    det2,
     monomial_gradients,
     monomial_values,
     pair_distances,
     twice_signed_area,
 )
+from quadplate.cases import load_case
 
 from conftest import SECTION_QUAD, convex_quads, fd_jacobian
 
@@ -248,15 +246,49 @@ class TestPoles:
         poles = compute_poles_cartesian(unit_square)
         with pytest.raises(ValidationError):
             solve_pole_natural(unit_square, poles.p5_xy)
+        with pytest.raises(ValidationError, match="neither pole"):
+            solve_pole_natural(QuadGeometry(SECTION_QUAD), [10.0, 1e-6])
 
     @pytest.mark.parametrize("guess", [(-1e300, 1e300), (1e300, 1e300),
                                        (math.inf, 0.0)])
     def test_guess_beyond_float_range_is_nonconvergence(self, section_quad,
                                                         guess):
-        # the first iterate overflows: det J is NaN, which counts as
-        # singular on every restart (warnings are errors in this suite)
-        with pytest.raises(NonconvergenceError, match="every restart"):
+        # the squared distances to the roots overflow or are not finite
+        # (warnings are errors in this suite): invalid input
+        with pytest.raises(ValidationError, match="pole guess"):
             solve_pole_natural(section_quad, [10.0, 0.0], guess)
+
+    def test_roots_match_exact_arithmetic(self, section_quad):
+        # oracle: the edge-line parameters t and s solved in rationals
+        # from the float vertices; the seed-2532 quad has p6 about 1.3e5
+        # diameters away
+        far = QuadGeometry(load_case("random-quad", seed=2532)
+                           .geometry["quad"]["vertices"])
+        quads = [section_quad, far] + convex_quads(60, seed=17)
+        checked = 0
+        for quad in quads:
+            v = [[Fraction(c) for c in row] for row in quad.vertices.tolist()]
+            poles = compute_poles_cartesian(quad)
+            for pole, (a, b, c, d) in zip((poles.p5_xy, poles.p6_xy),
+                                          ((0, 1, 2, 3), (1, 2, 3, 0))):
+                if pole is None:
+                    continue
+                u = [v[b][k] - v[a][k] for k in range(2)]
+                w = [v[d][k] - v[c][k] for k in range(2)]
+                r = [v[c][k] - v[a][k] for k in range(2)]
+                cross = u[0] * w[1] - u[1] * w[0]
+                t = (r[0] * w[1] - r[1] * w[0]) / cross
+                s = (r[0] * u[1] - r[1] * u[0]) / cross
+                roots = ([(2 * t - 1, -1), (1 - 2 * s, 1)] if a == 0 else
+                         [(1, 2 * t - 1), (-1, 1 - 2 * s)])
+                for root in roots:
+                    guess = [float(x) for x in root]
+                    got = solve_pole_natural(quad, pole, guess)
+                    error = max(abs(Fraction(float(g)) - x)
+                                for g, x in zip(got, root))
+                    assert error <= 1e-12 * max(map(abs, root)), (quad, root)
+                    checked += 1
+        assert checked >= 4 * 50
 
 
 class TestPascalScheme:
@@ -439,8 +471,7 @@ class TestArrayEvaluation:
                                      for q in range(p + 1, 4)]
 
 
-# The evaluators and the pole Newton as they were built from ``np.stack``
-# and ``GeneralizedParams.point``/``.gradient``: the oracle that the
+# The evaluators as they were built from ``np.stack``: the oracle that the
 # preallocated versions must match bit for bit.
 
 def _stacked_values(exponents, theta):
@@ -460,62 +491,8 @@ def _stacked_gradients(exponents, theta):
         for e1, e2 in exponents], axis=-2)
 
 
-def _stacked_newton(quad, pole_xy, guess=None):
-    """``solve_pole_natural`` on the stacked evaluators; returns the root
-    or the ``NonconvergenceError`` raised."""
-    target = np.asarray(pole_xy, dtype=float)
-    coeffs = bilinear_params(quad).coeffs
-    diam = quad.diameter
-    if guess is None:
-        guess = default_pole_guess(quad, target)
-    guess = np.asarray(guess, dtype=float)
-    last_residual, last_theta = math.inf, guess
-    for shift in _NEWTON_PERTURBATIONS:
-        theta = guess + shift
-        singular = False
-        for _ in range(50):
-            values = _stacked_values(BILINEAR_MONOMIALS, theta)[..., None, :]
-            residual = (values @ coeffs)[..., 0, :] - target
-            norm = float(np.linalg.norm(residual))
-            last_residual, last_theta = norm, theta
-            if norm <= 1e-12 * diam:
-                return theta
-            grads = _stacked_gradients(BILINEAR_MONOMIALS, theta)
-            tangent = (np.swapaxes(grads, -1, -2) @ coeffs).T
-            if not (1e-13 * diam * diam <= abs(det2(tangent)) < math.inf
-                    and norm < math.inf):
-                singular = True
-                break
-            theta = theta - np.linalg.solve(tangent, residual)
-        if not singular:
-            return NonconvergenceError(
-                f"pole iteration did not converge in 50 steps "
-                f"(last residual {last_residual:.3e})",
-                residual=last_residual, theta=last_theta)
-    return NonconvergenceError(
-        "singular Jacobian at an iterate for every restart",
-        residual=last_residual, theta=last_theta)
-
-
-def _newton_outcome(solve, *args):
-    try:
-        return solve(*args)
-    except NonconvergenceError as exc:
-        return exc
-
-
-def _same_outcome(got, want):
-    if isinstance(want, NonconvergenceError):
-        return (type(got) is type(want) and str(got) == str(want)
-                and np.array_equal(got.theta, want.theta, equal_nan=True)
-                and np.array_equal(got.residual, want.residual,
-                                   equal_nan=True))
-    return got.dtype == want.dtype and np.array_equal(got, want)
-
-
 class TestPreallocatedEvaluators:
-    """The filled evaluators and the pole Newton equal the stacked ones bit
-    for bit."""
+    """The filled evaluators equal the stacked ones bit for bit."""
 
     @pytest.mark.parametrize("exponents", [
         BILINEAR_MONOMIALS, PASCAL_MONOMIALS, SERENDIPITY_MONOMIALS])
@@ -530,31 +507,3 @@ class TestPreallocatedEvaluators:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert np.array_equal(new(exponents, theta.tolist()), want)
-
-    def test_newton_matches_stacked_on_random_quads(self, section_quad):
-        quads = [section_quad] + convex_quads(50, seed=13)
-        solved = 0
-        for quad in quads:
-            poles = compute_poles_cartesian(quad)
-            for pole in (poles.p5_xy, poles.p6_xy):
-                if pole is None:
-                    continue
-                want = _newton_outcome(_stacked_newton, quad, pole)
-                got = _newton_outcome(solve_pole_natural, quad, pole)
-                assert _same_outcome(got, want)
-                solved += 1
-        assert solved >= 90
-
-    @pytest.mark.parametrize("pole, guess", [
-        ([10.0, 0.0], (4.0, 1.0)), ([10.0, 0.0], (1.5, -1.0)),
-        ([0.0, 6.0], (1.0, 3.0)), ([0.0, 6.0], (-1.0, 1.4)),
-        # on the singular line det J = 5.5 - 2 t1 - 2.5 t2: a restart
-        ([10.0, 0.0], (2.75, 0.0)),
-        ([0.0, 6.0], (1e8, 1e8)),
-        ([10.0, 0.0], (math.nan, 0.0)),
-    ])
-    def test_newton_matches_stacked_on_explicit_guesses(self, section_quad,
-                                                        pole, guess):
-        want = _newton_outcome(_stacked_newton, section_quad, pole, guess)
-        got = _newton_outcome(solve_pole_natural, section_quad, pole, guess)
-        assert _same_outcome(got, want)

@@ -9,7 +9,6 @@ from quadplate import (
     build_scheme,
     curvature_operator,
     deflection_row,
-    element_load,
     element_mass,
     element_matrices,
     element_stiffness,
@@ -466,33 +465,6 @@ class TestElementMass:
         delta = m_on - m_off
         assert np.linalg.eigvalsh(delta).min() >= -1e-14
         assert np.abs(delta).max() > 0.0
-
-
-class TestElementLoad:
-    def test_zero_pressure(self, section_quad):
-        f = element_load(build_scheme(section_quad, "bilinear"), RULE, 0.0)
-        np.testing.assert_allclose(f, 0.0)
-
-    def test_uniform_pressure_on_square(self, unit_square):
-        # slope rows are odd over the square, so only the weighted-average
-        # row survives: u components carry q A / 4, rotations nothing
-        q = 2.5
-        f = element_load(build_scheme(unit_square, "bilinear"), RULE, q)
-        np.testing.assert_allclose(f[U_DOFS], q * 1.0 / 4.0, atol=1e-13)
-        np.testing.assert_allclose(f[PHI1_DOFS], 0.0, atol=1e-13)
-        np.testing.assert_allclose(f[PHI2_DOFS], 0.0, atol=1e-13)
-        # cross-check with an independent (higher) rule: integrand is
-        # polynomial, both rules are exact
-        f6 = element_load(build_scheme(unit_square, "bilinear"),
-                          gauss_rule(6), q)
-        np.testing.assert_allclose(f, f6, atol=1e-13)
-
-    def test_load_conservation(self):
-        q = 1.7
-        for quad in convex_quads(10, seed=13):
-            f = element_load(build_scheme(quad, "pascal6"), RULE, q)
-            assert f[U_DOFS].sum() == pytest.approx(q * quad.signed_area,
-                                                    rel=1e-12)
 
 
 class TestElementMatrices:
