@@ -14,7 +14,6 @@ from .mapping import (
     GeneralizedParams,
     Jacobian,
     MappingScheme,
-    NaturalNodeTable,
     PoleSet,
     QuadGeometry,
     ShapeFunctionSet,

@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidCaseError, NumericalError
+from .errors import InvalidCaseError
 from .mapping import (
-    CORNER_NATURAL,
     QuadGeometry,
     SCHEME_KINDS,
-    bilinear_params,
+    bilinear_coefficients,
     build_scheme,
     compute_poles_cartesian,  # not called; the benchmark's tracer wraps it
-    det2,
+    corner_jacobians,
     distance,
     lattice_points,
     map_point,
@@ -155,6 +154,10 @@ def load_case(source: str, seed=None, overrides: dict | None = None) -> CaseFile
             ) from None
         except json.JSONDecodeError as exc:
             raise InvalidCaseError(f"malformed case file {source}: {exc}") from exc
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
+            # a directory, non-UTF-8 bytes, brackets nested too deep
+            raise InvalidCaseError(
+                f"cannot read case file {source}: {exc}") from exc
     return parse_case(raw, overrides=overrides)
 
 
@@ -214,11 +217,15 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
             "reference_length must be positive and finite, "
             f"got {reference_length}"
         )
+    try:
+        geometry = copy.deepcopy(geometry)
+    except RecursionError:
+        raise InvalidCaseError("geometry block is nested too deeply") from None
 
     return CaseFile(
         name=str(raw.get("name", "case")),
         material=material,
-        geometry=copy.deepcopy(geometry),
+        geometry=geometry,
         analysis=analysis,
         reference_length=reference_length,
     )
@@ -316,9 +323,9 @@ def case_meshes(case: CaseFile) -> list:
 
 
 def _single_quad(case: CaseFile) -> QuadGeometry:
-    """The case's single quad, whose bilinear map must be regular: det J
-    is affine in theta, so it must exceed 1e-12 * diam^2 at every corner
-    (a folded quad raises ``NumericalError``)."""
+    """The case's single quad, whose bilinear map passes the corner rule
+    of mesh elements (``corner_jacobians``): a folded quad raises
+    ``NumericalError``, a flat corner ``DegenerateGeometryError``."""
     geometry = case.geometry
     if "quad" not in geometry:
         raise InvalidCaseError(
@@ -335,11 +342,8 @@ def _single_quad(case: CaseFile) -> QuadGeometry:
     except (TypeError, ValueError) as exc:
         raise InvalidCaseError(f"malformed quad vertices: {exc!r}") from exc
     quad = QuadGeometry(vertices)
-    corner_det = det2(bilinear_params(quad).gradient(CORNER_NATURAL))
-    for corner, value in enumerate(corner_det):
-        if value <= 1e-12 * quad.diameter * quad.diameter:
-            raise NumericalError(f"bilinear map is not regular at corner "
-                                 f"{corner + 1}: det J = {value:.3e}")
+    corner_jacobians(bilinear_coefficients(quad.vertices)[None],
+                     np.array([quad.diameter]))
     return quad
 
 
@@ -362,13 +366,6 @@ class Report:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "meta": self.meta, "tables": self.tables}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        return cls(kind=data["kind"], meta=data["meta"], tables=data["tables"])
-
-    def __eq__(self, other):
-        return isinstance(other, Report) and self.to_dict() == other.to_dict()
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -503,7 +500,7 @@ def run_mapcheck(case: CaseFile) -> Report:
         coeffs = scheme.shapes.coeffs
         unity = coeffs.sum(axis=0)
         unity[0] -= 1.0
-        kron = scheme.shapes.evaluate(scheme.shapes.nodes.rows) \
+        kron = scheme.shapes.evaluate(scheme.shapes.nodes) \
             - np.eye(coeffs.shape[0])
         deviation = float(distance(map_point(scheme, grid), reference).max())
         entry = {

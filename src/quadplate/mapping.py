@@ -18,14 +18,19 @@ For straight edges all three produce the same point transformation; they
 differ only in their shape functions.  Every scheme stores the polynomial
 coefficients of its transformation (``GeneralizedParams``), so point
 mapping and Jacobian evaluation are plain polynomial operations that
-remain valid outside the bi-unit square.
+remain valid outside the bi-unit square.  A scheme's shape functions carry
+their nodes as one read-only (n, 2) array of natural coordinates.
+
+``corner_jacobians`` holds the one rule by which a bilinear map is
+accepted, from the signs of det J at its four corners; mesh assembly
+applies it to every element and the single-quad reports to their quad.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -197,41 +202,6 @@ class QuadGeometry:
 
 
 @dataclass(frozen=True, eq=False)
-class NaturalNodeTable:
-    """Natural coordinates of a scheme's interpolation nodes.
-
-    The first four rows are always the corners of the bi-unit square.
-    Six-row tables append the two poles; eight-row tables append the four
-    edge midpoints.
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.rows, dtype=float)
-        if r.ndim != 2 or r.shape[1] != 2 or r.shape[0] not in (4, 6, 8):
-            raise ValidationError(f"bad node table shape {r.shape}")
-        if not np.array_equal(r[:4], CORNER_NATURAL):
-            raise ValidationError("first four node rows must be the corners")
-        if r.shape[0] == 8 and not np.array_equal(r[4:], MIDPOINT_NATURAL):
-            raise ValidationError("rows 5-8 must be the edge midpoints")
-        r.setflags(write=False)
-        object.__setattr__(self, "rows", r)
-
-    @classmethod
-    def corners(cls) -> "NaturalNodeTable":
-        return cls(CORNER_NATURAL.copy())
-
-    @classmethod
-    def with_poles(cls, p5_nat, p6_nat) -> "NaturalNodeTable":
-        return cls(np.vstack([CORNER_NATURAL, p5_nat, p6_nat]))
-
-    @classmethod
-    def serendipity(cls) -> "NaturalNodeTable":
-        return cls(np.vstack([CORNER_NATURAL, MIDPOINT_NATURAL]))
-
-
-@dataclass(frozen=True, eq=False)
 class GeneralizedParams:
     """Polynomial coefficients of a transformation, one column per Cartesian
     direction.
@@ -286,28 +256,25 @@ class PoleSet:
     p6_nat: np.ndarray | None
     parallel_flags: tuple
 
-    @property
-    def complete(self) -> bool:
-        """True when both poles are finite and located in natural space."""
-        return (
-            not any(self.parallel_flags)
-            and self.p5_nat is not None
-            and self.p6_nat is not None
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ShapeFunctionSet:
     """Nodal shape functions N^(q) as rows of monomial coefficients.
 
     ``coeffs[q, m]`` multiplies monomial m, so evaluating all functions at
-    a point is a single matrix-vector product.
+    a point is a single matrix-vector product.  ``nodes`` (n, 2) holds the
+    natural coordinates of the nodes, read-only: the four corners, then
+    the two poles or the four edge midpoints.
     """
 
-    scheme: str
     coeffs: np.ndarray
     exponents: tuple
-    nodes: NaturalNodeTable
+    nodes: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
 
     def evaluate(self, theta) -> np.ndarray:
         """All shape functions at natural points (..., 2); shape
@@ -317,11 +284,10 @@ class ShapeFunctionSet:
 
 
 _BILINEAR_SHAPES = ShapeFunctionSet(
-    "bilinear", _BILINEAR_SHAPE_COEFFS, BILINEAR_MONOMIALS,
-    NaturalNodeTable.corners())
+    _BILINEAR_SHAPE_COEFFS, BILINEAR_MONOMIALS, CORNER_NATURAL)
 _SERENDIPITY_SHAPES = ShapeFunctionSet(
-    "serendipity8", _SERENDIPITY_SHAPE_COEFFS, SERENDIPITY_MONOMIALS,
-    NaturalNodeTable.serendipity())
+    _SERENDIPITY_SHAPE_COEFFS, SERENDIPITY_MONOMIALS,
+    np.vstack([CORNER_NATURAL, MIDPOINT_NATURAL]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,6 +359,36 @@ def bilinear_jacobians(coeffs: np.ndarray, points) -> tuple:
     return matrix, det2(matrix)
 
 
+def corner_jacobians(coeffs: np.ndarray, diam: np.ndarray) -> tuple:
+    """Corner Jacobians (m, 4, 2, 2) and flat-corner mask (m, 4) of the
+    bilinear maps ``coeffs`` (m, 4, 2) of quads with diameters ``diam``
+    (m,), once each map is accepted.
+
+    det J of a bilinear map a0 + a1 t1 + a2 t2 + a3 t1 t2 is
+    a1 x a2 + t1 (a1 x a3) + t2 (a3 x a2), affine in theta, so its four
+    corner values decide whether the map is regular everywhere.  Each
+    must exceed 1e-12 * diam^2, except at the two ends of a collapsed edge
+    (a triangle tip), where det J vanishes.  The first bad corner of the
+    first bad element raises ``NumericalError`` if the element folds there
+    and ``DegenerateGeometryError`` if it is flat.
+    """
+    tol = 1e-12 * diam * diam
+    cjac, cdet = bilinear_jacobians(coeffs, CORNER_NATURAL)
+    flat = np.abs(cdet) <= tol[:, None]
+    # a collapsed edge leaves exactly its two (adjacent) ends flat
+    tip = (np.count_nonzero(flat, axis=1) == 2) \
+        & (flat & np.roll(flat, 1, axis=1)).any(axis=1)
+    bad = np.argwhere((cdet <= tol[:, None]) & ~(flat & tip[:, None]))
+    if bad.size:
+        ei, corner = bad[0]
+        value = cdet[ei, corner]
+        error, fault = ((NumericalError, "folded element") if value < -tol[ei]
+                        else (DegenerateGeometryError, "degenerate corner"))
+        raise error(f"element {ei}: {fault}: det J = {value:.3e} at "
+                    f"theta={tuple(map(float, CORNER_NATURAL[corner]))}")
+    return cjac, flat
+
+
 def serendipity_shapes(theta) -> np.ndarray:
     """The eight serendipity shape functions at natural points (..., 2)."""
     return _SERENDIPITY_SHAPES.evaluate(theta)
@@ -435,40 +431,37 @@ def _line_intersection(a, b, c, d):
 
 
 def _pole_lines(quad: QuadGeometry) -> tuple:
-    """``_line_intersection`` of the edge lines of p5, (1)(2) and (3)(4),
-    and of p6, (2)(3) and (4)(1)."""
-    v = quad.vertices
-    return (_line_intersection(v[0], v[1], v[2], v[3]),
-            _line_intersection(v[1], v[2], v[3], v[0]))
+    """``(point, roots)`` of p5, where the lines of edges (1)(2) and (3)(4)
+    meet, and of p6, where the lines of (2)(3) and (4)(1) meet; ``None``
+    for a parallel pair.
 
-
-def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
-    """Natural coordinates of a pole: of its two roots under the bilinear
-    map (which the pascal6 transformation equals for straight edges), the
-    one nearest ``guess``, by default the element center.
-
+    ``roots`` (2, 2) are the pole's natural coordinates under the bilinear
+    map (which the pascal6 transformation equals for straight edges).
     Each edge of the bi-unit square maps linearly onto its edge line, so
     p5, at parameters t of edge (1)(2) and s of edge (3)(4), has the roots
     (2t - 1, -1) and (1 - 2s, 1), and p6, at t of (2)(3) and s of (4)(1),
     the roots (1, 2t - 1) and (-1, 1 - 2s).
-
-    Raises ``ValidationError`` for a point that is neither pole, and for
-    a guess that is not finite or whose distances to the roots overflow.
     """
-    if pole_xy is None:
-        raise ValidationError("pole is flagged parallel (at infinity)")
-    target = np.asarray(pole_xy, dtype=float)
+    v = quad.vertices
+    p5 = _line_intersection(v[0], v[1], v[2], v[3])
+    p6 = _line_intersection(v[1], v[2], v[3], v[0])
+    if p5 is not None:
+        point, t, s = p5
+        p5 = point, np.array([[2.0 * t - 1.0, -1.0], [1.0 - 2.0 * s, 1.0]])
+    if p6 is not None:
+        point, t, s = p6
+        p6 = point, np.array([[1.0, 2.0 * t - 1.0], [-1.0, 1.0 - 2.0 * s]])
+    return p5, p6
+
+
+def _nearest_root(roots: np.ndarray, guess=None) -> np.ndarray:
+    """Of a pole's two natural ``roots``, the one nearest ``guess``, by
+    default the element center.
+
+    Raises ``ValidationError`` for a guess that is not finite or whose
+    distances to the roots overflow.
+    """
     guess = np.zeros(2) if guess is None else np.asarray(guess, dtype=float)
-    for pole, line in enumerate(_pole_lines(quad)):
-        if line is not None:
-            point, t, s = line
-            scale = max(quad.diameter, np.abs(point - quad.centroid).max())
-            if np.abs(target - point).max() <= 1e-9 * scale:
-                break
-    else:
-        raise ValidationError(f"{target.tolist()} is neither pole of the quad")
-    roots = np.array([[2.0 * t - 1.0, -1.0], [1.0 - 2.0 * s, 1.0]] if pole == 0
-                     else [[1.0, 2.0 * t - 1.0], [-1.0, 1.0 - 2.0 * s]])
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = distance(roots, guess)
     if not np.isfinite(gaps).any():
@@ -477,12 +470,30 @@ def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
     return roots[np.argmin(gaps)]
 
 
-def pascal_interpolation_matrix(nodes: NaturalNodeTable) -> np.ndarray:
+def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
+    """Natural coordinates of a pole: of its two roots (``_pole_lines``),
+    the one nearest ``guess`` (``_nearest_root``).
+
+    Raises ``ValidationError`` for a point that is neither pole, and for
+    a guess that is not finite or whose distances to the roots overflow.
+    """
+    if pole_xy is None:
+        raise ValidationError("pole is flagged parallel (at infinity)")
+    target = np.asarray(pole_xy, dtype=float)
+    for line in _pole_lines(quad):
+        if line is not None:
+            point, roots = line
+            scale = max(quad.diameter, np.abs(point - quad.centroid).max())
+            if np.abs(target - point).max() <= 1e-9 * scale:
+                return _nearest_root(roots, guess)
+    raise ValidationError(f"{target.tolist()} is neither pole of the quad")
+
+
+def pascal_interpolation_matrix(nodes) -> np.ndarray:
     """The 6x6 interpolation matrix: row p is the complete quadratic basis
-    evaluated at node p."""
-    if nodes.rows.shape[0] != 6:
-        raise ValidationError("pascal interpolation needs 6 nodes (corners + poles)")
-    return monomial_values(PASCAL_MONOMIALS, nodes.rows)
+    evaluated at natural node p of ``nodes`` (6, 2), the corners then the
+    poles."""
+    return monomial_values(PASCAL_MONOMIALS, nodes)
 
 
 def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
@@ -495,55 +506,37 @@ def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
     straight edges the pure-quadratic parameter rows vanish and the
     transformation equals the bilinear one.
 
-    Returns ``(shapes, params)``.
+    Returns ``(shapes, params, cond)``, ``cond`` being the 1-norm
+    condition estimate of A.
     """
-    shapes, params, _ = _pascal_build(quad, poles)
-    return shapes, params
-
-
-def _pascal_build(quad: QuadGeometry, poles: PoleSet):
-    if not poles.complete:
+    if any(poles.parallel_flags) or poles.p5_nat is None \
+            or poles.p6_nat is None:
         raise ValidationError(
             "pascal scheme needs both poles finite with natural coordinates"
         )
-    nodes = NaturalNodeTable.with_poles(poles.p5_nat, poles.p6_nat)
+    nodes = np.vstack([CORNER_NATURAL, poles.p5_nat, poles.p6_nat])
     a_mat = pascal_interpolation_matrix(nodes)
     try:
         b_mat = np.linalg.inv(a_mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("degenerate pole configuration: singular "
                              "interpolation matrix") from exc
-    cond = float(
-        np.linalg.norm(a_mat, 1) * np.linalg.norm(b_mat, 1)
-    )
+    cond = float(np.linalg.norm(a_mat, 1) * np.linalg.norm(b_mat, 1))
     if cond > 1e12:
         raise NumericalError(
             f"degenerate pole configuration: condition estimate {cond:.3e}"
         )
     node_xy = np.vstack([quad.vertices, poles.p5_xy, poles.p6_xy])
     params = GeneralizedParams(PASCAL_MONOMIALS, b_mat @ node_xy)
-    shapes = ShapeFunctionSet("pascal6", b_mat.T, PASCAL_MONOMIALS, nodes)
+    shapes = ShapeFunctionSet(b_mat.T, PASCAL_MONOMIALS, nodes)
     return shapes, params, cond
 
 
-def _bilinear_scheme(quad: QuadGeometry) -> MappingScheme:
-    return MappingScheme("bilinear", quad, bilinear_params(quad),
-                         _BILINEAR_SHAPES)
-
-
-def _serendipity_scheme(quad: QuadGeometry) -> MappingScheme:
-    v = quad.vertices
-    midpoints = 0.5 * (v + np.roll(v, -1, axis=0))
-    node_xy = np.vstack([v, midpoints])
-    params = GeneralizedParams(
-        SERENDIPITY_MONOMIALS, _SERENDIPITY_SHAPE_COEFFS.T @ node_xy
-    )
-    return MappingScheme("serendipity8", quad, params, _SERENDIPITY_SHAPES)
-
-
 def _pascal_scheme(quad: QuadGeometry, pole_guesses=None) -> MappingScheme:
-    poles = compute_poles_cartesian(quad)
-    if any(poles.parallel_flags):
+    lines = _pole_lines(quad)
+    p5_xy, p6_xy = (None if line is None else line[0] for line in lines)
+    flags = (p5_xy is None, p6_xy is None)
+    if any(flags):
         # Pole(s) at infinity: the quadratic scheme is not constructible,
         # but for straight edges the transformation it would produce is the
         # bilinear one, so degrade to that and report it.  Collapsed-edge
@@ -556,22 +549,20 @@ def _pascal_scheme(quad: QuadGeometry, pole_guesses=None) -> MappingScheme:
                 "transformation",
                 stacklevel=3,
             )
-        bil = bilinear_params(quad)
         coeffs = np.zeros((6, 2))
-        coeffs[[0, 1, 2, 4]] = bil.coeffs
+        coeffs[[0, 1, 2, 4]] = bilinear_coefficients(v)
         params = GeneralizedParams(PASCAL_MONOMIALS, coeffs)
         return MappingScheme(
-            "pascal6", quad, params, _BILINEAR_SHAPES, poles=poles,
-            fallback=True
+            "pascal6", quad, params, _BILINEAR_SHAPES,
+            poles=PoleSet(p5_xy, p6_xy, None, None, flags), fallback=True
         )
-    guess5, guess6 = pole_guesses if pole_guesses is not None else (None, None)
-    located = replace(
-        poles, p5_nat=solve_pole_natural(quad, poles.p5_xy, guess5),
-        p6_nat=solve_pole_natural(quad, poles.p6_xy, guess6))
-    shapes, params, cond = _pascal_build(quad, located)
-    return MappingScheme(
-        "pascal6", quad, params, shapes, poles=located, cond_a=cond
-    )
+    guesses = pole_guesses if pole_guesses is not None else (None, None)
+    p5_nat, p6_nat = (_nearest_root(roots, guess)
+                      for (_, roots), guess in zip(lines, guesses))
+    poles = PoleSet(p5_xy, p6_xy, p5_nat, p6_nat, flags)
+    shapes, params, cond = pascal_shape_set(quad, poles)
+    return MappingScheme("pascal6", quad, params, shapes, poles=poles,
+                         cond_a=cond)
 
 
 def build_scheme(quad: QuadGeometry, kind: str = "pascal6",
@@ -585,14 +576,20 @@ def build_scheme(quad: QuadGeometry, kind: str = "pascal6",
         One of ``bilinear``, ``serendipity8``, ``pascal6``.
     pole_guesses : optional pair of natural pairs
         Natural points near which the roots of the two poles are chosen
-        (pascal6 only, see ``solve_pole_natural``); by default the roots
+        (pascal6 only, see ``_nearest_root``); by default the roots
         nearest the element center.  Distinct roots yield distinct shape
         functions but the same transformation.
     """
     if kind == "bilinear":
-        return _bilinear_scheme(quad)
+        return MappingScheme("bilinear", quad, bilinear_params(quad),
+                             _BILINEAR_SHAPES)
     if kind == "serendipity8":
-        return _serendipity_scheme(quad)
+        v = quad.vertices
+        node_xy = np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
+        params = GeneralizedParams(SERENDIPITY_MONOMIALS,
+                                   _SERENDIPITY_SHAPE_COEFFS.T @ node_xy)
+        return MappingScheme("serendipity8", quad, params,
+                             _SERENDIPITY_SHAPES)
     if kind == "pascal6":
         return _pascal_scheme(quad, pole_guesses)
     raise ValidationError(f"unknown scheme kind {kind!r}; expected one of "

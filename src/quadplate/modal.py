@@ -15,7 +15,8 @@ into CSR matrices whose layout comes from the element node pairs
 (``_CsrPattern``); the scalar ``element_stiffness``/``element_mass`` and
 ``_element_transform`` are the reference implementation, which the batch
 matches to 1e-12 relative.  An element is accepted by the signs of det J
-at its four corners (see ``_element_corners``).
+at its four corners (``mapping.corner_jacobians``, the rule that the
+single-quad verbs apply as well).
 
 scipy is imported inside the functions that use it (``scipy.sparse`` in
 ``assemble``, ``scipy.linalg`` in the dense branch of ``solve_modes``,
@@ -43,6 +44,7 @@ from .mapping import (
     bilinear_jacobians,
     bilinear_params,
     build_scheme,  # not called; the benchmark's tracer wraps it here
+    corner_jacobians,
     lattice_points,
     pair_distances,
     twice_signed_area,
@@ -258,34 +260,11 @@ class _ElementBatch:
 
 def _element_corners(mesh: Mesh) -> tuple:
     """Bilinear coefficients (m, 4, 2), corner Jacobians (m, 4, 2, 2) and
-    flat-corner mask (m, 4) of every element, once each is accepted.
-
-    det J of a bilinear map a0 + a1 t1 + a2 t2 + a3 t1 t2 is
-    a1 x a2 + t1 (a1 x a3) + t2 (a3 x a2), affine in theta, so its four
-    corner values decide whether the element is regular everywhere.  Each
-    must exceed 1e-12 * diam^2, except at the two ends of a collapsed edge
-    (a triangle tip), where det J vanishes.  The first bad corner of the
-    first bad element raises ``NumericalError`` if the element folds there
-    and ``DegenerateGeometryError`` if it is flat.
-    """
+    flat-corner mask (m, 4) of every element, once each is accepted by
+    ``corner_jacobians``."""
     v = mesh.nodes[mesh.elements]
     coeffs = bilinear_coefficients(v)
-    diam = pair_distances(v).max(axis=1)
-    tol = 1e-12 * diam * diam
-    cjac, cdet = bilinear_jacobians(coeffs, CORNER_NATURAL)
-    flat = np.abs(cdet) <= tol[:, None]
-    # a collapsed edge leaves exactly its two (adjacent) ends flat
-    tip = (np.count_nonzero(flat, axis=1) == 2) \
-        & (flat & np.roll(flat, 1, axis=1)).any(axis=1)
-    bad = np.argwhere((cdet <= tol[:, None]) & ~(flat & tip[:, None]))
-    if bad.size:
-        ei, corner = bad[0]
-        value = cdet[ei, corner]
-        error, fault = ((NumericalError, "folded element") if value < -tol[ei]
-                        else (DegenerateGeometryError, "degenerate corner"))
-        raise error(f"element {ei}: {fault}: det J = {value:.3e} at "
-                    f"theta={tuple(map(float, CORNER_NATURAL[corner]))}")
-    return coeffs, cjac, flat
+    return (coeffs, *corner_jacobians(coeffs, pair_distances(v).max(axis=1)))
 
 
 def _element_batch(mesh: Mesh, corners: tuple | None = None,

@@ -108,7 +108,7 @@ def test_criterion_4_shape_function_properties():
             sums = scheme.shapes.coeffs.sum(axis=0)
             ok &= abs(sums[0] - 1.0) <= 1e-12
             ok &= np.abs(sums[1:]).max() <= 1e-12
-            nodes = scheme.shapes.nodes.rows
+            nodes = scheme.shapes.nodes
             kron = np.vstack([scheme.shapes.evaluate(r) for r in nodes])
             ok &= np.abs(kron - np.eye(len(kron))).max() <= 1e-10
             if kind == "pascal6":

@@ -313,8 +313,7 @@ class TestModalReports:
         case.geometry["quad"]["meshes"] = [[2, 2]]
         case.analysis["modes"] = 3
         report = run_modal(case)
-        recovered = Report.from_dict(json.loads(report.to_json()))
-        assert recovered == report
+        assert json.loads(report.to_json()) == report.to_dict()
 
     def test_mode_shape_samples_for_plot(self):
         # a skew quad mesh and a triangle mesh whose apex row consists of
@@ -618,24 +617,24 @@ class TestCli:
         assert "invalid input: node 4 has a non-finite coordinate" \
             in capsys.readouterr().err
 
-    @pytest.mark.parametrize("vertices,corner", [
-        ([[0, 0], [4, 0], [1, 1], [0, 4]], 3),
-        ([[0, 0], [4, 0], [1.9, 1.9], [0, 4]], 3),
-        ([[0, 0], [0.5, 0], [1, 0], [0, 1]], 2),
-    ], ids=["folded", "folded-near-diagonal", "straight-corner"])
+    @pytest.mark.parametrize("vertices,det", [
+        ([[0, 0], [4, 0], [1, 1], [0, 4]], "-2.000e+00"),
+        ([[0, 0], [4, 0], [1.9, 1.9], [0, 4]], "-2.000e-01"),
+    ], ids=["folded", "folded-near-diagonal"])
     def test_mapcheck_of_irregular_quad_exit_three(self, tmp_path, capsys,
-                                                   vertices, corner):
+                                                   vertices, det):
         path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
             "quad": {"vertices": vertices}}))
         assert main(["mapcheck", "--case", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "numerical failure: bilinear map is not regular at corner " \
-            f"{corner}: det J = " in captured.err
+        assert "numerical failure: element 0: folded element: det J = " \
+            f"{det} at theta=(1.0, 1.0)" in captured.err
 
     def test_folded_single_quad_exit_three(self, tmp_path, capsys):
-        # sectprops applies mapcheck's corner rule; the second quad folds
-        # only between the Gauss points, where det J stays positive
+        # sectprops applies the corner rule of mesh elements; the second
+        # quad folds only between the Gauss points, where det J stays
+        # positive
         for third, det in (([1, 1], "-2.000e+00"), ([1.9, 1.9], "-2.000e-01")):
             path = write_square_case(tmp_path, lambda doc: doc.update(
                 geometry={"quad": {"vertices": [[0, 0], [4, 0], third,
@@ -643,9 +642,50 @@ class TestCli:
             assert main(["sectprops", "--case", path]) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert "numerical failure: bilinear map is not regular at " \
-                f"corner 3: det J = {det}" in captured.err
+            assert "numerical failure: element 0: folded element: det J = " \
+                f"{det} at theta=(1.0, 1.0)" in captured.err
             assert "np.float64" not in captured.err
+
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck", "modal"])
+    @pytest.mark.parametrize("vertices,code,message", [
+        ([[0, 0], [0.5, 0], [1, 0], [0, 1]], 2,
+         "invalid input: element 0: degenerate corner: det J = 0.000e+00 "
+         "at theta=(1.0, -1.0)"),
+        ([[0, 0], [4, 0], [1, 1], [0, 4]], 3,
+         "numerical failure: element 0: folded element: det J = "
+         "-2.000e+00 at theta=(1.0, 1.0)"),
+    ], ids=["straight-corner", "folded"])
+    def test_single_quad_corner_rule_matches_mesh(self, tmp_path, capsys,
+                                                  verb, vertices, code,
+                                                  message):
+        # a single quad meets the corner rule of a 1x1 modal mesh
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "quad": {"vertices": vertices}}))
+        assert main([verb, "--case", path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe", b"[" * 200_000 + b"]" * 200_000, None,
+    ], ids=["non-utf8", "deep-nesting", "directory"])
+    def test_unreadable_case_file_exit_two(self, tmp_path, capsys, content):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "case.json"
+            path.write_bytes(content)
+        assert main(["sectprops", "--case", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid input: cannot read case file {path}: " in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_geometry_exit_two(self, tmp_path, capsys):
+        # within the JSON decoder's nesting limit, beyond deepcopy's
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "quad": {"vertices": json.loads("[" * 600 + "]" * 600)}}))
+        assert main(["sectprops", "--case", path]) == 2
+        assert "invalid input: geometry block is nested too deeply" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["sectprops", "mapcheck", "modal"])
     def test_negative_seed_exit_two(self, capsys, verb):

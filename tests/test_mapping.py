@@ -7,7 +7,6 @@ import pytest
 
 from quadplate import (
     DegenerateGeometryError,
-    NaturalNodeTable,
     NumericalError,
     PoleSet,
     QuadGeometry,
@@ -293,7 +292,7 @@ class TestPoles:
 
 class TestPascalScheme:
     def test_interpolation_matrix_rows(self):
-        nodes = NaturalNodeTable.with_poles((4.0, 1.0), (1.0, 3.0))
+        nodes = np.vstack([CORNER_NATURAL, (4.0, 1.0), (1.0, 3.0)])
         a = pascal_interpolation_matrix(nodes)
         np.testing.assert_allclose(a[0], [1, -1, -1, 1, 1, 1])
         np.testing.assert_allclose(a[2], np.ones(6))
@@ -315,7 +314,7 @@ class TestPascalScheme:
 
     def test_kronecker_delta_at_all_six_nodes(self, section_quad):
         scheme = build_scheme(section_quad, "pascal6")
-        nodes = scheme.shapes.nodes.rows
+        nodes = scheme.shapes.nodes
         values = np.vstack([scheme.shapes.evaluate(row) for row in nodes])
         np.testing.assert_allclose(values, np.eye(6), atol=1e-12)
 
@@ -364,9 +363,18 @@ class TestSchemeInvariants:
     def test_kronecker_delta_every_scheme(self, section_quad):
         for kind in SCHEME_KINDS:
             shapes = build_scheme(section_quad, kind).shapes
-            values = np.vstack([shapes.evaluate(r) for r in shapes.nodes.rows])
+            values = np.vstack([shapes.evaluate(r) for r in shapes.nodes])
             np.testing.assert_allclose(values, np.eye(len(shapes.coeffs)),
                                        atol=1e-12, err_msg=kind)
+
+    @pytest.mark.parametrize("kind,count", [
+        ("bilinear", 4), ("serendipity8", 8), ("pascal6", 6)])
+    def test_nodes_are_a_read_only_array(self, section_quad, kind, count):
+        nodes = build_scheme(section_quad, kind).shapes.nodes
+        assert nodes.shape == (count, 2)
+        np.testing.assert_array_equal(nodes[:4], CORNER_NATURAL)
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0, 0] = 0.0
 
     def test_scheme_equivalence_on_random_quads(self):
         grid = np.linspace(-1.0, 1.0, 9)
@@ -398,24 +406,6 @@ class TestSchemeInvariants:
                 scheme = build_scheme(quad, kind)
                 np.testing.assert_allclose(
                     map_point(scheme, (0.0, 0.0)), quad.centroid, atol=1e-12)
-
-
-class TestNodeTable:
-    def test_corner_rows_enforced(self):
-        with pytest.raises(ValidationError):
-            NaturalNodeTable([[0, 0], [1, -1], [1, 1], [-1, 1]])
-
-    def test_serendipity_midpoints_enforced(self):
-        bad = np.vstack([CORNER_NATURAL,
-                         [[0, -1], [1, 0], [0, 1], [-1, 0.5]]])
-        with pytest.raises(ValidationError):
-            NaturalNodeTable(bad)
-
-    def test_factories(self):
-        assert NaturalNodeTable.corners().rows.shape == (4, 2)
-        assert NaturalNodeTable.serendipity().rows.shape == (8, 2)
-        table = NaturalNodeTable.with_poles((4, 1), (1, 3))
-        np.testing.assert_allclose(table.rows[4], [4, 1])
 
 
 class TestArrayEvaluation:
