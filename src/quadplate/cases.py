@@ -9,7 +9,9 @@ which the flexural rigidity D and rho*t*a^4 both equal one.
 
 from __future__ import annotations
 
+import array
 import copy
+import itertools
 import json
 import math
 import numbers
@@ -400,18 +402,30 @@ class Report:
         raise InvalidCaseError(f"no CSV layout for report kind {self.kind!r}")
 
     def to_plot(self) -> str:
+        """One block per mode: a ``# <mesh> mode <k>`` header, then one
+        ``x y z`` line per sample in ``%.6e``; a blank line between blocks.
+
+        The modes of a mesh share their samples' x and y, so those are
+        formatted once into a template with a ``%.6e`` slot per deflection,
+        reused while the mesh label and the coordinate bits stay the same.
+        """
         shapes = self.tables.get("mode_shapes")
         if not shapes:
             raise InvalidCaseError(
                 "no mode-shape samples in report; run modal with mode_shapes"
             )
         blocks = []
+        key = template = None
         for entry in shapes:
-            lines = [f"# {entry['mesh']} mode {entry['mode']}"]
-            lines += [
-                f"{x:.6e} {y:.6e} {z:.6e}" for x, y, z in entry["points"]
-            ]
-            blocks.append("\n".join(lines))
+            xs, ys, zs = tuple(zip(*entry["points"])) or ((), (), ())
+            # bits, not values: 0.0 == -0.0 but they print differently
+            this = (entry["mesh"], array.array("d", xs + ys).tobytes())
+            if this != key:
+                key = this
+                template = "".join(["\n%.6e %.6e %%.6e"] * len(xs)) \
+                    % tuple(itertools.chain.from_iterable(zip(xs, ys)))
+            blocks.append(f"# {entry['mesh']} mode {entry['mode']}"
+                          + template % zs)
         return "\n\n".join(blocks) + "\n"
 
 
@@ -485,6 +499,12 @@ def run_sectprops(case: CaseFile) -> Report:
     )
 
 
+#: The 9x9 natural lattice ``run_mapcheck`` compares the maps on (t1 outer).
+_MAPCHECK_GRID = lattice_points(np.linspace(-1.0, 1.0, 9),
+                                np.linspace(-1.0, 1.0, 9))
+_MAPCHECK_GRID.setflags(write=False)
+
+
 def run_mapcheck(case: CaseFile) -> Report:
     """Pole data, shape-function residuals and scheme-vs-bilinear map
     deviation for a single quad (regular, see ``_single_quad``)."""
@@ -492,8 +512,7 @@ def run_mapcheck(case: CaseFile) -> Report:
     built = {kind: build_scheme(quad, kind) for kind in SCHEME_KINDS}
     poles = built["pascal6"].poles
     bilinear = built["bilinear"]
-    grid = lattice_points(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9))
-    reference = map_point(bilinear, grid)
+    reference = map_point(bilinear, _MAPCHECK_GRID)
 
     schemes = {}
     for kind, scheme in built.items():
@@ -502,7 +521,8 @@ def run_mapcheck(case: CaseFile) -> Report:
         unity[0] -= 1.0
         kron = scheme.shapes.evaluate(scheme.shapes.nodes) \
             - np.eye(coeffs.shape[0])
-        deviation = float(distance(map_point(scheme, grid), reference).max())
+        deviation = float(distance(map_point(scheme, _MAPCHECK_GRID),
+                                   reference).max())
         entry = {
             "partition_of_unity_residual": float(np.abs(unity).max()),
             "kronecker_residual": float(np.abs(kron).max()),

@@ -118,9 +118,15 @@ def distance(a, b) -> np.ndarray:
     return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
+#: Vertex pairs p < q of a quad, row-major (read-only).
+_QUAD_PAIRS = np.array(np.triu_indices(4, 1))
+_QUAD_PAIRS.setflags(write=False)
+
+
 def pair_distances(vertices) -> np.ndarray:
     """Distances of vertex pairs p < q (row-major) of polygons (..., k, 2)."""
-    p, q = np.triu_indices(vertices.shape[-2], 1)
+    k = vertices.shape[-2]
+    p, q = _QUAD_PAIRS if k == 4 else np.triu_indices(k, 1)
     return distance(vertices[..., p, :], vertices[..., q, :])
 
 
@@ -168,7 +174,7 @@ class QuadGeometry:
         if diam == 0.0:
             raise DegenerateGeometryError("all vertices coincide")
         coincident = [(int(p), int(q))
-                      for p, q, d in zip(*np.triu_indices(4, 1), pairs)
+                      for p, q, d in zip(*_QUAD_PAIRS, pairs)
                       if d <= 1e-12 * diam]
         if coincident:
             adjacent = all((q - p) in (1, 3) for p, q in coincident)
@@ -181,7 +187,7 @@ class QuadGeometry:
         if area2 < 0.0:
             warnings.warn(
                 "vertices given clockwise; reordering to counterclockwise",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
             v = v[[0, 3, 2, 1]]
             area2 = -area2

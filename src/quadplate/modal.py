@@ -710,6 +710,7 @@ def nodes_on_segment(mesh: Mesh, p0, p1) -> tuple:
 #: The 5x5 natural lattice ``mode_shape_samples`` evaluates (t1 outer).
 _SAMPLE_POINTS = lattice_points(np.linspace(-1.0, 1.0, 5),
                                 np.linspace(-1.0, 1.0, 5))
+_SAMPLE_POINTS.setflags(write=False)
 
 
 def mode_shape_samples(mesh: Mesh, system: GlobalSystem,

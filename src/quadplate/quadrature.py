@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,30 +74,41 @@ _GAUSS_TABLE = {
 
 @dataclass(frozen=True, eq=False)
 class GaussRule:
-    """A one-dimensional Gauss-Legendre rule on [-1, 1]."""
+    """A one-dimensional Gauss-Legendre rule on [-1, 1], with the points
+    (n*n, 2) and weights (n*n,) of its two-dimensional tensor rule, all
+    read-only."""
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
+    tensor_points: np.ndarray = field(init=False)
+    tensor_weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        points = lattice_points(self.nodes, self.nodes)
+        weights = np.outer(self.weights, self.weights).ravel()
+        for table in (self.nodes, self.weights, points, weights):
+            table.setflags(write=False)
+        object.__setattr__(self, "tensor_points", points)
+        object.__setattr__(self, "tensor_weights", weights)
+
+
+#: One rule per order, built at import.
+_RULES = {order: GaussRule(order, np.array(nodes), np.array(weights))
+          for order, (nodes, weights) in _GAUSS_TABLE.items()}
 
 
 def gauss_rule(order: int) -> GaussRule:
     """Return the Gauss-Legendre rule of the given order (1..6)."""
-    if order not in _GAUSS_TABLE:
+    if order not in _RULES:
         raise ValidationError(f"Gauss order must be in 1..6, got {order}")
-    nodes, weights = _GAUSS_TABLE[order]
-    n = np.array(nodes)
-    w = np.array(weights)
-    n.setflags(write=False)
-    w.setflags(write=False)
-    return GaussRule(order=order, nodes=n, weights=w)
+    return _RULES[order]
 
 
 def tensor_points(rule: GaussRule) -> tuple:
     """Points (n*n, 2) and weights (n*n,) of the two-dimensional tensor
     rule, in the order the element loops visit them (t1 outer)."""
-    return (lattice_points(rule.nodes, rule.nodes),
-            np.outer(rule.weights, rule.weights).ravel())
+    return rule.tensor_points, rule.tensor_weights
 
 
 def integrate_element(scheme: MappingScheme, f, rule: GaussRule):

@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -50,6 +53,12 @@ RECORDED_REPORTS = json.loads(
 #: pencil by 1e-3 ||K|| / ||M||.
 RECORDED_MODAL_CSV = json.loads(
     (pathlib.Path(__file__).parent / "data" / "modal_csv.json").read_text())
+#: SHA-256 digests of ``modal --shapes`` stdout (``plot`` and ``json``,
+#: default and ``--rotary``) of every modal built-in, recorded with BLAS on
+#: one thread from the per-line f-string plot formatter.
+RECORDED_SHAPES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "modal_shapes.json")
+    .read_text())
 
 BUILTINS = ("paper-quad", "cantilever-isosceles", "clamped-isosceles",
             "clamped-equilateral", "clamped-quad", "cantilever-quad")
@@ -250,6 +259,37 @@ class TestRecordedReports:
             == entry["stdout_sha256"]
 
 
+@pytest.fixture(scope="module")
+def shape_digests():
+    """SHA-256 of ``modal --shapes`` stdout for every recorded built-in,
+    keyed as ``RECORDED_SHAPES``.  Run in one child process with BLAS on
+    one thread, as recorded: the JSON carries the mode shapes to the last
+    bit, and those bits follow the BLAS thread count."""
+    code = """
+import contextlib, hashlib, io, json, sys
+from quadplate.cli import main
+digests = {}
+for name in json.loads(sys.argv[1]):
+    for fmt in ("plot", "json"):
+        for rotary in ("default", "rotary"):
+            argv = ["modal", "--case", name, "--shapes", "--format", fmt]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--rotary"] * (rotary == "rotary")) == 0
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            digests.setdefault(name, {})[f"{fmt}-{rotary}"] = digest
+print(json.dumps(digests))
+"""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    one_thread = dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(sorted(RECORDED_SHAPES))],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, **one_thread})
+    return json.loads(done.stdout)
+
+
 class TestModalReports:
     @pytest.mark.parametrize("rotary", ["default", "rotary"])
     @pytest.mark.parametrize("name", sorted(RECORDED_MODAL_CSV))
@@ -259,6 +299,40 @@ class TestModalReports:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() \
             == RECORDED_MODAL_CSV[name][rotary]
+
+    @pytest.mark.parametrize("key", ["plot-default", "plot-rotary",
+                                     "json-default", "json-rotary"])
+    @pytest.mark.parametrize("name", sorted(RECORDED_SHAPES))
+    def test_builtin_shapes_match_recorded(self, shape_digests, name, key):
+        assert shape_digests[name][key] == RECORDED_SHAPES[name][key]
+
+    def test_plot_matches_per_line_formula(self):
+        # the old per-line f-string, on values at the edges of the double
+        # range, two meshes labelled alike with other coordinates (one
+        # differing only in the sign of a zero), a mesh labelled otherwise
+        # with the first one's coordinates and a block without samples
+        def per_line(shapes):
+            return "\n\n".join(
+                "\n".join([f"# {e['mesh']} mode {e['mode']}"]
+                          + [f"{x:.6e} {y:.6e} {z:.6e}"
+                             for x, y, z in e["points"]])
+                for e in shapes) + "\n"
+
+        odd = [-0.0, 1e-300, -1e100, 5e-324, 0.1, 0.0, 1.0]
+        first = list(zip(odd, odd[::-1]))
+        signed = [(-x if x == 0.0 else x, y) for x, y in first]
+        moved = [(x + 1.0, y) for x, y in first]
+        shapes = []
+        for mesh, xy in (("2x2", first), ("2x2", signed), ("2x2", moved),
+                         ("level1", first), ("empty", [])):
+            for mode in (1, 2):
+                z = odd[mode:] + odd[:mode]
+                shapes.append({"mesh": mesh, "mode": mode, "points": [
+                    (x, y, u) for (x, y), u in zip(xy, z)]})
+        report = Report(kind="modal", tables={"mode_shapes": shapes})
+        assert report.to_plot() == per_line(shapes)
+        assert "-0.000000e+00 1.000000e+00" in report.to_plot()
+        assert "\n0.000000e+00 1.000000e+00" in report.to_plot()
 
     def test_rows_carry_both_normalizations(self):
         case = load_case("clamped-quad")

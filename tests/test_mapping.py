@@ -45,6 +45,11 @@ class TestQuadGeometry:
         np.testing.assert_allclose(quad.vertices[0], [0, 0])
         assert quad.signed_area == pytest.approx(22.0)
 
+    def test_clockwise_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="clockwise") as record:
+            QuadGeometry([[0, 0], [0, 5], [4, 3], [8, 0]])
+        assert record[0].filename == __file__
+
     def test_zero_area_rejected(self):
         with pytest.raises(DegenerateGeometryError):
             QuadGeometry([[0, 0], [1, 1], [2, 2], [3, 3]])

@@ -11,7 +11,8 @@ from quadplate import (
     polygon_section_properties,
     section_properties,
 )
-from quadplate.mapping import SCHEME_KINDS
+from quadplate.mapping import SCHEME_KINDS, lattice_points
+from quadplate.quadrature import tensor_points
 
 from conftest import convex_quads
 
@@ -47,6 +48,19 @@ class TestGaussRule:
             quad_value = float(np.sum(rule.weights * rule.nodes ** degree))
             exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
             assert quad_value == pytest.approx(exact, abs=1e-13), degree
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_tensor_rule_built_once_read_only(self, order):
+        rule = gauss_rule(order)
+        assert gauss_rule(order) is rule
+        points, weights = tensor_points(rule)
+        assert tensor_points(rule)[0] is points
+        np.testing.assert_array_equal(
+            points, lattice_points(rule.nodes, rule.nodes))
+        np.testing.assert_array_equal(
+            weights, np.outer(rule.weights, rule.weights).ravel())
+        for table in (rule.nodes, rule.weights, points, weights):
+            assert not table.flags.writeable
 
     @pytest.mark.parametrize("order", [0, 7, -1])
     def test_out_of_range_rejected(self, order):
