@@ -278,7 +278,8 @@ def _attach_boundary_sets(mesh: Mesh, polygon: np.ndarray, block: dict):
 
 def case_meshes(case: CaseFile) -> list:
     """Materialize the case geometry into labelled meshes; malformed
-    contents raise ``InvalidCaseError``."""
+    contents and an empty ``meshes`` or ``levels`` list raise
+    ``InvalidCaseError``."""
     geometry = case.geometry
     try:
         if "quad" in geometry:
@@ -290,6 +291,8 @@ def case_meshes(case: CaseFile) -> list:
                 mesh = mesh_quad(vertices, m, n)
                 _attach_boundary_sets(mesh, vertices, block)
                 out.append((f"{m}x{n}", mesh))
+            if not out:
+                raise InvalidCaseError("quad meshes lists no mesh size")
             return out
         if "triangle" in geometry:
             block = geometry["triangle"]
@@ -300,6 +303,8 @@ def case_meshes(case: CaseFile) -> list:
                 mesh = mesh_triangle(vertices, level)
                 _attach_boundary_sets(mesh, vertices, block)
                 out.append((f"{3 * level ** 2}-elements", mesh))
+            if not out:
+                raise InvalidCaseError("triangle levels lists no level")
             return out
         block = geometry["mesh"]
         sets = block.get("boundary_sets") or {}

@@ -8,15 +8,18 @@ that adjacent elements assemble compatibly.  The global DOF layout is
 phi2_cart = -du/dx1.
 
 Straight-edged elements get the bilinear transformation from every
-scheme, so an element's K and M depend only on its four bilinear
-coefficients.  ``assemble`` therefore integrates the elements in chunks
-of ``_ASSEMBLY_CHUNK`` (``batch_element_matrices``) and sums each chunk
-into CSR matrices whose layout comes from the element node pairs
+scheme, so an element's K, M, subarea fractions and corner rotation
+frames depend only on its four bilinear coefficients.  One pass,
+``_element_geometry``, derives them for every element of a mesh, after
+accepting each element by the signs of det J at its four corners
+(``mapping.corner_jacobians``, the rule that the single-quad verbs apply
+as well); ``assemble`` and ``mode_shape_samples`` both start from it.
+``assemble`` integrates the elements in chunks of ``_ASSEMBLY_CHUNK``
+(``batch_element_matrices``), transforms each chunk (``_transforms``) and
+sums it into CSR matrices whose layout comes from the element node pairs
 (``_CsrPattern``); the scalar ``element_stiffness``/``element_mass`` and
 ``_element_transform`` are the reference implementation, which the batch
-matches to 1e-12 relative.  An element is accepted by the signs of det J
-at its four corners (``mapping.corner_jacobians``, the rule that the
-single-quad verbs apply as well).
+matches to 1e-12 relative.
 
 scipy is imported inside the functions that use it (``scipy.sparse`` in
 ``assemble``, ``scipy.linalg`` in the dense branch of ``solve_modes``,
@@ -56,7 +59,7 @@ from .plate_element import (
     deflection_rows,
     element_matrices,  # not called; the benchmark's tracer wraps it here
 )
-from .quadrature import GaussRule, gauss_rule, tensor_points
+from .quadrature import GaussRule, gauss_rule
 
 BOUNDARY_CONDITIONS = ("clamped", "simply_supported", "free")
 
@@ -240,62 +243,36 @@ def _element_transform(scheme: MappingScheme) -> np.ndarray:
 _CORNER_ROTATIONS = 3 * np.arange(4)[:, None] + np.array([1, 2])
 
 
-@dataclass(frozen=True, eq=False)
-class _ElementBatch:
-    """Geometry of mesh elements (all, or one chunk), from their bilinear
-    coefficients.
+def _element_geometry(mesh: Mesh) -> tuple:
+    """Bilinear coefficients (m, 4, 2), subarea fractions (m, 4), corner
+    rotation blocks (m, 4, 2, 2) and collapsed-edge mask (m,) of every
+    element, once each is accepted by ``corner_jacobians``.
 
-    ``fractions`` (m, 4) are the subarea fractions of each element,
-    ``transform`` (m, 12, 12) its ``_element_transform``, ``dofs`` (m, 12)
-    its global DOF indices and ``collapsed`` (m,) marks the elements with
-    a collapsed edge (triangle tips).
+    Block p is the 2x2 of corner p in ``_element_transform``; it stays the
+    identity at a collapsed corner (a triangle tip).
     """
-
-    coeffs: np.ndarray
-    fractions: np.ndarray
-    transform: np.ndarray
-    dofs: np.ndarray
-    collapsed: np.ndarray
-
-
-def _element_corners(mesh: Mesh) -> tuple:
-    """Bilinear coefficients (m, 4, 2), corner Jacobians (m, 4, 2, 2) and
-    flat-corner mask (m, 4) of every element, once each is accepted by
-    ``corner_jacobians``."""
     v = mesh.nodes[mesh.elements]
     coeffs = bilinear_coefficients(v)
-    return (coeffs, *corner_jacobians(coeffs, pair_distances(v).max(axis=1)))
-
-
-def _element_batch(mesh: Mesh, corners: tuple | None = None,
-                   part: slice = slice(None)) -> _ElementBatch:
-    """Vectorized ``subarea_weights`` and ``_element_transform`` over the
-    elements ``part``.
-
-    ``corners`` is ``_element_corners(mesh)``, which accepts or rejects
-    every element (of the whole mesh) first; it is computed when not
-    given.
-    """
-    coeffs, cjac, flat = _element_corners(mesh) if corners is None \
-        else corners
-    coeffs, cjac, flat = coeffs[part], cjac[part], flat[part]
+    cjac, flat = corner_jacobians(coeffs, pair_distances(v).max(axis=1))
     # det J is affine in theta, so a quadrant's area (natural area 1) is
     # det J at its center
     _, areas = bilinear_jacobians(coeffs, QUADRANT_CENTERS)
     fractions = areas / areas.sum(axis=1, keepdims=True)
-
-    # corner transforms; the identity block stays at a collapsed corner
     blocks = np.stack([
         np.stack([cjac[..., 1, 1], -cjac[..., 1, 0]], axis=-1),
         np.stack([-cjac[..., 0, 1], cjac[..., 0, 0]], axis=-1),
     ], axis=-2)
     blocks[flat] = np.eye(2)
-    transform = np.tile(np.eye(12), (len(coeffs), 1, 1))
+    return coeffs, fractions, blocks, flat.any(axis=1)
+
+
+def _transforms(blocks: np.ndarray) -> np.ndarray:
+    """(c, 12, 12) ``_element_transform`` of each element from its corner
+    rotation blocks (c, 4, 2, 2)."""
+    transform = np.tile(np.eye(12), (len(blocks), 1, 1))
     transform[:, _CORNER_ROTATIONS[:, :, None],
               _CORNER_ROTATIONS[:, None, :]] = blocks
-    dofs = (3 * mesh.elements[part, :, None] + np.arange(3)).reshape(-1, 12)
-    return _ElementBatch(coeffs, fractions, transform, dofs,
-                         flat.any(axis=1))
+    return transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,10 +356,11 @@ def assemble(mesh: Mesh, material: PlateMaterial,
              rotary: bool = False) -> GlobalSystem:
     """Assemble global stiffness and mass over all elements, as CSR.
 
-    Every element is accepted or rejected first (``_element_corners``).
-    Then ``_ASSEMBLY_CHUNK`` elements at a time are integrated together on
-    their bilinear coefficients (``batch_element_matrices``), transformed
-    to the global frame and summed into the CSR entries of
+    Every element is accepted or rejected first, and its geometry derived
+    (``_element_geometry``).  Then ``_ASSEMBLY_CHUNK`` elements at a time
+    are integrated together on their bilinear coefficients
+    (``batch_element_matrices``), transformed to the global frame
+    (``_transforms``) and summed into the CSR entries of
     ``_CsrPattern`` by ``np.bincount``, in element order within a chunk.
     The system also carries the plate's omega^2 scale (``_omega_scale``,
     which first rejects magnitudes beyond the double range), from which
@@ -394,24 +372,22 @@ def assemble(mesh: Mesh, material: PlateMaterial,
         rule = gauss_rule(3)
     _validate_mesh(mesh)
     scale = _omega_scale(material, mesh.nodes)
-    corners = _element_corners(mesh)
+    coeffs, fractions, blocks, collapsed = _element_geometry(mesh)
     ndof = 3 * mesh.n_nodes
     pattern = _CsrPattern.of(mesh.elements, mesh.n_nodes)
-    points = tensor_points(rule)[0]
     values = np.zeros((2, pattern.indices.size))
     for start in range(0, mesh.n_elements, _ASSEMBLY_CHUNK):
         part = slice(start, start + _ASSEMBLY_CHUNK)
-        batch = _element_batch(mesh, corners, part)
-        jac, det = bilinear_jacobians(batch.coeffs, points)
-        t = batch.transform
+        jac, det = bilinear_jacobians(coeffs[part], rule.tensor_points)
+        t = _transforms(blocks[part])
         slots = pattern.slots(part)
         # the slots of a chunk of lattice elements span a narrow band
         low = int(slots.min())
         slots = (slots - low).ravel()
         size = int(slots.max()) + 1
-        k, m = batch_element_matrices(jac, det, batch.fractions,
+        k, m = batch_element_matrices(jac, det, fractions[part],
                                       material, rule, rotary=rotary)
-        tips = batch.collapsed
+        tips = collapsed[part]
         # a collapsed edge makes the stiffness ill-conditioned: integrated
         # in double, omega_1 of the 27-element cantilever triangle lands
         # up to 1e-8 (median 4e-9 over rotated copies) off its value in
@@ -419,7 +395,7 @@ def assemble(mesh: Mesh, material: PlateMaterial,
         if tips.any():
             k[tips], m[tips] = batch_element_matrices(
                 *(a[tips].astype(np.longdouble)
-                  for a in (jac, det, batch.fractions)),
+                  for a in (jac, det, fractions[part])),
                 material, rule, rotary=rotary)
         for total, a in zip(values, (k, m)):
             total[low:low + size] += np.bincount(
@@ -724,15 +700,16 @@ def mode_shape_samples(mesh: Mesh, system: GlobalSystem,
     full = np.zeros((modes.shape[1], 3 * mesh.n_nodes))  # one row per mode
     kept = system.dof_map.ravel()
     full[:, kept >= 0] = modes[kept[kept >= 0]].T
-    batch = _element_batch(mesh)
-    xy = GeneralizedParams(BILINEAR_MONOMIALS, batch.coeffs[:, None]) \
+    coeffs, fractions, blocks, _ = _element_geometry(mesh)
+    t = _transforms(blocks)
+    xy = GeneralizedParams(BILINEAR_MONOMIALS, coeffs[:, None]) \
         .point(_SAMPLE_POINTS)
-    rows = deflection_rows(_SAMPLE_POINTS, batch.fractions)
+    rows = deflection_rows(_SAMPLE_POINTS, fractions)
     x = xy[..., 0].ravel().tolist()
     y = xy[..., 1].ravel().tolist()
     samples = []
     for vector in full:
-        local = batch.transform @ vector[batch.dofs][:, :, None]
+        local = t @ vector.reshape(-1, 3)[mesh.elements].reshape(-1, 12, 1)
         # one (1, 12) @ (12, 1) product per sample: the rounding of the
         # scalar row-by-vector dot
         u = (rows[:, :, None, :] @ local[:, None]).ravel().tolist()

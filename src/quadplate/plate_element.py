@@ -208,43 +208,32 @@ def curvature_operator(theta) -> np.ndarray:
     ])
 
 
-def _cartesian_rigidity_tensor(material: PlateMaterial) -> np.ndarray:
-    d = material.rigidity
-    nu = material.nu
-    delta = np.eye(2)
-    e4 = d * (
-        nu * np.einsum("ij,kl->ijkl", delta, delta)
-        + 0.5 * (1.0 - nu) * (
-            np.einsum("ik,jl->ijkl", delta, delta)
-            + np.einsum("il,jk->ijkl", delta, delta)
-        )
-    )
-    return e4
+#: Natural index pairs (a, b) of the Voigt order (11, 22, 12).
+_VOIGT_A = np.array([0, 1, 0])
+_VOIGT_B = np.array([0, 1, 1])
 
 
 def natural_rigidity(material: PlateMaterial, jac: Jacobian) -> np.ndarray:
     """Bending rigidity in natural indices, condensed to a Voigt 3x3.
 
     The Cartesian isotropic Kirchhoff tensor is transformed with four
-    contravariant base-vector factors; the Voigt ordering matches the
-    curvature rows (chi11, chi22, 2*chi12), so the quadratic form
-    chi^T E chi is the bending energy density.
+    contravariant base-vector factors (``g[a, i]`` = d theta_a / d x_i);
+    the Voigt ordering matches the curvature rows (chi11, chi22, 2*chi12),
+    so the quadratic form chi^T E chi is the bending energy density.
     """
-    return _voigt_rigidity(material, jac.contravariant)
-
-
-#: Natural index pairs (a, b) of the Voigt order (11, 22, 12).
-_VOIGT_A = np.array([0, 1, 0])
-_VOIGT_B = np.array([0, 1, 1])
-
-
-def _voigt_rigidity(material: PlateMaterial, g: np.ndarray) -> np.ndarray:
-    """``natural_rigidity`` from contravariant components g (..., 2, 2),
-    ``g[..., a, i]`` being d theta_a / d x_i."""
-    e4 = np.einsum(
-        "...ai,...bj,...ck,...dl,ijkl->...abcd",
-        g, g, g, g, _cartesian_rigidity_tensor(material),
+    d = material.rigidity
+    nu = material.nu
+    delta = np.eye(2)
+    cartesian = d * (
+        nu * np.einsum("ij,kl->ijkl", delta, delta)
+        + 0.5 * (1.0 - nu) * (
+            np.einsum("ik,jl->ijkl", delta, delta)
+            + np.einsum("il,jk->ijkl", delta, delta)
+        )
     )
+    g = jac.contravariant
+    e4 = np.einsum("...ai,...bj,...ck,...dl,ijkl->...abcd",
+                   g, g, g, g, cartesian)
     voigt = e4[..., _VOIGT_A[:, None], _VOIGT_B[:, None],
                _VOIGT_A[None, :], _VOIGT_B[None, :]]
     return 0.5 * (voigt + np.swapaxes(voigt, -1, -2))
@@ -393,7 +382,7 @@ def batch_element_matrices(jac: np.ndarray, det: np.ndarray,
     """Stiffness and mass of many elements at once, natural-frame DOFs.
 
     ``jac`` (m, n, 2, 2) and ``det`` (m, n) are each element's Jacobian at
-    the points of ``tensor_points(rule)``, ``fractions`` (m, 4) its subarea
+    the points of ``rule.tensor_points``, ``fractions`` (m, 4) its subarea
     fractions.  Returns ``(k, m)``, each (m, 12, 12), in the precision of
     ``jac``.  The caller checks the Jacobians and fractions.  The results
     agree with ``element_stiffness`` and ``element_mass`` to round-off

@@ -75,8 +75,8 @@ _GAUSS_TABLE = {
 @dataclass(frozen=True, eq=False)
 class GaussRule:
     """A one-dimensional Gauss-Legendre rule on [-1, 1], with the points
-    (n*n, 2) and weights (n*n,) of its two-dimensional tensor rule, all
-    read-only."""
+    (n*n, 2) and weights (n*n,) of its two-dimensional tensor rule, in the
+    order the element loops visit them (t1 outer), all read-only."""
 
     order: int
     nodes: np.ndarray
@@ -105,23 +105,17 @@ def gauss_rule(order: int) -> GaussRule:
     return _RULES[order]
 
 
-def tensor_points(rule: GaussRule) -> tuple:
-    """Points (n*n, 2) and weights (n*n,) of the two-dimensional tensor
-    rule, in the order the element loops visit them (t1 outer)."""
-    return rule.tensor_points, rule.tensor_weights
-
-
 def integrate_element(scheme: MappingScheme, f, rule: GaussRule):
     """Integrate one field (a float) or k fields (an array (k,)) over the
     mapped element, with area element det J dtheta1 dtheta2.
 
-    ``f(theta, x)`` gets every point of ``tensor_points(rule)`` at once,
+    ``f(theta, x)`` gets every point of ``rule.tensor_points`` at once,
     natural (n, 2) and Cartesian (n, 2), and returns values (n,) or (k, n);
     the terms are summed in point order.  A non-positive Jacobian
     determinant at a quadrature point (folded mapping) raises
     ``NumericalError``.
     """
-    points, weights = tensor_points(rule)
+    points, weights = rule.tensor_points, rule.tensor_weights
     det = det2(scheme.params.gradient(points))
     diam = scheme.quad.diameter
     bad = np.flatnonzero(det <= 1e-12 * diam * diam)

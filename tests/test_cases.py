@@ -528,6 +528,21 @@ class TestCli:
         assert main([verb, "--case", path]) == code
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["geometry"]["quad"].update(meshes=[]),
+         "quad meshes lists no mesh size"),
+        (lambda doc: doc.update(geometry={"triangle": {
+            "vertices": [[0, 0], [1, 0.25], [0, 0.5]], "levels": []}}),
+         "triangle levels lists no level"),
+    ], ids=["quad-meshes", "triangle-levels"])
+    def test_empty_mesh_list_exit_two(self, tmp_path, capsys, edit, message):
+        # a case without a mesh is bad input, not a header-only table
+        path = write_square_case(tmp_path, edit)
+        assert main(["modal", "--case", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_unknown_case_exit_two(self, capsys):
         assert main(["sectprops", "--case", "missing"]) == 2
         assert "invalid input" in capsys.readouterr().err

@@ -35,13 +35,17 @@ from quadplate import (
 )
 from quadplate import modal
 from quadplate.mapping import bilinear_jacobians
-from quadplate.modal import _CsrPattern, _element_batch, _element_transform
+from quadplate.modal import (
+    _CsrPattern,
+    _element_geometry,
+    _element_transform,
+    _transforms,
+)
 from quadplate.plate_element import (
     batch_element_matrices,
     element_mass,
     element_stiffness,
 )
-from quadplate.quadrature import tensor_points
 
 from conftest import BIUNIT_SQUARE, SECTION_QUAD, UNIT_SQUARE, convex_quads
 
@@ -52,6 +56,55 @@ TIP = [[0, 0], [1, 0.25], [1, 0.25], [0, 0.5]]
 #: coordinate-merging mesh generator that the lattice one replaced.
 RECORDED_MESHES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "mesh_arrays.json").read_text())
+#: SHA-256 digests of the raw CSR arrays (``indptr`` and ``indices`` as
+#: int64, ``data``) of K and M from ``assemble``, and of the JSON of four
+#: modes' ``mode_shape_samples``, recorded with BLAS on one thread from
+#: the assembly that built each chunk's geometry in an ``_ElementBatch``.
+RECORDED_ASSEMBLY = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "assembly_digests.json")
+    .read_text())
+
+#: Prints the digests of ``RECORDED_ASSEMBLY``: the clamped-quad built-in
+#: at 16x16 and 40x40 (two assembly chunks) and the cantilever-isosceles
+#: one at level 7, Gauss 3 and 5, default and rotary; mode shapes at
+#: Gauss 3 on the 16x16 and level-7 meshes.
+ASSEMBLY_DIGEST_CODE = """
+import hashlib, json
+import numpy as np
+from quadplate.cases import case_meshes, load_case
+from quadplate.modal import apply_bcs, assemble, mode_shape_samples, solve_modes
+from quadplate.quadrature import gauss_rule
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+digests = {}
+for name, source, key, sizes in (
+        ("clamped-quad", "quad", "meshes", [[16, 16], [40, 40]]),
+        ("cantilever-isosceles", "triangle", "levels", [7])):
+    case = load_case(name)
+    case.geometry[source][key] = sizes
+    for label, mesh in case_meshes(case):
+        entry = digests.setdefault(f"{name} {label}", {})
+        for order in (3, 5):
+            for rotary in (False, True):
+                system = assemble(mesh, case.material, gauss_rule(order),
+                                  rotary)
+                tag = entry.setdefault(
+                    f"gauss{order}-{'rotary' if rotary else 'default'}", {})
+                for matrix in ("k", "m"):
+                    csr = getattr(system, matrix)
+                    for array in ("indptr", "indices"):
+                        tag[f"{matrix}.{array}"] = sha(
+                            getattr(csr, array).astype(np.int64).tobytes())
+                    tag[f"{matrix}.data"] = sha(csr.data.tobytes())
+                if order == 3 and label != "40x40":
+                    reduced = apply_bcs(system, mesh)
+                    modes = solve_modes(reduced, 4).modes
+                    tag["shapes"] = sha(json.dumps(
+                        mode_shape_samples(mesh, reduced, modes)).encode())
+print(json.dumps(digests, indent=1, sort_keys=True))
+"""
 
 
 def scalar_assemble(mesh, material, rule=RULE, rotary=False):
@@ -86,6 +139,21 @@ PATTERN_MESHES = [
 ]
 PATTERN_IDS = ["clamped-quad-5x7", "cantilever-isosceles-level-3",
                "explicit-shuffled"]
+
+
+@pytest.fixture(scope="module")
+def assembly_digests():
+    """``ASSEMBLY_DIGEST_CODE`` run in a child process with BLAS on one
+    thread, as recorded: the mode vectors follow the BLAS thread count to
+    the last bit."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    one_thread = dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    done = subprocess.run(
+        [sys.executable, "-c", ASSEMBLY_DIGEST_CODE], check=True,
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src, **one_thread})
+    return json.loads(done.stdout)
 
 
 def assert_relative(got, want, rtol, label=None):
@@ -163,12 +231,12 @@ class TestAssemble:
             QuadGeometry(TIP, allow_collapsed=True)]
         mesh = Mesh(nodes=np.vstack([q.vertices for q in quads]),
                     elements=np.arange(4 * len(quads)).reshape(-1, 4))
-        batch = _element_batch(mesh)
-        jac, det = bilinear_jacobians(batch.coeffs, tensor_points(rule)[0])
+        coeffs, fractions, blocks, _ = _element_geometry(mesh)
+        jac, det = bilinear_jacobians(coeffs, rule.tensor_points)
+        t = _transforms(blocks)
         for rotary in (False, True):
-            k, m = batch_element_matrices(jac, det, batch.fractions, MAT,
-                                          rule, rotary=rotary)
-            t = batch.transform
+            k, m = batch_element_matrices(jac, det, fractions, MAT, rule,
+                                          rotary=rotary)
             k = np.swapaxes(t, 1, 2) @ k @ t
             m = np.swapaxes(t, 1, 2) @ m @ t
             for index, quad in enumerate(quads):
@@ -179,6 +247,12 @@ class TestAssemble:
                 ms = ts.T @ element_mass(scheme, MAT, rule, rotary) @ ts
                 assert_relative(k[index], ks, 1e-12, (index, rotary))
                 assert_relative(m[index], ms, 1e-12, (index, rotary))
+
+    @pytest.mark.parametrize("mesh, tag", [
+        (mesh, tag) for mesh in sorted(RECORDED_ASSEMBLY)
+        for tag in sorted(RECORDED_ASSEMBLY[mesh])])
+    def test_matches_recorded_digests(self, assembly_digests, mesh, tag):
+        assert assembly_digests[mesh][tag] == RECORDED_ASSEMBLY[mesh][tag]
 
     def test_free_mesh_annihilates_uniform_translation(self):
         mesh = mesh_quad(SECTION_QUAD, 2, 2)
@@ -603,3 +677,25 @@ class TestMeshConvergence:
         assert 1.8 <= order <= 2.2
         richardson = fine - (middle - fine) / (2.0 ** order - 1.0)
         assert richardson == pytest.approx(6.87266, rel=1e-5)
+
+    def test_cantilever_quad_converges(self):
+        # the cantilever-quad built-in plate, clamped along its first edge,
+        # omega per pi^2 with a = 1: values derived from the program, which
+        # decrease monotonically towards their Richardson extrapolation
+        skew = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.433, 0.75]]
+        omega = []
+        for size in (16, 32, 64):
+            mesh = mesh_quad(skew, size, size)
+            mesh.boundary_sets["edge0"] = BoundarySet(
+                "clamped", nodes_on_segment(mesh, skew[0], skew[1]))
+            omega.append(float(frequency_parameter(
+                modal_analysis(mesh, MAT, RULE, count=1).omega[0], 1.0, MAT,
+                "per_pi2")))
+        np.testing.assert_allclose(
+            omega, [0.5200706, 0.5200207, 0.5200115], rtol=0, atol=5e-7)
+        coarse, middle, fine = omega
+        assert coarse > middle > fine
+        order = np.log2((coarse - middle) / (middle - fine))
+        assert 2.2 <= order <= 2.7
+        richardson = fine - (middle - fine) / (2.0 ** order - 1.0)
+        assert richardson == pytest.approx(0.5200094, abs=1e-7)

@@ -12,7 +12,6 @@ from quadplate import (
     section_properties,
 )
 from quadplate.mapping import SCHEME_KINDS, lattice_points
-from quadplate.quadrature import tensor_points
 
 from conftest import convex_quads
 
@@ -53,8 +52,8 @@ class TestGaussRule:
     def test_tensor_rule_built_once_read_only(self, order):
         rule = gauss_rule(order)
         assert gauss_rule(order) is rule
-        points, weights = tensor_points(rule)
-        assert tensor_points(rule)[0] is points
+        points, weights = rule.tensor_points, rule.tensor_weights
+        assert gauss_rule(order).tensor_points is points
         np.testing.assert_array_equal(
             points, lattice_points(rule.nodes, rule.nodes))
         np.testing.assert_array_equal(
