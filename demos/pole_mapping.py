@@ -6,7 +6,11 @@ geometry.  Each pole has two natural roots, one on each extended edge of
 the bi-unit square whose image passes through it, read off in closed form
 from the edge-line intersection parameters: different roots give
 different shape functions but the same transformation.
+``build_scheme`` takes the roots nearest the element center; the scheme
+of the other roots comes from ``pascal_shape_set``.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -15,17 +19,18 @@ from quadplate import (
     build_scheme,
     compute_poles_cartesian,
     map_point,
+    pascal_shape_set,
     solve_pole_natural,
 )
 
 VERTICES = [[0.0, 0.0], [8.0, 0.0], [4.0, 3.0], [0.0, 5.0]]
 
 
-def describe(scheme, label):
+def describe(poles, params, label):
     print(f"  {label}:")
-    print(f"    natural pole coordinates: p5={scheme.poles.p5_nat}, "
-          f"p6={scheme.poles.p6_nat}")
-    coeffs = scheme.params.coeffs
+    print(f"    natural pole coordinates: p5={poles.p5_nat}, "
+          f"p6={poles.p6_nat}")
+    coeffs = params.coeffs
     terms = ["1", "t1", "t2", "t1^2", "t1*t2", "t2^2"]
     for axis, name in enumerate(("x1", "x2")):
         poly = " + ".join(f"{coeffs[m, axis]:+.4f} {t}"
@@ -43,11 +48,15 @@ def main():
     print()
 
     print("Natural roots of the poles:")
-    default = build_scheme(quad, "pascal6")
-    describe(default, "roots nearest the element center (default)")
-    alt = build_scheme(quad, "pascal6",
-                       pole_guesses=((4.0, 1.0), (1.0, 3.0)))
-    describe(alt, "the other root of each pole")
+    nearest = build_scheme(quad, "pascal6")
+    describe(nearest.poles, nearest.params,
+             "roots nearest the element center (build_scheme)")
+    other = dataclasses.replace(
+        poles,
+        p5_nat=solve_pole_natural(quad, poles.p5_xy, guess=(4.0, 1.0)),
+        p6_nat=solve_pole_natural(quad, poles.p6_xy, guess=(1.0, 3.0)))
+    _, params, _ = pascal_shape_set(quad, other)
+    describe(other, params, "the other root of each pole (pascal_shape_set)")
     print()
     print("both roots produce the bilinear transformation (quadratic rows"
           " vanish),")

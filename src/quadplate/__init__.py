@@ -22,7 +22,6 @@ from .mapping import (
     compute_poles_cartesian,
     jacobian,
     map_point,
-    pascal_interpolation_matrix,
     pascal_shape_set,
     random_convex_quad,
     serendipity_shapes,

@@ -212,6 +212,10 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
         )
     analysis["gauss"] = _integer(analysis["gauss"], "gauss")
     analysis["modes"] = _integer(analysis["modes"], "modes")
+    # checked for every verb, also those that never read the value
+    gauss_rule(analysis["gauss"])
+    if analysis["modes"] < 0:
+        raise InvalidCaseError("mode count must be non-negative")
     reference_length = _real(geometry.get("reference_length", 1.0),
                              "reference_length")
     if not 0.0 < reference_length < math.inf:

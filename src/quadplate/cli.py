@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Verbs: sectprops, mapcheck, modal.  Exit codes: 0 success,
-2 input validation failure, 3 numerical failure.
+2 input validation failure (also a case too large for memory),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"quadplate: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"quadplate: invalid input: case too large for the available "
+              f"memory ({str(exc) or 'MemoryError'})", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"quadplate: numerical failure: {exc}", file=sys.stderr)

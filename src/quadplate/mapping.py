@@ -12,7 +12,8 @@ Three interpolation schemes are provided for straight-edged quadrilaterals:
     interpolated at the four corners plus the two poles, the points where
     the extensions of opposite edges intersect.  Each pole has two natural
     roots, one on each extended edge line of the bi-unit square whose
-    image passes through it, read off the line-intersection parameters.
+    image passes through it, read off the line-intersection parameters;
+    ``compute_poles_cartesian`` keeps the one nearest the center.
 
 For straight edges all three produce the same point transformation; they
 differ only in their shape functions.  Every scheme stores the polynomial
@@ -318,7 +319,7 @@ class MappingScheme:
     """A built geometry mapping: tagged kind, coefficients, shape functions.
 
     ``fallback`` marks a pascal6 request that degraded to the bilinear
-    transformation because an edge pair is parallel (pole at infinity).
+    transformation because an edge pair is (nearly) parallel.
     ``cond_a`` is the 1-norm condition estimate of the pascal interpolation
     matrix, when one was inverted.
     """
@@ -401,14 +402,16 @@ def serendipity_shapes(theta) -> np.ndarray:
 
 
 def compute_poles_cartesian(quad: QuadGeometry) -> PoleSet:
-    """Intersect the extensions of opposite edges (``_pole_lines``).
-
-    Parallel pairs are flagged rather than rejected: a parallelogram has
-    both flags set and is not an error.
-    """
-    p5, p6 = (None if line is None else line[0] for line in _pole_lines(quad))
-    return PoleSet(p5_xy=p5, p6_xy=p6, p5_nat=None, p6_nat=None,
-                   parallel_flags=(p5 is None, p6 is None))
+    """Both poles of the quad, where the lines of opposite edges meet
+    (``_pole_lines``), each with its natural root nearest the element
+    center (``_nearest_root``).  A parallel pair is flagged, its pole and
+    root ``None``: a parallelogram has both flags set and is no error."""
+    lines = _pole_lines(quad)
+    p5_xy, p6_xy = (None if line is None else line[0] for line in lines)
+    p5_nat, p6_nat = (None if line is None else _nearest_root(line[1])
+                      for line in lines)
+    return PoleSet(p5_xy, p6_xy, p5_nat, p6_nat,
+                   parallel_flags=(p5_xy is None, p6_xy is None))
 
 
 def _line_intersection(a, b, c, d):
@@ -495,25 +498,20 @@ def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
     raise ValidationError(f"{target.tolist()} is neither pole of the quad")
 
 
-def pascal_interpolation_matrix(nodes) -> np.ndarray:
-    """The 6x6 interpolation matrix: row p is the complete quadratic basis
-    evaluated at natural node p of ``nodes`` (6, 2), the corners then the
-    poles."""
-    return monomial_values(PASCAL_MONOMIALS, nodes)
-
-
 def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
     """Shape functions and generalized parameters of the complete quadratic
     scheme.
 
-    Inverts the interpolation matrix A; shape-function coefficients are
-    the transpose of the inverse, and the generalized parameters follow by
+    Inverts the interpolation matrix A, row p the basis at node p (the
+    corners, then the poles); shape-function coefficients are the
+    transpose of the inverse, and the generalized parameters follow by
     applying the inverse to the extended Cartesian node matrix.  For
     straight edges the pure-quadratic parameter rows vanish and the
     transformation equals the bilinear one.
 
     Returns ``(shapes, params, cond)``, ``cond`` being the 1-norm
-    condition estimate of A.
+    condition estimate of A; raises ``NumericalError`` if A is singular
+    or ``cond`` exceeds 1e12.
     """
     if any(poles.parallel_flags) or poles.p5_nat is None \
             or poles.p6_nat is None:
@@ -521,7 +519,7 @@ def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
             "pascal scheme needs both poles finite with natural coordinates"
         )
     nodes = np.vstack([CORNER_NATURAL, poles.p5_nat, poles.p6_nat])
-    a_mat = pascal_interpolation_matrix(nodes)
+    a_mat = monomial_values(PASCAL_MONOMIALS, nodes)
     try:
         b_mat = np.linalg.inv(a_mat)
     except np.linalg.LinAlgError as exc:
@@ -538,68 +536,45 @@ def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
     return shapes, params, cond
 
 
-def _pascal_scheme(quad: QuadGeometry, pole_guesses=None) -> MappingScheme:
-    lines = _pole_lines(quad)
-    p5_xy, p6_xy = (None if line is None else line[0] for line in lines)
-    flags = (p5_xy is None, p6_xy is None)
-    if any(flags):
-        # Pole(s) at infinity: the quadratic scheme is not constructible,
-        # but for straight edges the transformation it would produce is the
-        # bilinear one, so degrade to that and report it.  Collapsed-edge
-        # (triangle) elements degrade by design and stay silent.
-        v = quad.vertices
-        edge_lengths = distance(np.roll(v, -1, axis=0), v)
-        if edge_lengths.min() > 1e-12 * quad.diameter:
-            warnings.warn(
-                "parallel edge pair: pascal6 falls back to the bilinear "
-                "transformation",
-                stacklevel=3,
-            )
-        coeffs = np.zeros((6, 2))
-        coeffs[[0, 1, 2, 4]] = bilinear_coefficients(v)
-        params = GeneralizedParams(PASCAL_MONOMIALS, coeffs)
-        return MappingScheme(
-            "pascal6", quad, params, _BILINEAR_SHAPES,
-            poles=PoleSet(p5_xy, p6_xy, None, None, flags), fallback=True
-        )
-    guesses = pole_guesses if pole_guesses is not None else (None, None)
-    p5_nat, p6_nat = (_nearest_root(roots, guess)
-                      for (_, roots), guess in zip(lines, guesses))
-    poles = PoleSet(p5_xy, p6_xy, p5_nat, p6_nat, flags)
-    shapes, params, cond = pascal_shape_set(quad, poles)
-    return MappingScheme("pascal6", quad, params, shapes, poles=poles,
-                         cond_a=cond)
+def build_scheme(quad: QuadGeometry, kind: str = "pascal6") -> MappingScheme:
+    """Construct a mapping scheme of ``kind`` (one of ``SCHEME_KINDS``).
 
-
-def build_scheme(quad: QuadGeometry, kind: str = "pascal6",
-                 pole_guesses=None) -> MappingScheme:
-    """Construct a mapping scheme for a quadrilateral.
-
-    Parameters
-    ----------
-    quad : QuadGeometry
-    kind : str
-        One of ``bilinear``, ``serendipity8``, ``pascal6``.
-    pole_guesses : optional pair of natural pairs
-        Natural points near which the roots of the two poles are chosen
-        (pascal6 only, see ``_nearest_root``); by default the roots
-        nearest the element center.  Distinct roots yield distinct shape
-        functions but the same transformation.
+    pascal6 takes its poles from ``compute_poles_cartesian``.  For an edge
+    pair that is parallel (a pole at infinity) or so nearly parallel that
+    ``pascal_shape_set`` rejects the poles, it warns and falls back to the
+    bilinear transformation, which it equals for straight edges.
     """
+    v = quad.vertices
     if kind == "bilinear":
         return MappingScheme("bilinear", quad, bilinear_params(quad),
                              _BILINEAR_SHAPES)
     if kind == "serendipity8":
-        v = quad.vertices
         node_xy = np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
         params = GeneralizedParams(SERENDIPITY_MONOMIALS,
                                    _SERENDIPITY_SHAPE_COEFFS.T @ node_xy)
         return MappingScheme("serendipity8", quad, params,
                              _SERENDIPITY_SHAPES)
-    if kind == "pascal6":
-        return _pascal_scheme(quad, pole_guesses)
-    raise ValidationError(f"unknown scheme kind {kind!r}; expected one of "
-                          f"{SCHEME_KINDS}")
+    if kind != "pascal6":
+        raise ValidationError(f"unknown scheme kind {kind!r}; expected one "
+                              f"of {SCHEME_KINDS}")
+    poles = compute_poles_cartesian(quad)
+    reason = "parallel edge pair"
+    if not any(poles.parallel_flags):
+        try:
+            shapes, params, cond = pascal_shape_set(quad, poles)
+            return MappingScheme("pascal6", quad, params, shapes,
+                                 poles=poles, cond_a=cond)
+        except NumericalError as exc:
+            reason = f"near-parallel edge pair ({exc})"
+    # collapsed-edge (triangle) quads degrade by design and stay silent
+    if distance(np.roll(v, -1, axis=0), v).min() > 1e-12 * quad.diameter:
+        warnings.warn(f"{reason}: pascal6 falls back to the bilinear "
+                      "transformation", stacklevel=2)
+    coeffs = np.zeros((6, 2))
+    coeffs[[0, 1, 2, 4]] = bilinear_coefficients(v)
+    return MappingScheme("pascal6", quad,
+                         GeneralizedParams(PASCAL_MONOMIALS, coeffs),
+                         _BILINEAR_SHAPES, poles=poles, fallback=True)
 
 
 # ---------------------------------------------------------------------------

@@ -575,17 +575,29 @@ def _shift_invert_pairs(k, m, shifted, count: int, s: float) -> tuple:
 def frequency_parameter(omega, a: float, material: PlateMaterial,
                         normalization: str = "plain"):
     """Dimensionless frequency parameter omega * a^2 * sqrt(rho t / D),
-    divided by pi^2 for ``per_pi2``."""
+    divided by pi^2 for ``per_pi2``.
+
+    The parameter of a nonzero omega must be a finite normal double, else
+    ``ValidationError`` names the reference length ``a`` (rigid modes at
+    omega = 0 keep their 0).
+    """
     if a <= 0.0:
         raise ValidationError("reference length must be positive")
-    value = np.asarray(omega, dtype=float) * a * a * math.sqrt(
-        material.rho * material.t / material.rigidity
-    )
-    if normalization == "plain":
-        return value
-    if normalization == "per_pi2":
-        return value / math.pi ** 2
-    raise ValidationError(f"unknown normalization {normalization!r}")
+    if normalization not in ("plain", "per_pi2"):
+        raise ValidationError(f"unknown normalization {normalization!r}")
+    omega = np.asarray(omega, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        value = omega * a * a * math.sqrt(
+            material.rho * material.t / material.rigidity
+        )
+        if normalization == "per_pi2":
+            value = value / math.pi ** 2
+    size = np.abs(value[omega != 0.0])
+    if not np.all((size >= np.finfo(float).tiny) & (size < math.inf)):
+        raise ValidationError(
+            f"reference_length {a:.3e} puts a frequency parameter outside "
+            "the normal double range")
+    return value
 
 
 def modal_analysis(mesh: Mesh, material: PlateMaterial,

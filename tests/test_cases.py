@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadplate.cases
 import quadplate.modal
 from quadplate import InvalidCaseError
 from quadplate.cases import (
@@ -822,6 +823,81 @@ class TestCli:
         err = capsys.readouterr().err
         assert "modal runs use one scheme" in err
         assert "compare" not in err
+
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck"])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-11])
+    def test_near_parallel_edges_fall_back_exit_zero(self, tmp_path, capsys,
+                                                     verb, eps):
+        # p5 is finite but so far out that the pascal interpolation matrix
+        # is rejected: pascal6 falls back as for exactly parallel edges
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "quad": {"vertices": [[0, 0], [2, 0], [1.5, 1],
+                                  [0.5, 1 + eps]]}}))
+        with pytest.warns(UserWarning, match="falls back"):
+            code = main([verb, "--case", path, "--format", "json"])
+        assert code == 0
+        tables = json.loads(capsys.readouterr().out)["tables"]
+        if verb == "mapcheck":
+            assert tables["schemes"]["pascal6"]["fallback"] is True
+            assert tables["poles"]["parallel_flags"] == [False, False]
+        else:
+            assert [row["scheme"] for row in tables["schemes"]] == ["pascal6"]
+
+    @pytest.mark.parametrize("generator", ["mesh_quad", "mesh_triangle"])
+    def test_mesh_beyond_memory_exit_two(self, tmp_path, capsys, monkeypatch,
+                                         generator):
+        # a mesh such as meshes [[1000000, 1000000]] cannot be allocated;
+        # the generator is stubbed so that nothing large is allocated here
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(quadplate.cases, generator, refuse)
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "triangle": {"vertices": [[0, 0], [1, 0.25], [0, 0.5]],
+                         "levels": [1]}}) if generator == "mesh_triangle"
+            else None)
+        assert main(["modal", "--case", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("quadplate: invalid input: case too large "
+                                "for the available memory (Unable to "
+                                "allocate 7.28 TiB for an array)\n")
+
+    @pytest.mark.parametrize("length,code", [
+        (1e154, 2), (1e-160, 2), (1e-170, 2), (1e153, 0), (1e-100, 0)])
+    def test_reference_length_range(self, tmp_path, capsys, length, code):
+        # 1e154 overflows the parameter, 1e-160 makes it subnormal and
+        # 1e-170 rounds it to 0
+        path = write_square_case(tmp_path, lambda doc: doc["geometry"]
+                                 .update(reference_length=length))
+        assert main(["modal", "--case", path, "--format", "json"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "invalid input: reference_length" in captured.err
+            assert captured.out == ""
+        else:
+            assert captured.err == ""
+            rows = json.loads(captured.out)["tables"]["rows"]
+            assert rows and all(
+                np.finfo(float).tiny <= row[key] < math.inf
+                for row in rows for key in ("param_plain", "param_per_pi2"))
+
+    @pytest.mark.parametrize("verb,analysis,message", [
+        ("mapcheck", {"gauss": 9}, "Gauss order must be in 1..6, got 9"),
+        ("sectprops", {"gauss": 0}, "Gauss order must be in 1..6, got 0"),
+        ("sectprops", {"modes": -1}, "mode count must be non-negative"),
+        ("mapcheck", {"modes": -1}, "mode count must be non-negative"),
+    ], ids=["mapcheck-gauss", "sectprops-gauss", "sectprops-modes",
+            "mapcheck-modes"])
+    def test_unread_analysis_values_checked(self, tmp_path, capsys, verb,
+                                            analysis, message):
+        # every verb checks gauss and modes, also those that do not use them
+        path = write_square_case(tmp_path, lambda doc: doc.update(
+            geometry={"quad": {"vertices": [[0, 0], [8, 0], [4, 3],
+                                            [0, 5]]}},
+            analysis=analysis))
+        assert main([verb, "--case", path]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         code = main(["mapcheck", "--case", "paper-quad", "--format", "json"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -16,11 +17,11 @@ from quadplate import (
     compute_poles_cartesian,
     jacobian,
     map_point,
-    pascal_interpolation_matrix,
     pascal_shape_set,
     serendipity_shapes,
     solve_pole_natural,
 )
+import quadplate.mapping
 from quadplate.mapping import (
     BILINEAR_MONOMIALS,
     CORNER_NATURAL,
@@ -295,10 +296,24 @@ class TestPoles:
         assert checked >= 4 * 50
 
 
+def other_root_params(quad, guesses):
+    """pascal6 parameters of the quad built from the pole roots nearest
+    ``guesses`` (one natural point per pole)."""
+    poles = compute_poles_cartesian(quad)
+    p5_nat, p6_nat = (solve_pole_natural(quad, xy, guess) for xy, guess
+                      in zip((poles.p5_xy, poles.p6_xy), guesses))
+    _, params, _ = pascal_shape_set(
+        quad, dataclasses.replace(poles, p5_nat=p5_nat, p6_nat=p6_nat))
+    return params
+
+
 class TestPascalScheme:
     def test_interpolation_matrix_rows(self):
+        # the interpolation matrix is the complete quadratic basis at the
+        # corners and the poles
         nodes = np.vstack([CORNER_NATURAL, (4.0, 1.0), (1.0, 3.0)])
-        a = pascal_interpolation_matrix(nodes)
+        a = monomial_values(PASCAL_MONOMIALS, nodes)
+        assert a.shape == (6, 6)
         np.testing.assert_allclose(a[0], [1, -1, -1, 1, 1, 1])
         np.testing.assert_allclose(a[2], np.ones(6))
         np.testing.assert_allclose(a[4], [1, 4, 1, 16, 4, 1])
@@ -309,12 +324,12 @@ class TestPascalScheme:
     ])
     def test_both_pole_sets_give_same_transformation(self, section_quad,
                                                      pole_set):
-        scheme = build_scheme(section_quad, "pascal6", pole_guesses=pole_set)
+        params = other_root_params(section_quad, pole_set)
         np.testing.assert_allclose(
-            scheme.params.coeffs[:, 0], [3.0, 3.0, -1.0, 0.0, -1.0, 0.0],
+            params.coeffs[:, 0], [3.0, 3.0, -1.0, 0.0, -1.0, 0.0],
             atol=1e-9)
         np.testing.assert_allclose(
-            scheme.params.coeffs[:, 1], [2.0, -0.5, 2.0, 0.0, -0.5, 0.0],
+            params.coeffs[:, 1], [2.0, -0.5, 2.0, 0.0, -0.5, 0.0],
             atol=1e-9)
 
     def test_kronecker_delta_at_all_six_nodes(self, section_quad):
@@ -326,13 +341,11 @@ class TestPascalScheme:
     def test_stable_rows_independent_of_pole_set(self, section_quad):
         # t1, t2 and t1*t2 coefficient rows do not depend on which pole
         # roots were used
-        first = build_scheme(section_quad, "pascal6",
-                             pole_guesses=((4.0, 1.0), (1.0, 3.0)))
-        second = build_scheme(section_quad, "pascal6",
-                              pole_guesses=((1.5, -1.0), (-1.0, 1.4)))
+        first = other_root_params(section_quad, ((4.0, 1.0), (1.0, 3.0)))
+        second = other_root_params(section_quad, ((1.5, -1.0), (-1.0, 1.4)))
         for row in (1, 2, 4):
-            np.testing.assert_allclose(first.params.coeffs[row],
-                                       second.params.coeffs[row], atol=1e-10)
+            np.testing.assert_allclose(first.coeffs[row],
+                                       second.coeffs[row], atol=1e-10)
 
     def test_degenerate_pole_configuration_rejected(self, section_quad):
         poles = PoleSet(
@@ -345,6 +358,24 @@ class TestPascalScheme:
         with pytest.raises(NumericalError):
             pascal_shape_set(section_quad, poles)
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-11])
+    def test_near_parallel_edges_fall_back_to_bilinear(self, eps):
+        # edge (3)(4) is eps off parallel to edge (1)(2): p5 is finite but
+        # so far out that the interpolation matrix is rejected
+        quad = QuadGeometry([[0, 0], [2, 0], [1.5, 1], [0.5, 1 + eps]])
+        poles = compute_poles_cartesian(quad)
+        assert poles.parallel_flags == (False, False)
+        with pytest.raises(NumericalError, match="degenerate pole"):
+            pascal_shape_set(quad, poles)
+        with pytest.warns(UserWarning, match="falls back") as record:
+            scheme = build_scheme(quad, "pascal6")
+        assert record[0].filename == __file__
+        assert scheme.fallback and scheme.kind == "pascal6"
+        bil = build_scheme(quad, "bilinear")
+        grid = np.array([(0.1, 0.9), (-1.0, 0.3), (1.0, 1.0)])
+        np.testing.assert_allclose(map_point(scheme, grid),
+                                   map_point(bil, grid), atol=1e-14)
+
     def test_parallelogram_falls_back_to_bilinear(self, unit_square):
         with pytest.warns(UserWarning, match="falls back"):
             scheme = build_scheme(unit_square, "pascal6")
@@ -354,6 +385,43 @@ class TestPascalScheme:
         for theta in [(0.1, 0.9), (-1.0, 0.3)]:
             np.testing.assert_allclose(map_point(scheme, theta),
                                        map_point(bil, theta), atol=1e-14)
+
+
+class TestOnePolePath:
+    """pascal6 takes its poles from ``compute_poles_cartesian``, once."""
+
+    def quads(self, section_quad):
+        far = QuadGeometry(load_case("random-quad", seed=2532)
+                           .geometry["quad"]["vertices"])
+        return [section_quad, far] + convex_quads(60, seed=17)
+
+    def test_scheme_poles_are_the_computed_poles(self, section_quad):
+        for quad in self.quads(section_quad):
+            built = build_scheme(quad, "pascal6").poles
+            computed = compute_poles_cartesian(quad)
+            assert built.parallel_flags == computed.parallel_flags
+            for name in ("p5_xy", "p6_xy", "p5_nat", "p6_nat"):
+                got, want = getattr(built, name), getattr(computed, name)
+                assert (got is None) == (want is None), (quad, name)
+                if want is not None:
+                    assert got.dtype == want.dtype == float
+                    assert got.tobytes() == want.tobytes(), (quad, name)
+
+    def test_one_pole_computation_per_pascal6_build(self, section_quad,
+                                                    monkeypatch):
+        calls = []
+        original = quadplate.mapping.compute_poles_cartesian
+        monkeypatch.setattr(quadplate.mapping, "compute_poles_cartesian",
+                            lambda quad: calls.append(quad) or original(quad))
+        quads = self.quads(section_quad)
+        for quad in quads:
+            for kind in SCHEME_KINDS:
+                build_scheme(quad, kind)
+        assert calls == quads
+        with pytest.warns(UserWarning, match="falls back"):
+            build_scheme(QuadGeometry([[0, 0], [2, 0], [3, 1], [1, 1]]),
+                         "pascal6")
+        assert len(calls) == len(quads) + 1
 
 
 class TestSchemeInvariants:

@@ -446,6 +446,21 @@ class TestFrequencyParameter:
         with pytest.raises(ValidationError):
             frequency_parameter(1.0, 1.0, MAT, "per_pi")
 
+    @pytest.mark.parametrize("a", [1e154, 1e-160, 1e-170])
+    def test_parameter_beyond_normal_range_names_reference_length(self, a):
+        # overflow, a subnormal and a parameter rounded to 0
+        for normalization in ("plain", "per_pi2"):
+            with pytest.raises(ValidationError, match="reference_length"):
+                frequency_parameter([0.0, 3.0], a, MAT, normalization)
+
+    def test_rigid_mode_keeps_a_zero_parameter(self):
+        # omega = 0 is in range whatever the reference length
+        for a in (1e154, 1e-170):
+            assert frequency_parameter([0.0], a, MAT).tolist() == [0.0]
+        value = frequency_parameter([0.0, 3.0], 1e-100, MAT)
+        assert value[0] == 0.0
+        assert value[1] == pytest.approx(3e-200, rel=1e-12)
+
 
 class TestMeshGenerators:
     def test_triangle_level_one_counts(self):
