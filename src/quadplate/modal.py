@@ -61,7 +61,9 @@ from .plate_element import (
 )
 from .quadrature import GaussRule, gauss_rule
 
-BOUNDARY_CONDITIONS = ("clamped", "simply_supported", "free")
+#: How many of a node's (u, phi1, phi2) each boundary condition removes.
+_FIXED_DOFS = {"clamped": 3, "simply_supported": 1, "free": 0}
+BOUNDARY_CONDITIONS = tuple(_FIXED_DOFS)
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,17 @@ class BoundarySet:
 
 @dataclass(eq=False)
 class Mesh:
-    """Nodes, counterclockwise 4-node elements, and named boundary sets."""
+    """Nodes, counterclockwise 4-node elements, and named boundary sets.
+
+    A generated mesh lists in ``edges`` the sorted node ids on each edge
+    of its polygon, edge e running from given vertex e to e + 1; an
+    explicit mesh has none.
+    """
 
     nodes: np.ndarray
     elements: np.ndarray
     boundary_sets: dict = field(default_factory=dict)
+    edges: tuple = ()
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -410,31 +418,20 @@ def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
     """Eliminate constrained DOFs per the mesh's boundary sets.
 
     clamped removes (u, phi1, phi2); simply_supported removes u only (soft
-    simple support); free removes nothing.  A node listed under two
-    different conditions is an error.
+    simple support); free removes nothing.  Each removes the leading DOFs
+    of the next, so a node under several conditions gets the strongest.
     """
     if np.any(system.dof_map < 0):
         raise ValidationError("boundary conditions already applied")
-    condition = {}
+    keep = np.ones((mesh.n_nodes, 3), dtype=bool)
     for name, bset in mesh.boundary_sets.items():
-        for node in bset.nodes:
-            if node < 0 or node >= mesh.n_nodes:
-                raise ValidationError(
-                    f"boundary set {name!r} references missing node {node}"
-                )
-            previous = condition.get(node)
-            if previous is not None and previous != bset.condition:
-                raise ValidationError(
-                    f"node {node} appears under both {previous!r} and "
-                    f"{bset.condition!r}"
-                )
-            condition[node] = bset.condition
-    keep = np.ones(system.n_dofs, dtype=bool)
-    for node, tag in condition.items():
-        if tag == "clamped":
-            keep[3 * node: 3 * node + 3] = False
-        elif tag == "simply_supported":
-            keep[3 * node] = False
+        nodes = np.array(bset.nodes, dtype=int)
+        missing = nodes[(nodes < 0) | (nodes >= mesh.n_nodes)]
+        if missing.size:
+            raise ValidationError(
+                f"boundary set {name!r} references missing node {missing[0]}"
+            )
+        keep[nodes, :_FIXED_DOFS[bset.condition]] = False
     kept = np.flatnonzero(keep)
     new_index = -np.ones(system.n_dofs, dtype=int)
     new_index[kept] = np.arange(kept.size)
@@ -620,6 +617,8 @@ def _lattice_mesh(quad: QuadGeometry, m: int, n: int,
     Nodes are numbered t1-outer, t2-inner; element (i, j) joins lattice
     nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1).  With ``apex`` the
     collapsed t1 = +1 edge is one node, that row's first, numbered last.
+    ``edges`` holds the nodes of each side of ``quad`` in its vertex
+    order, the collapsed side left out.
     """
     nodes = bilinear_params(quad).point(lattice_points(
         -1.0 + 2.0 * np.arange(m + 1) / m, -1.0 + 2.0 * np.arange(n + 1) / n))
@@ -629,28 +628,22 @@ def _lattice_mesh(quad: QuadGeometry, m: int, n: int,
         nodes = nodes[:ids[m, 0] + 1]
     elements = np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:],
                          ids[:-1, 1:]], axis=-1)
-    mesh = Mesh(nodes=nodes, elements=elements.reshape(-1, 4))
-    # boundary sets take the nodes within nodes_on_segment's tolerance of
-    # an edge: on a plate too thin for the grid, nodes off the edge's
-    # lattice side too (a folded grid is left to validation instead, which
-    # names its first inverted element)
-    if np.any(twice_signed_area(mesh.nodes[mesh.elements]) <= 0.0):
-        return mesh
-    v = quad.vertices
-    for p, side in enumerate((ids[:, 0], ids[m], ids[:, n], ids[0])):
-        if not (apex and p == 1) and len(nodes_on_segment(
-                mesh, v[p], v[(p + 1) % 4])) > len(np.unique(side)):
-            raise DegenerateGeometryError(
-                f"plate too thin for a {m} x {n} grid: nodes off edge "
-                f"{p} lie within its boundary tolerance")
-    return mesh
+    sides = (ids[:, 0], ids[m], ids[:, n], ids[0])
+    edges = tuple(tuple(np.unique(side).tolist()) for p, side
+                  in enumerate(sides) if not (apex and p == 1))
+    return Mesh(nodes=nodes, elements=elements.reshape(-1, 4), edges=edges)
 
 
 def mesh_quad(vertices, m: int, n: int) -> Mesh:
     """Bilinear transfinite m x n grid over a quadrilateral."""
     if m < 1 or n < 1:
         raise ValidationError("grid subdivisions must be >= 1")
-    return _lattice_mesh(QuadGeometry(vertices), m, n)
+    quad = QuadGeometry(vertices)
+    mesh = _lattice_mesh(quad, m, n)
+    if not np.array_equal(quad.vertices, vertices):
+        # clockwise input, reordered: given edge e is side 3 - e
+        mesh.edges = mesh.edges[::-1]
+    return mesh
 
 
 def mesh_triangle(vertices, level: int) -> Mesh:
@@ -677,7 +670,11 @@ def mesh_triangle(vertices, level: int) -> Mesh:
         v = v[[0, 2, 1]]
     quad = QuadGeometry(np.vstack([v[0], v[1], v[1], v[2]]),
                         allow_collapsed=True)
-    return _lattice_mesh(quad, 3 * level, level, apex=True)
+    mesh = _lattice_mesh(quad, 3 * level, level, apex=True)
+    if area2 < 0.0:
+        # given edge e is side 2 - e of the reordered triangle
+        mesh.edges = mesh.edges[::-1]
+    return mesh
 
 
 def nodes_on_segment(mesh: Mesh, p0, p1) -> tuple:

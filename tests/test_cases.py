@@ -359,6 +359,30 @@ class TestModalReports:
         assert lines[1].startswith("2x2,1,")
         assert len(lines) == 1 + 6
 
+    def test_csv_numbers_outside_fixed_range_in_exponent_form(self):
+        values = [0.0, 1e-6, 9.99e-7, -3.2e-199, 999999999999999.9, 1e15,
+                  -2.5e301]
+        rows = [{"mesh": "m", "mode": 1, "omega": value,
+                 "param_plain": value, "param_per_pi2": value}
+                for value in values]
+        csv = Report(kind="modal", tables={"rows": rows}).to_csv()
+        printed = [line.split(",")[2] for line in csv.splitlines()[1:]]
+        assert printed == ["0.000000", "0.000001", "9.990000e-07",
+                           "-3.200000e-199", "999999999999999.875000",
+                           "1.000000e+15", "-2.500000e+301"]
+
+    @pytest.mark.parametrize("length, plain", [
+        (1e-100, "3.222322e-199"), (1e150, "3.222322e+301")])
+    def test_csv_of_extreme_reference_length(self, tmp_path, capsys, length,
+                                             plain):
+        path = write_square_case(tmp_path, lambda doc: doc["geometry"]
+                                 .update(reference_length=length))
+        assert main(["modal", "--case", path]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[3] == plain
+        assert float(row[3]) == pytest.approx(float(row[4]) * np.pi ** 2,
+                                              rel=1e-6)
+
     def test_mode_count_capped_at_mesh_dofs(self):
         # the 2x2 fully clamped mesh has 3 DOFs; requesting 6 modes yields
         # 3 rows for that mesh (coarse table cells stay blank)
@@ -614,8 +638,6 @@ class TestCli:
         lambda doc: doc["geometry"].update(reference_length=[1, 2]),
         lambda doc: doc["geometry"]["quad"].update(
             vertices=[[[0], 0], [1, 0], [1, 1], [0, 1]]),
-        lambda doc: doc["geometry"]["quad"].update(
-            vertices=[[0, 0], [1, 0], [1, 1e-10], [0, 1e-10]]),
     ], ids=["gauss-text", "E-text", "E-nan", "quad-without-vertices",
             "analysis-unknown-key", "rotary-text", "mode-shapes-number",
             "analysis-list", "vertices-text", "mesh-size-not-pair",
@@ -629,12 +651,53 @@ class TestCli:
             "reference-length-text", "vertex-bool", "vertex-numeric-text",
             "triangle-vertex-numeric-text", "mesh-node-bool",
             "mesh-unused-node", "E-list", "E-pair", "reference-length-list",
-            "reference-length-pair", "vertex-coordinate-list",
-            "quad-too-thin"])
+            "reference-length-pair", "vertex-coordinate-list"])
     def test_invalid_case_values_exit_two(self, tmp_path, capsys, edit):
         path = write_square_case(tmp_path, edit)
         assert main(["modal", "--case", path]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    def test_thin_quad_exit_zero(self, tmp_path, capsys):
+        # grid lines 5e-11 apart, within 1e-9 of the unit-length edges:
+        # each clamped edge still takes only its 3 lattice nodes, leaving
+        # the center node's 3 DOFs
+        path = write_square_case(tmp_path, lambda doc: doc["geometry"]["quad"]
+                                 .update(vertices=[[0, 0], [1, 0], [1, 1e-10],
+                                                   [0, 1e-10]]))
+        assert main(["modal", "--case", path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["tables"]["meshes"][0]["n_dofs"] == 3
+        [(_, mesh)] = case_meshes(load_case(path))
+        assert [len(bset.nodes) for bset in mesh.boundary_sets.values()] \
+            == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(nmae="x"), "case keys ['nmae']"),
+        (lambda doc: doc["material"].update(G=525.0),
+         "material keys ['G']"),
+        (lambda doc: doc["geometry"].update(refrence_length=2.0),
+         "geometry keys ['refrence_length']"),
+        (lambda doc: doc["geometry"]["quad"].update(
+            clamped_edge=doc["geometry"]["quad"].pop("clamped_edges")),
+         "quad keys ['clamped_edge']"),
+        (lambda doc: doc.update(geometry={"triangle": {
+            "vertices": [[0, 0], [1, 0.25], [0, 0.5]], "level": [1]}}),
+         "triangle keys ['level']"),
+        (lambda doc: doc.update(geometry={"mesh": dict(
+            square_mesh({})["mesh"], boundary_set={})}),
+         "mesh keys ['boundary_set']"),
+        (lambda doc: doc.update(geometry=square_mesh({"edge": {
+            "condition": "clamped", "nodes": [0, 1], "note": "x"}})),
+         "boundary set keys ['note']"),
+    ], ids=["case", "material", "geometry", "quad", "triangle", "mesh",
+            "boundary-set"])
+    def test_unknown_keys_exit_two(self, tmp_path, capsys, edit, message):
+        # a misspelled key would otherwise run with its default: a free
+        # plate for clamped_edge, a reference length of 1 for
+        # refrence_length
+        path = write_square_case(tmp_path, edit)
+        assert main(["modal", "--case", path]) == 2
+        assert f"invalid input: unknown {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["sectprops", "mapcheck"])
     def test_single_quad_text_vertices_exit_two(self, tmp_path, capsys,

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.sparse import csr_array
 
 from quadplate import (
@@ -34,6 +35,7 @@ from quadplate import (
     solve_modes,
 )
 from quadplate import modal
+from quadplate.cases import parse_case, run_modal
 from quadplate.mapping import bilinear_jacobians
 from quadplate.modal import (
     _CsrPattern,
@@ -337,12 +339,19 @@ class TestApplyBcs:
         reduced = apply_bcs(assemble(mesh, MAT), mesh)
         assert reduced.n_dofs == 3 * mesh.n_nodes - len(edge)
 
-    def test_conflicting_sets_rejected(self):
+    def test_conditions_on_one_node_combine_to_strongest(self):
+        # a corner node lies on two edges; whatever the order of the sets,
+        # the node loses the DOFs of its strongest condition
         mesh = mesh_quad(UNIT_SQUARE, 2, 2)
-        mesh.boundary_sets["a"] = BoundarySet("clamped", (0,))
-        mesh.boundary_sets["b"] = BoundarySet("free", (0,))
-        with pytest.raises(ValidationError):
-            apply_bcs(assemble(mesh, MAT), mesh)
+        system = assemble(mesh, MAT)
+        for strong, removed in (("clamped", 3), ("simply_supported", 1)):
+            for order in ((strong, "free"), ("free", strong)):
+                mesh.boundary_sets = {name: BoundarySet(condition, (0,))
+                                      for name, condition in zip("ab", order)}
+                reduced = apply_bcs(system, mesh)
+                assert reduced.n_dofs == system.n_dofs - removed
+                np.testing.assert_array_equal(
+                    reduced.dof_map[0] < 0, np.arange(3) < removed)
 
     def test_unknown_condition_rejected(self):
         with pytest.raises(ValidationError):
@@ -576,26 +585,52 @@ class TestMeshGenerators:
             assemble(mesh, MAT)
         assert str(exc.value) == "element 35 is degenerate or clockwise"
 
-    @pytest.mark.parametrize("width, size, thin", [
-        (1e-10, 2, True), (1e-8, 2, False), (1e-8, 8, False),
-        (1e-8, 16, True)])
-    def test_thin_quad_rejected_against_boundary_tolerance(self, width, size,
-                                                           thin):
-        # grid lines width / size apart fall inside the boundary-set
-        # tolerance of the unit-length long edges (1e-9) when thin
-        vertices = [[0, 0], [1, 0], [1, width], [0, width]]
-        if thin:
-            with pytest.raises(DegenerateGeometryError, match="too thin"):
-                mesh_quad(vertices, size, size)
-        else:
-            mesh = mesh_quad(vertices, size, size)
-            on_edge = nodes_on_segment(mesh, [0, 0], [1, 0])
-            assert len(on_edge) == size + 1
+    @pytest.mark.parametrize("width, size", [
+        (1e-10, 2), (1e-8, 2), (1e-8, 8), (1e-8, 16)])
+    def test_thin_quad_edges_are_lattice_sides(self, width, size):
+        # on the first and last grid, lines width / size apart fall within
+        # 1e-9 of the unit-length long edges; each edge still holds just
+        # its lattice side
+        mesh = mesh_quad([[0, 0], [1, 0], [1, width], [0, width]], size,
+                         size)
+        assert [len(edge) for edge in mesh.edges] == [size + 1] * 4
+        np.testing.assert_array_equal(mesh.nodes[list(mesh.edges[0]), 1], 0)
+        assemble(mesh, MAT)
 
-    def test_thin_triangle_rejected(self):
-        with pytest.raises(DegenerateGeometryError, match="too thin"):
-            mesh_triangle([[0, 0], [1, 1e-10], [0, 2e-10]], 1)
+    def test_thin_triangle_edges_are_lattice_sides(self):
+        mesh = mesh_triangle([[0, 0], [1, 1e-10], [0, 2e-10]], 1)
+        assert [len(edge) for edge in mesh.edges] == [4, 4, 2]
+        assemble(mesh, MAT)
 
+    @pytest.mark.parametrize("clockwise", [False, True])
+    def test_edges_are_the_nodes_on_each_polygon_edge(self, clockwise):
+        # the geometric search within 1e-9 of an edge's length, which
+        # boundary sets used before, as the oracle
+        def given(vertices):
+            v = np.asarray(vertices, dtype=float)
+            return v[::-1] if clockwise else v
+
+        def check(mesh, v):
+            assert len(mesh.edges) == len(v)
+            for e, edge in enumerate(mesh.edges):
+                assert edge == nodes_on_segment(mesh, v[e],
+                                                v[(e + 1) % len(v)])
+
+        def reorder():
+            return pytest.warns(UserWarning, match="clockwise") \
+                if clockwise else contextlib.nullcontext()
+
+        for quad in convex_quads(8, seed=21):
+            v = given(quad.vertices)
+            for size in range(1, 13):
+                for m, n in ((size, size), (size, 13 - size)):
+                    with reorder():
+                        check(mesh_quad(v, m, n), v)
+        for quad in convex_quads(8, seed=22):
+            v = given(quad.vertices[:3])
+            for level in range(1, 5):
+                with reorder():
+                    check(mesh_triangle(v, level), v)
     def test_large_quad_mesh_memory(self):
         tracemalloc.start()
         try:
@@ -654,7 +689,63 @@ class TestSchemeComparison:
                         1e-9 * np.abs(want).max(), (index, kind)
 
 
+def levy_csc_roots(count, top=140.0):
+    """The lowest frequency parameters omega a^2 sqrt(rho t / D) of the
+    square clamped on two opposite edges, simply supported on the others
+    (Levy solution; Leissa, NASA SP-160, 1969: 28.951 ... 129.096).
+
+    With w = sin(m pi x) Y(y), r1,2 = sqrt(lambda +- (m pi)^2); the
+    symmetric and antisymmetric frequency equations
+    r2 tan(r2/2) + r1 tanh(r1/2) = 0 and r1 tan(r2/2) - r2 tanh(r1/2) = 0
+    are multiplied through by cos(r2/2), so they have no poles.
+    """
+    def r(lam, m):
+        return np.sqrt(lam + (m * np.pi) ** 2), np.sqrt(lam - (m * np.pi) ** 2)
+
+    def symmetric(lam, m):
+        r1, r2 = r(lam, m)
+        return r2 * np.sin(r2 / 2) + r1 * np.tanh(r1 / 2) * np.cos(r2 / 2)
+
+    def antisymmetric(lam, m):
+        r1, r2 = r(lam, m)
+        return r1 * np.sin(r2 / 2) - r2 * np.tanh(r1 / 2) * np.cos(r2 / 2)
+
+    roots = []
+    for m in range(1, int(np.sqrt(top) / np.pi) + 1):
+        grid = np.linspace((m * np.pi) ** 2 + 1e-9, top, 20001)
+        for equation in (symmetric, antisymmetric):
+            values = equation(grid, m)
+            for i in np.flatnonzero(np.sign(values[:-1])
+                                    != np.sign(values[1:])):
+                roots.append(brentq(equation, grid[i], grid[i + 1],
+                                    args=(m,), xtol=1e-12))
+    return np.sort(roots)[:count]
+
+
 class TestMeshConvergence:
+    def test_clamped_simply_supported_square_matches_levy(self):
+        # C-S-C-S unit square from a case file: the corners lie on a
+        # clamped and a simply supported edge and end up clamped
+        reference = levy_csc_roots(6)
+        np.testing.assert_allclose(
+            reference, [28.950850, 54.743071, 69.327014, 94.585278,
+                        102.216191, 129.095537], rtol=0, atol=5e-7)
+        case = parse_case({
+            "material": {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0},
+            "geometry": {"quad": {"vertices": UNIT_SQUARE,
+                                  "meshes": [[16, 16], [32, 32]],
+                                  "clamped_edges": [0, 2],
+                                  "ss_edges": [1, 3]}},
+            "analysis": {"modes": 6}})
+        omega = np.array([row["omega"] for row in run_modal(case)
+                          .tables["rows"]]).reshape(2, 6)
+        coarse, fine = omega
+        richardson = fine + (fine - coarse) / 3.0
+        # 16x16/32x32, second order: errors 1.1e-5 ... 2.6e-4 measured
+        error = np.abs(richardson - reference) / reference
+        assert np.all(error <= [2e-5, 1.6e-5, 1.5e-4, 1.1e-4, 6e-5, 5e-4]), \
+            error
+
     def test_clamped_square_converges_to_leissa(self):
         # omega a^2 sqrt(rho t / D) with a = D = rho t = 1, three nested
         # meshes: values derived from the program, and Leissa's reference
