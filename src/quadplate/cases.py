@@ -283,16 +283,33 @@ def _points(rows, what: str) -> np.ndarray:
 # geometry resolution
 # ---------------------------------------------------------------------------
 
-def _attach_boundary_sets(mesh: Mesh, block: dict):
-    for key, condition in (("clamped_edges", "clamped"),
-                           ("ss_edges", "simply_supported")):
-        for edge in block.get(key, ()):
-            edge = _integer(edge, "edge index")
-            if not 0 <= edge < len(mesh.edges):
-                raise InvalidCaseError(f"edge index {edge} out of range")
-            mesh.boundary_sets[f"{condition}-edge-{edge}"] = BoundarySet(
-                condition=condition, nodes=mesh.edges[edge]
-            )
+def _block_values(source: str, block: dict) -> tuple:
+    """A quad or triangle block's vertices, mesh sizes (``(m, n)`` from
+    ``meshes`` or levels from ``levels``) and ``(condition, edge)`` pairs,
+    each edge checked against the polygon's 4 or 3 edges; malformed
+    contents and an empty size list raise ``InvalidCaseError``."""
+    try:
+        vertices = _points(block["vertices"], "vertex coordinate")
+        if source == "quad":
+            sizes = [(_integer(m, "mesh size"), _integer(n, "mesh size"))
+                     for m, n in block.get("meshes", [[1, 1]])]
+        else:
+            sizes = [_integer(level, "triangle level")
+                     for level in block.get("levels", [1])]
+        edges = [(condition, _integer(edge, "edge index"))
+                 for key, condition in (("clamped_edges", "clamped"),
+                                        ("ss_edges", "simply_supported"))
+                 for edge in block.get(key, ())]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidCaseError(f"malformed {source} block: {exc!r}") from exc
+    for _, edge in edges:
+        if not 0 <= edge < (4 if source == "quad" else 3):
+            raise InvalidCaseError(f"edge index {edge} out of range")
+    if not sizes:
+        raise InvalidCaseError("quad meshes lists no mesh size"
+                               if source == "quad" else
+                               "triangle levels lists no level")
+    return vertices, sizes, edges
 
 
 def case_meshes(case: CaseFile) -> list:
@@ -301,29 +318,22 @@ def case_meshes(case: CaseFile) -> list:
     ``InvalidCaseError``."""
     geometry = case.geometry
     try:
-        if "quad" in geometry:
-            block = geometry["quad"]
-            vertices = _points(block["vertices"], "vertex coordinate")
+        if "mesh" not in geometry:
+            source = "quad" if "quad" in geometry else "triangle"
+            vertices, sizes, edges = _block_values(source, geometry[source])
             out = []
-            for size in block.get("meshes", [[1, 1]]):
-                m, n = (_integer(k, "mesh size") for k in size)
-                mesh = mesh_quad(vertices, m, n)
-                _attach_boundary_sets(mesh, block)
-                out.append((f"{m}x{n}", mesh))
-            if not out:
-                raise InvalidCaseError("quad meshes lists no mesh size")
-            return out
-        if "triangle" in geometry:
-            block = geometry["triangle"]
-            vertices = _points(block["vertices"], "vertex coordinate")
-            out = []
-            for level in block.get("levels", [1]):
-                level = _integer(level, "triangle level")
-                mesh = mesh_triangle(vertices, level)
-                _attach_boundary_sets(mesh, block)
-                out.append((f"{3 * level ** 2}-elements", mesh))
-            if not out:
-                raise InvalidCaseError("triangle levels lists no level")
+            for size in sizes:
+                if source == "quad":
+                    m, n = size
+                    label, mesh = f"{m}x{n}", mesh_quad(vertices, m, n)
+                else:
+                    label = f"{3 * size ** 2}-elements"
+                    mesh = mesh_triangle(vertices, size)
+                mesh.boundary_sets.update(
+                    (f"{condition}-edge-{edge}",
+                     BoundarySet(condition, mesh.edges[edge]))
+                    for condition, edge in edges)
+                out.append((label, mesh))
             return out
         block = geometry["mesh"]
         sets = block.get("boundary_sets") or {}
@@ -347,38 +357,26 @@ def case_meshes(case: CaseFile) -> list:
         )
         return [("mesh", mesh)]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidCaseError(f"malformed geometry block: {exc!r}") \
-            from exc
+        raise InvalidCaseError(f"malformed geometry block: {exc!r}") from exc
 
 
 def _single_quad(case: CaseFile) -> QuadGeometry:
-    """The case's single quad, whose bilinear map passes the corner rule
-    of mesh elements (``corner_jacobians``): a folded quad raises
+    """The case's single quad, whose block passes the checks of meshed
+    quads (``_block_values``) and whose bilinear map passes the corner
+    rule of mesh elements (``corner_jacobians``): a folded quad raises
     ``NumericalError``, a flat corner ``DegenerateGeometryError``."""
-    geometry = case.geometry
-    if "quad" not in geometry:
+    if "quad" not in case.geometry:
+        [source] = case.geometry.keys() & _SOURCE_KEYS.keys()
         raise InvalidCaseError(
-            "this analysis needs a single-quad geometry, not a mesh"
-        )
-    block = geometry["quad"]
-    meshes = block.get("meshes", [[1, 1]])
-    if meshes != [[1, 1]]:
+            f"this analysis needs a single-quad geometry, not a {source}")
+    vertices, sizes, _ = _block_values("quad", case.geometry["quad"])
+    if sizes != [(1, 1)]:
         raise InvalidCaseError(
-            "this analysis runs on a single quad; drop the meshes list"
-        )
-    try:
-        vertices = _points(block["vertices"], "vertex coordinate")
-    except (TypeError, ValueError) as exc:
-        raise InvalidCaseError(f"malformed quad vertices: {exc!r}") from exc
+            "this analysis runs on a single quad; drop the meshes list")
     quad = QuadGeometry(vertices)
     corner_jacobians(bilinear_coefficients(quad.vertices)[None],
                      np.array([quad.diameter]))
     return quad
-
-
-def _requested_schemes(case: CaseFile) -> tuple:
-    scheme = case.analysis["scheme"]
-    return SCHEME_KINDS if scheme == "all" else (scheme,)
 
 
 # ---------------------------------------------------------------------------
@@ -401,33 +399,24 @@ class Report:
 
     def to_csv(self) -> str:
         if self.kind == "modal":
-            lines = ["mesh,mode,omega,param_plain,param_per_pi2"]
-            for row in self.tables["rows"]:
-                lines.append(
-                    f"{row['mesh']},{row['mode']},{_csv_number(row['omega'])},"
-                    f"{_csv_number(row['param_plain'])},"
-                    f"{_csv_number(row['param_per_pi2'])}"
-                )
-            return "\n".join(lines) + "\n"
-        if self.kind == "sectprops":
-            lines = ["scheme,area,i_x1,i_x2,i_x1x2"]
-            exact = self.tables["exact"]
-            lines.append(
-                f"exact,{exact['area']:.6f},{exact['i_x1']:.6f},"
-                f"{exact['i_x2']:.6f},{exact['i_x1x2']:.6f}"
-            )
-            for row in self.tables["schemes"]:
-                lines.append(
-                    f"{row['scheme']},{row['area']:.6f},{row['i_x1']:.6f},"
-                    f"{row['i_x2']:.6f},{row['i_x1x2']:.6f}"
-                )
-            return "\n".join(lines) + "\n"
-        if self.kind == "mapcheck":
-            lines = ["key,value"]
-            for key, value in _flatten(self.tables):
-                lines.append(f"{key},{value}")
-            return "\n".join(lines) + "\n"
-        raise InvalidCaseError(f"no CSV layout for report kind {self.kind!r}")
+            columns = ("mesh", "mode", "omega", "param_plain", "param_per_pi2")
+            rows = self.tables["rows"]
+        elif self.kind == "sectprops":
+            columns = ("scheme", "area", "i_x1", "i_x2", "i_x1x2")
+            rows = [{"scheme": "exact", **self.tables["exact"]},
+                    *self.tables["schemes"]]
+        elif self.kind == "mapcheck":
+            columns = ("key", "value")
+            rows = [dict(zip(columns, item)) for item in _flatten(self.tables)]
+        else:
+            raise InvalidCaseError(
+                f"no CSV layout for report kind {self.kind!r}")
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(
+                _csv_number(row[key]) if isinstance(row[key], float)
+                else str(row[key]) for key in columns))
+        return "\n".join(lines) + "\n"
 
     def to_plot(self) -> str:
         """One block per mode: a ``# <mesh> mode <k>`` header, then one
@@ -514,8 +503,9 @@ def run_sectprops(case: CaseFile) -> Report:
         raise InvalidCaseError(
             f"vertex coordinates span {span:.3e}, too small for the section "
             "area and moments to be normal floating-point numbers")
+    requested = case.analysis["scheme"]
     rows = []
-    for kind in _requested_schemes(case):
+    for kind in SCHEME_KINDS if requested == "all" else (requested,):
         scheme = build_scheme(quad, kind)
         props = section_properties(scheme, rule)
         row = {"scheme": kind}

@@ -203,6 +203,20 @@ class TestSectprops:
         assert main(["sectprops", "--case", path]) == code
         assert message in capsys.readouterr().err
 
+    def test_csv_prints_small_moments_in_exponent_form(self, tmp_path,
+                                                       capsys):
+        # moments of about 1e-10, which fixed point prints as 0.000000
+        path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
+            "quad": {"vertices": [[0, 0], [0.008, 0], [0.004, 0.003],
+                                  [0, 0.005]]}}))
+        assert main(["sectprops", "--case", path, "--scheme", "all",
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "scheme,area,i_x1,i_x2,i_x1x2"
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            [kind, "0.000022", "9.966667e-11"]
+            for kind in ("exact", "bilinear", "serendipity8", "pascal6")]
+
 
 class TestMapcheck:
     def test_paper_quad(self):
@@ -485,6 +499,40 @@ class TestModalReports:
                                        err_msg=mesh)
 
 
+class TestCsvColumns:
+    """``Report.to_csv`` of hand-built reports: the ``modal`` and
+    ``sectprops`` layouts print their columns in a fixed order and every
+    float by ``%.6f``, or ``%.6e`` outside 1e-6 <= |x| < 1e15."""
+
+    def test_modal_row(self):
+        row = {"param_per_pi2": 2e15, "omega": 0.0, "mode": 3,
+               "param_plain": 5e-7, "mesh": "8x8"}
+        assert Report(kind="modal", tables={"rows": [row]}).to_csv() == (
+            "mesh,mode,omega,param_plain,param_per_pi2\n"
+            "8x8,3,0.000000,5.000000e-07,2.000000e+15\n")
+
+    def test_sectprops_rows(self):
+        exact = {"area": 22.0, "i_x1": 1e-10, "i_x2": 250.0, "i_x1x2": -0.5}
+        schemes = [dict(exact, scheme=kind, i_x1=value, delta_i_x1=1e-9)
+                   for kind, value in (("bilinear", 3e-7), ("pascal6", 4.0))]
+        report = Report(kind="sectprops",
+                        tables={"exact": exact, "schemes": schemes})
+        assert report.to_csv() == (
+            "scheme,area,i_x1,i_x2,i_x1x2\n"
+            "exact,22.000000,1.000000e-10,250.000000,-0.500000\n"
+            "bilinear,22.000000,3.000000e-07,250.000000,-0.500000\n"
+            "pascal6,22.000000,4.000000,250.000000,-0.500000\n")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidCaseError, match="no CSV layout"):
+            Report(kind="compare", tables={"rows": []}).to_csv()
+
+    def test_modal_without_rows_gives_header(self):
+        csv = Report(kind="modal", tables={"rows": []}).to_csv()
+        assert csv == "mesh,mode,omega,param_plain,param_per_pi2\n"
+        assert len(csv.encode()) == 42
+
+
 class TestCli:
     def test_sectprops_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -716,6 +764,31 @@ class TestCli:
             "quad": {"vertices": [corner, [1, 0], [1, 1], [0, 1]]}}))
         assert main([verb, "--case", path]) == 2
         assert "vertex coordinate must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck", "modal"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("meshes", [[True, True]], "mesh size must be an integer, got True"),
+        ("clamped_edges", [4], "edge index 4 out of range"),
+        ("clamped_edges", [True], "edge index must be an integer, got True"),
+        ("ss_edges", [1.5], "edge index must be an integer, got 1.5"),
+    ], ids=["mesh-size-bool", "edge-4", "edge-bool", "edge-fraction"])
+    def test_quad_block_checked_on_every_verb(self, tmp_path, capsys, verb,
+                                              key, value, message):
+        def edit(doc):
+            block = doc["geometry"]["quad"]
+            if verb != "modal":
+                del block["meshes"]
+            block[key] = value
+
+        path = write_square_case(tmp_path, edit)
+        assert main([verb, "--case", path]) == 2
+        assert f"invalid input: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["sectprops", "mapcheck"])
+    def test_single_quad_verb_names_the_source_it_got(self, capsys, verb):
+        assert main([verb, "--case", "cantilever-isosceles"]) == 2
+        assert "needs a single-quad geometry, not a triangle" \
+            in capsys.readouterr().err
 
     def test_folded_element_in_mesh_exit_three(self, tmp_path, capsys):
         # a 2x2 grid whose center node is pushed towards the far corner:

@@ -722,7 +722,64 @@ def levy_csc_roots(count, top=140.0):
     return np.sort(roots)[:count]
 
 
+def navier_omega(a, b, count):
+    """The lowest ``count`` omega of the simply supported a x b rectangle
+    with D = rho t = 1 (Navier): pi^2 (m^2 / a^2 + n^2 / b^2)."""
+    omega = sorted(np.pi ** 2 * ((m / a) ** 2 + (n / b) ** 2)
+                   for m in range(1, count + 1) for n in range(1, count + 1))
+    return np.array(omega[:count])
+
+
+def simply_supported_omega(vertices, meshes):
+    """Six omega per mesh of a quad simply supported on every edge, run
+    through a case document with the benchmark material (D = rho t = 1)."""
+    case = parse_case({
+        "material": {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0},
+        "geometry": {"quad": {"vertices": vertices, "meshes": meshes,
+                              "ss_edges": [0, 1, 2, 3]}},
+        "analysis": {"modes": 6}})
+    return np.array([row["omega"] for row in run_modal(case)
+                     .tables["rows"]]).reshape(len(meshes), 6)
+
+
+RECTANGLE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.6], [0.0, 0.6]]
+
+
 class TestMeshConvergence:
+    @pytest.mark.parametrize("vertices, bound", [
+        (UNIT_SQUARE, [5.6e-8, 7.8e-6, 7.8e-6, 3.6e-6, 6.8e-5, 6.8e-5]),
+        (RECTANGLE, [1.94e-7, 1.3e-5, 8.6e-5, 5.4e-6, 7e-6, 3.6e-4]),
+    ], ids=["square", "rectangle-1x0.6"])
+    def test_simply_supported_rectangle_matches_navier(self, vertices,
+                                                       bound):
+        # the double pairs (1,2)/(2,1) and (1,3)/(3,1) of the square among
+        # the six modes; bounds twice the measured 16x16/32x32 Richardson
+        # errors (square 2.8e-8 ... 3.4e-5, rectangle 9.7e-8 ... 1.8e-4)
+        a, b = np.ptp(vertices, axis=0)
+        exact = navier_omega(a, b, 6)
+        coarse, fine = simply_supported_omega(vertices, [[16, 16], [32, 32]])
+        richardson = (4.0 * fine - coarse) / 3.0
+        error = np.abs(richardson - exact) / exact
+        assert np.all(error <= bound), error
+        # second order: the mode-1 error ratio measured 4.00
+        assert 3.9 <= (coarse[0] - exact[0]) / (fine[0] - exact[0]) <= 4.1
+
+    def test_navier_rectangle_on_both_solve_paths(self, monkeypatch):
+        omega = []
+        for dense in (True, False):
+            monkeypatch.setattr(modal, "_solves_densely",
+                                lambda n, count, dense=dense: dense)
+            omega.append(simply_supported_omega(RECTANGLE, [[16, 16]]))
+        np.testing.assert_allclose(*omega, rtol=1e-10, atol=0)
+
+    def test_navier_rectangle_independent_of_frame(self):
+        # rotated by 30 degrees and moved by (2, -1): measured 1.1e-13
+        c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+        moved = np.array(RECTANGLE) @ [[c, s], [-s, c]] + [2.0, -1.0]
+        np.testing.assert_allclose(
+            simply_supported_omega(moved.tolist(), [[16, 16]]),
+            simply_supported_omega(RECTANGLE, [[16, 16]]), rtol=1e-11, atol=0)
+
     def test_clamped_simply_supported_square_matches_levy(self):
         # C-S-C-S unit square from a case file: the corners lie on a
         # clamped and a simply supported edge and end up clamped
