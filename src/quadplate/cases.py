@@ -9,9 +9,7 @@ which the flexural rigidity D and rho*t*a^4 both equal one.
 
 from __future__ import annotations
 
-import array
 import copy
-import itertools
 import json
 import math
 import numbers
@@ -392,7 +390,15 @@ class Report:
     tables: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "meta": self.meta, "tables": self.tables}
+        """The report in JSON types: each mode-shape entry's (P, 3)
+        ``points`` array becomes a list of ``[x, y, u]`` lists of floats, so
+        the JSON carries every bit of the samples."""
+        tables = self.tables
+        if "mode_shapes" in tables:
+            tables = {**tables, "mode_shapes": [
+                {**entry, "points": np.asarray(entry["points"]).tolist()}
+                for entry in tables["mode_shapes"]]}
+        return {"kind": self.kind, "meta": self.meta, "tables": tables}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -420,30 +426,101 @@ class Report:
 
     def to_plot(self) -> str:
         """One block per mode: a ``# <mesh> mode <k>`` header, then one
-        ``x y z`` line per sample in ``%.6e``; a blank line between blocks.
+        ``x y z`` line per row of the entry's (P, 3) ``points`` array; a
+        blank line between blocks.
 
-        The modes of a mesh share their samples' x and y, so those are
-        formatted once into a template with a ``%.6e`` slot per deflection,
-        reused while the mesh label and the coordinate bits stay the same.
+        Every number is byte-identical to ``'%.6e'`` (``_e6_cells``).  The
+        deflections of all blocks are encoded in one pass; x and y once for
+        each run of blocks whose coordinates have the same bits (0.0 and
+        -0.0 print differently).
         """
         shapes = self.tables.get("mode_shapes")
         if not shapes:
             raise InvalidCaseError(
                 "no mode-shape samples in report; run modal with mode_shapes"
             )
+        points = [np.ascontiguousarray(entry["points"], dtype=float)
+                  .reshape(-1, 3) for entry in shapes]
+        # "\n" x " " y " " z, each number in a 14-byte cell
+        lines = np.empty((sum(map(len, points)), 45), dtype=np.uint8)
+        lines[:, 0] = ord("\n")
+        lines[:, 15] = lines[:, 30] = ord(" ")
+        lines[:, 31:] = _e6_cells(np.concatenate([p[:, 2] for p in points]))
         blocks = []
-        key = template = None
-        for entry in shapes:
-            xs, ys, zs = tuple(zip(*entry["points"])) or ((), (), ())
-            # bits, not values: 0.0 == -0.0 but they print differently
-            this = (entry["mesh"], array.array("d", xs + ys).tobytes())
-            if this != key:
-                key = this
-                template = "".join(["\n%.6e %.6e %%.6e"] * len(xs)) \
-                    % tuple(itertools.chain.from_iterable(zip(xs, ys)))
-            blocks.append(f"# {entry['mesh']} mode {entry['mode']}"
-                          + template % zs)
-        return "\n\n".join(blocks) + "\n"
+        start = 0
+        xy = None
+        for entry, p in zip(shapes, points):
+            block = lines[start:start + len(p)]
+            start += len(p)
+            bits = p[:, :2].view(np.uint64)
+            if xy is None or not np.array_equal(bits, xy):
+                xy = bits
+                cells = _e6_cells(p[:, :2]).reshape(-1, 28)
+            block[:, 1:15] = cells[:, :14]
+            block[:, 16:30] = cells[:, 14:]
+            blocks.append(f"# {entry['mesh']} mode {entry['mode']}".encode()
+                          + block.tobytes().translate(None, b"\0"))
+        return (b"\n\n".join(blocks) + b"\n").decode()
+
+
+#: ``_PAIRS[k]`` holds the two ASCII digits of k < 100 in one
+#: little-endian uint16, so the tens digit is its first byte;
+#: ``_EXPONENT_SIGNS`` holds "e+" and "e-" the same way.
+_PAIRS = (np.arange(100, dtype="<u2") // 10 + ord("0")) \
+    | (np.arange(100, dtype="<u2") % 10 + ord("0")) << 8
+_EXPONENT_SIGNS = np.array([ord("e") | ord("+") << 8,
+                            ord("e") | ord("-") << 8], dtype="<u2")
+
+
+def _e6_cells(values) -> np.ndarray:
+    """``'%.6e' % v`` of each value as a row of 14 ASCII bytes, with a NUL
+    byte in place of an absent sign or third exponent digit.
+
+    The decimal exponent e is floor(log10 |v|), corrected once by the
+    scaled value s = |v| * 10**(6 - e), where 10**(6 - e) is the correctly
+    rounded double.  s is off from the exact scaled value by at most
+    2.3e-9 (two roundings of relative 2**-53 on s < 1e7), so rint(s) gives
+    the digits that ``'%.6e'`` rounds the exact value to, unless s lies
+    within 1e-6 of a half.  Such values, |e| >= 290 and nan/inf are
+    formatted by Python one at a time.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.floor(np.log10(np.where(a > 0.0, a, 1.0)))
+    e = np.clip(guess, -295.0, 295.0, out=guess).astype(np.int64)
+    low = int(e.min(initial=0)) - 1
+    powers = np.array([float(f"1e{6 - k}")
+                       for k in range(low, int(e.max(initial=0)) + 2)])
+    with np.errstate(invalid="ignore"):
+        s = a * powers.take(e - low)
+        fix = np.flatnonzero((s >= 1e7) | (s < 1e6) & (a > 0.0))
+        e[fix] += np.where(s[fix] >= 1e7, 1, -1)
+        s[fix] = a[fix] * powers.take(e[fix] - low)
+        m = np.rint(s)
+        slow = np.flatnonzero(~(np.abs(s - m) <= 0.5 - 1e-6)
+                              | (np.abs(e) >= 290))
+    m[slow] = 0.0
+    carry = np.flatnonzero(m == 1e7)  # 9.9999995e-6 prints 1.000000e-05
+    m[carry] = 1e6
+    e[carry] += 1
+    digits = m.astype(np.uint64)
+    exponent = np.abs(e).astype(np.uint64)
+    cells = np.empty((x.size, 14), dtype=np.uint8)
+    cells[:, 0] = np.signbit(x) * ord("-")
+    cells[:, 1] = digits // 10 ** 6 + ord("0")
+    cells[:, 2] = ord(".")
+    for column, power in ((3, 10 ** 4), (5, 100), (7, 1)):
+        cells[:, column:column + 2].view("<u2")[:, 0] = \
+            _PAIRS.take(digits // power % 100)
+    cells[:, 9:11].view("<u2")[:, 0] = _EXPONENT_SIGNS.take(e < 0)
+    cells[:, 11] = (exponent // 100 + ord("0")) * (exponent >= 100)
+    cells[:, 12:14].view("<u2")[:, 0] = _PAIRS.take(exponent % 100)
+    if slow.size:
+        text = b"".join(b"%-14.6e" % v for v in x[slow].tolist())
+        cells[slow] = np.frombuffer(text.replace(b" ", b"\0"),
+                                    dtype=np.uint8).reshape(-1, 14)
+    return cells
 
 
 def _csv_number(x: float) -> str:

@@ -18,8 +18,8 @@ as well); ``assemble`` and ``mode_shape_samples`` both start from it.
 (``batch_element_matrices``), transforms each chunk (``_transforms``) and
 sums it into CSR matrices whose layout comes from the element node pairs
 (``_CsrPattern``); the scalar ``element_stiffness``/``element_mass`` and
-``_element_transform`` are the reference implementation, which the batch
-matches to 1e-12 relative.
+the tests' per-element transformation are the reference implementation,
+which the batch matches to 1e-12 relative.
 
 scipy is imported inside the functions that use it (``scipy.sparse`` in
 ``assemble``, ``scipy.linalg`` in the dense branch of ``solve_modes``,
@@ -39,9 +39,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
 from .mapping import (
     BILINEAR_MONOMIALS,
-    CORNER_NATURAL,
     GeneralizedParams,
-    MappingScheme,
     QuadGeometry,
     bilinear_coefficients,
     bilinear_jacobians,
@@ -222,31 +220,6 @@ def _validate_mesh(mesh: Mesh):
     )
 
 
-def _element_transform(scheme: MappingScheme) -> np.ndarray:
-    """12x12 map from global Cartesian DOFs to element natural DOFs.
-
-    Per node, u passes through and the rotations transform with the
-    adjugate-style 2x2 built from the Jacobian at that corner:
-    phi1_nat = J22 phi1_c - J21 phi2_c, phi2_nat = -J12 phi1_c + J11 phi2_c.
-    At a collapsed corner (singular Jacobian, tip of a collapsed-edge
-    element) the natural rotations cannot be expressed in Cartesian
-    components; the block stays the identity there and the tip keeps
-    natural-frame rotation DOFs.
-    """
-    diam = scheme.quad.diameter
-    t = np.eye(12)
-    for p, corner in enumerate(CORNER_NATURAL):
-        jm = scheme.params.gradient(corner)
-        det = jm[0, 0] * jm[1, 1] - jm[0, 1] * jm[1, 0]
-        if abs(det) <= 1e-12 * diam * diam:
-            continue
-        t[3 * p + 1: 3 * p + 3, 3 * p + 1: 3 * p + 3] = [
-            [jm[1, 1], -jm[1, 0]],
-            [-jm[0, 1], jm[0, 0]],
-        ]
-    return t
-
-
 #: Per corner, the element DOF indices of its two rotations.
 _CORNER_ROTATIONS = 3 * np.arange(4)[:, None] + np.array([1, 2])
 
@@ -256,8 +229,11 @@ def _element_geometry(mesh: Mesh) -> tuple:
     rotation blocks (m, 4, 2, 2) and collapsed-edge mask (m,) of every
     element, once each is accepted by ``corner_jacobians``.
 
-    Block p is the 2x2 of corner p in ``_element_transform``; it stays the
-    identity at a collapsed corner (a triangle tip).
+    Block p maps corner p's Cartesian rotations to natural ones,
+    phi1_nat = J22 phi1_c - J21 phi2_c and phi2_nat = -J12 phi1_c +
+    J11 phi2_c, J the Jacobian at that corner.  It stays the identity at a
+    collapsed corner (a triangle tip), whose natural rotations have no
+    Cartesian components, so the tip keeps natural-frame rotation DOFs.
     """
     v = mesh.nodes[mesh.elements]
     coeffs = bilinear_coefficients(v)
@@ -275,8 +251,9 @@ def _element_geometry(mesh: Mesh) -> tuple:
 
 
 def _transforms(blocks: np.ndarray) -> np.ndarray:
-    """(c, 12, 12) ``_element_transform`` of each element from its corner
-    rotation blocks (c, 4, 2, 2)."""
+    """(c, 12, 12) maps from global Cartesian to element natural DOFs of
+    each element, from its corner rotation blocks (c, 4, 2, 2); u passes
+    through."""
     transform = np.tile(np.eye(12), (len(blocks), 1, 1))
     transform[:, _CORNER_ROTATIONS[:, :, None],
               _CORNER_ROTATIONS[:, None, :]] = blocks
@@ -699,12 +676,15 @@ _SAMPLE_POINTS.setflags(write=False)
 
 
 def mode_shape_samples(mesh: Mesh, system: GlobalSystem,
-                       modes: np.ndarray) -> list:
+                       modes: np.ndarray) -> np.ndarray:
     """Sample mode deflections on a per-element natural grid.
 
-    ``modes`` holds one constrained mode vector per column.  Returns one
-    list of (x, y, u) triples per mode, element by element, using each
-    element's deflection expansion evaluated on a 5x5 theta lattice.
+    ``modes`` holds one constrained mode vector per column.  Returns a
+    (modes, P, 3) array: row j holds the (x, y, u) of mode j at the 25
+    points of each element's 5x5 theta lattice, element by element, from
+    that element's deflection expansion.  x and y are the same in every
+    row.  ``Report.to_plot`` prints these arrays with every number
+    byte-identical to ``'%.6e'``; ``Report.to_dict`` lists them.
     """
     full = np.zeros((modes.shape[1], 3 * mesh.n_nodes))  # one row per mode
     kept = system.dof_map.ravel()
@@ -712,15 +692,13 @@ def mode_shape_samples(mesh: Mesh, system: GlobalSystem,
     coeffs, fractions, blocks, _ = _element_geometry(mesh)
     t = _transforms(blocks)
     xy = GeneralizedParams(BILINEAR_MONOMIALS, coeffs[:, None]) \
-        .point(_SAMPLE_POINTS)
+        .point(_SAMPLE_POINTS).reshape(-1, 2)
     rows = deflection_rows(_SAMPLE_POINTS, fractions)
-    x = xy[..., 0].ravel().tolist()
-    y = xy[..., 1].ravel().tolist()
-    samples = []
-    for vector in full:
+    samples = np.empty((len(full), len(xy), 3))
+    samples[:, :, :2] = xy
+    for sample, vector in zip(samples, full):
         local = t @ vector.reshape(-1, 3)[mesh.elements].reshape(-1, 12, 1)
         # one (1, 12) @ (12, 1) product per sample: the rounding of the
         # scalar row-by-vector dot
-        u = (rows[:, :, None, :] @ local[:, None]).ravel().tolist()
-        samples.append(list(zip(x, y, u)))
+        sample[:, 2] = (rows[:, :, None, :] @ local[:, None]).ravel()
     return samples

@@ -16,6 +16,7 @@ with warnings.catch_warnings():
         pass
 
 from quadplate import QuadGeometry, random_convex_quad
+from quadplate.mapping import CORNER_NATURAL
 
 #: Worked quadrilateral cross-section used throughout (vertices, ccw).
 SECTION_QUAD = [[0.0, 0.0], [8.0, 0.0], [4.0, 3.0], [0.0, 5.0]]
@@ -51,3 +52,29 @@ def fd_jacobian(scheme, theta, step=1e-6):
         rows.append((scheme.params.point(plus) - scheme.params.point(minus))
                     / (2.0 * step))
     return np.vstack(rows)
+
+
+def element_transform(scheme):
+    """12x12 map from global Cartesian DOFs to element natural DOFs, one
+    scheme at a time: the oracle of ``modal._transforms``.
+
+    Per node, u passes through and the rotations transform with the
+    adjugate-style 2x2 built from the Jacobian at that corner:
+    phi1_nat = J22 phi1_c - J21 phi2_c, phi2_nat = -J12 phi1_c + J11 phi2_c.
+    At a collapsed corner (singular Jacobian, tip of a collapsed-edge
+    element) the natural rotations cannot be expressed in Cartesian
+    components; the block stays the identity there and the tip keeps
+    natural-frame rotation DOFs.
+    """
+    diam = scheme.quad.diameter
+    t = np.eye(12)
+    for p, corner in enumerate(CORNER_NATURAL):
+        jm = scheme.params.gradient(corner)
+        det = jm[0, 0] * jm[1, 1] - jm[0, 1] * jm[1, 0]
+        if abs(det) <= 1e-12 * diam * diam:
+            continue
+        t[3 * p + 1: 3 * p + 3, 3 * p + 1: 3 * p + 3] = [
+            [jm[1, 1], -jm[1, 0]],
+            [-jm[0, 1], jm[0, 0]],
+        ]
+    return t

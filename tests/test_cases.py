@@ -21,6 +21,7 @@ import quadplate.modal
 from quadplate import InvalidCaseError
 from quadplate.cases import (
     Report,
+    _e6_cells,
     builtin_case_names,
     case_meshes,
     emit,
@@ -305,6 +306,62 @@ print(json.dumps(digests))
     return json.loads(done.stdout)
 
 
+def lattice_coordinates() -> np.ndarray:
+    """x and y of the mode-shape samples on the 8x8 clamped-quad mesh;
+    199 of these 3200 lie within 1e-6 of a half when scaled to seven
+    digits (0.02055312499999999 among them)."""
+    case = load_case("clamped-quad",
+                     overrides={"modes": 1, "mode_shapes": True})
+    case.geometry["quad"]["meshes"] = [[8, 8]]
+    points = run_modal(case).tables["mode_shapes"][0]["points"]
+    return points[:, :2].ravel()
+
+
+class TestPlotNumbers:
+    """``_e6_cells``, the plot's number encoder, against ``'%.6e'``."""
+
+    @staticmethod
+    def printed(values) -> list:
+        cells = _e6_cells(values)
+        ends = np.full((len(cells), 1), ord("\n"), dtype=np.uint8)
+        text = np.hstack([cells, ends]).tobytes().replace(b"\0", b"")
+        return text.decode().split("\n")[:-1]
+
+    def test_matches_printf_byte_for_byte(self):
+        rng = np.random.default_rng(24)
+        # every bit pattern class: both signs, subnormals, nan payloads
+        bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+        spread = 10.0 ** rng.uniform(-323.3, 308.25, 50_000) \
+            * rng.choice([-1.0, 1.0], 50_000)
+        # decimal halves for seven digits, and the doubles next to them
+        halves = np.array([
+            float(f"{d}5e{k}") for d, k in zip(
+                rng.integers(10 ** 6, 10 ** 7, 20_000),
+                rng.integers(-330, 301, 20_000))])
+        carries = np.array([9.9999995e-6, 9999999.5, 9.9999995, 0.99999995,
+                            99999995.0, 9.9999995e100, 9.9999995e-100,
+                            9.99999949e289, 9.9999995e-291])
+        special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                   5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308,
+                   1e-290, 1e290, 1e-289, 9.999999e289]
+        near = np.concatenate([halves, carries])
+        values = np.concatenate([
+            bits.view(np.float64), spread, near, np.nextafter(near, np.inf),
+            np.nextafter(near, -np.inf), special, lattice_coordinates()])
+        assert values.size >= 200_000
+        want = ["%.6e" % v for v in values.tolist()]
+        got = self.printed(values)
+        wrong = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        assert len(got) == len(want) and not wrong, \
+            [(values[i], got[i], want[i]) for i in wrong[:5]]
+
+    def test_empty_and_shaped_input(self):
+        assert _e6_cells(np.empty(0)).shape == (0, 14)
+        assert self.printed(np.array([[1.5, -2.0], [0.25, 1e-7]])) == [
+            "1.500000e+00", "-2.000000e+00", "2.500000e-01", "1.000000e-07"]
+
+
 class TestModalReports:
     @pytest.mark.parametrize("rotary", ["default", "rotary"])
     @pytest.mark.parametrize("name", sorted(RECORDED_MODAL_CSV))
@@ -323,17 +380,24 @@ class TestModalReports:
 
     def test_plot_matches_per_line_formula(self):
         # the old per-line f-string, on values at the edges of the double
-        # range, two meshes labelled alike with other coordinates (one
-        # differing only in the sign of a zero), a mesh labelled otherwise
-        # with the first one's coordinates and a block without samples
+        # range, decimal halves and their neighbours, carries into the
+        # exponent and sampled lattice coordinates that sit within 1e-6 of
+        # a half when scaled; two meshes labelled alike with other
+        # coordinates (one differing only in the sign of a zero), a mesh
+        # labelled otherwise with the first one's coordinates and a block
+        # without samples
         def per_line(shapes):
             return "\n\n".join(
                 "\n".join([f"# {e['mesh']} mode {e['mode']}"]
                           + [f"{x:.6e} {y:.6e} {z:.6e}"
-                             for x, y, z in e["points"]])
+                             for x, y, z in e["points"].tolist()])
                 for e in shapes) + "\n"
 
-        odd = [-0.0, 1e-300, -1e100, 5e-324, 0.1, 0.0, 1.0]
+        half = float("10553125e-9")
+        odd = [-0.0, 1e-300, -1e100, 5e-324, 0.1, half,
+               np.nextafter(half, 1.0), np.nextafter(half, 0.0),
+               9.9999995e-6, -9999999.5, 0.999999951, math.nan, -math.inf,
+               *lattice_coordinates()[:40], 0.0, 1.0]
         first = list(zip(odd, odd[::-1]))
         signed = [(-x if x == 0.0 else x, y) for x, y in first]
         moved = [(x + 1.0, y) for x, y in first]
@@ -342,12 +406,22 @@ class TestModalReports:
                          ("level1", first), ("empty", [])):
             for mode in (1, 2):
                 z = odd[mode:] + odd[:mode]
-                shapes.append({"mesh": mesh, "mode": mode, "points": [
-                    (x, y, u) for (x, y), u in zip(xy, z)]})
+                shapes.append({"mesh": mesh, "mode": mode, "points": np.array(
+                    [(x, y, u) for (x, y), u in zip(xy, z)]).reshape(-1, 3)})
         report = Report(kind="modal", tables={"mode_shapes": shapes})
         assert report.to_plot() == per_line(shapes)
         assert "-0.000000e+00 1.000000e+00" in report.to_plot()
         assert "\n0.000000e+00 1.000000e+00" in report.to_plot()
+
+    def test_json_lists_the_sample_arrays(self):
+        points = np.array([[0.5, -0.0, 1e-300], [1.0, 2.0, -3.5]])
+        shapes = [{"mesh": "1x1", "mode": 1, "points": points}]
+        report = Report(kind="modal", tables={"mode_shapes": shapes})
+        listed = report.to_dict()["tables"]["mode_shapes"][0]["points"]
+        assert listed == points.tolist()
+        assert json.loads(report.to_json())["tables"]["mode_shapes"][0] \
+            == {"mesh": "1x1", "mode": 1, "points": points.tolist()}
+        assert report.tables["mode_shapes"][0]["points"] is points
 
     def test_rows_carry_both_normalizations(self):
         case = load_case("clamped-quad")
@@ -454,11 +528,15 @@ class TestModalReports:
             reduced = apply_bcs(assemble(mesh, case.material, rule), mesh)
             modes = solve_modes(reduced, 3).modes
             samples = mode_shape_samples(mesh, reduced, modes)
-            assert len(samples) == 3
+            assert samples.shape == (3, n_elements * 25, 3)
             for j, entry in enumerate(report.tables["mode_shapes"]):
-                assert entry["points"] == samples[j]
-                assert samples[j] == mode_shape_samples(
-                    mesh, reduced, modes[:, [j]])[0]
+                assert np.array_equal(entry["points"].view(np.uint64),
+                                      samples[j].view(np.uint64))
+                alone = mode_shape_samples(mesh, reduced, modes[:, [j]])[0]
+                assert np.array_equal(alone.view(np.uint64),
+                                      samples[j].view(np.uint64))
+                # every mode samples at the same coordinates
+                assert np.array_equal(samples[j, :, :2], samples[0, :, :2])
 
     def test_modal_run_builds_no_element_scheme(self, monkeypatch):
         # assembly and mode-shape sampling work on all elements at once

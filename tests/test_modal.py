@@ -35,21 +35,22 @@ from quadplate import (
     solve_modes,
 )
 from quadplate import modal
-from quadplate.cases import parse_case, run_modal
+from quadplate.cases import case_meshes, parse_case, run_modal
 from quadplate.mapping import bilinear_jacobians
-from quadplate.modal import (
-    _CsrPattern,
-    _element_geometry,
-    _element_transform,
-    _transforms,
-)
+from quadplate.modal import _CsrPattern, _element_geometry, _transforms
 from quadplate.plate_element import (
     batch_element_matrices,
     element_mass,
     element_stiffness,
 )
 
-from conftest import BIUNIT_SQUARE, SECTION_QUAD, UNIT_SQUARE, convex_quads
+from conftest import (
+    BIUNIT_SQUARE,
+    SECTION_QUAD,
+    UNIT_SQUARE,
+    convex_quads,
+    element_transform,
+)
 
 MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)
 RULE = gauss_rule(3)
@@ -104,7 +105,8 @@ for name, source, key, sizes in (
                     reduced = apply_bcs(system, mesh)
                     modes = solve_modes(reduced, 4).modes
                     tag["shapes"] = sha(json.dumps(
-                        mode_shape_samples(mesh, reduced, modes)).encode())
+                        mode_shape_samples(mesh, reduced, modes).tolist())
+                        .encode())
 print(json.dumps(digests, indent=1, sort_keys=True))
 """
 
@@ -119,7 +121,7 @@ def scalar_assemble(mesh, material, rule=RULE, rotary=False):
         quad = QuadGeometry(mesh.nodes[conn], allow_collapsed=True)
         scheme = build_scheme(quad, "bilinear")
         em = element_matrices(scheme, material, rule, rotary=rotary)
-        t = _element_transform(scheme)
+        t = element_transform(scheme)
         dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2] for n in conn])
         np.add.at(k, np.ix_(dofs, dofs), t.T @ em.k @ t)
         np.add.at(m, np.ix_(dofs, dofs), t.T @ em.m @ t)
@@ -243,7 +245,7 @@ class TestAssemble:
             m = np.swapaxes(t, 1, 2) @ m @ t
             for index, quad in enumerate(quads):
                 scheme = build_scheme(quad, "bilinear")
-                ts = _element_transform(scheme)
+                ts = element_transform(scheme)
                 assert_relative(t[index], ts, 1e-12, index)
                 ks = ts.T @ element_stiffness(scheme, MAT, rule) @ ts
                 ms = ts.T @ element_mass(scheme, MAT, rule, rotary) @ ts
@@ -730,16 +732,30 @@ def navier_omega(a, b, count):
     return np.array(omega[:count])
 
 
-def simply_supported_omega(vertices, meshes):
-    """Six omega per mesh of a quad simply supported on every edge, run
-    through a case document with the benchmark material (D = rho t = 1)."""
-    case = parse_case({
+def simply_supported_case(vertices, meshes):
+    """A quad simply supported on every edge, six modes per mesh, as a
+    case document with the benchmark material (D = rho t = 1)."""
+    return parse_case({
         "material": {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0},
         "geometry": {"quad": {"vertices": vertices, "meshes": meshes,
                               "ss_edges": [0, 1, 2, 3]}},
         "analysis": {"modes": 6}})
-    return np.array([row["omega"] for row in run_modal(case)
-                     .tables["rows"]]).reshape(len(meshes), 6)
+
+
+def simply_supported_omega(vertices, meshes):
+    """Six omega per mesh of ``simply_supported_case``."""
+    return np.array([row["omega"] for row in run_modal(
+        simply_supported_case(vertices, meshes)).tables["rows"]]) \
+        .reshape(len(meshes), 6)
+
+
+def largest_principal_sine(u, v, m):
+    """sin of the largest principal angle between the spans of the
+    M-orthonormal columns of ``u`` and ``v``: the M-norm of what of u lies
+    outside span(v), accurate also for angles near round-off."""
+    outside = u - v @ (v.T @ (m @ u))
+    return float(np.sqrt(np.linalg.eigvalsh(outside.T @ (m @ outside))
+                         .max()))
 
 
 RECTANGLE = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.6], [0.0, 0.6]]
@@ -771,6 +787,28 @@ class TestMeshConvergence:
                                 lambda n, count, dense=dense: dense)
             omega.append(simply_supported_omega(RECTANGLE, [[16, 16]]))
         np.testing.assert_allclose(*omega, rtol=1e-10, atol=0)
+
+    def test_navier_square_on_both_solve_paths(self, monkeypatch):
+        # the square's double pairs, modes 2-3 and 5-6, are each fixed only
+        # as a subspace: single vectors of a pair differ between the paths
+        # (by 4.6e-3 rad for modes 2-3), their spans by a largest principal
+        # angle of 1.0e-14 ... 3.4e-14 (OpenBLAS kernels Prescott to
+        # SkylakeX, 1-4 threads); bounded at twice the largest
+        case = simply_supported_case(UNIT_SQUARE, [[16, 16]])
+        (_, mesh), = case_meshes(case)
+        reduced = apply_bcs(assemble(mesh, case.material, RULE), mesh)
+        spectra = []
+        for dense in (True, False):
+            monkeypatch.setattr(modal, "_solves_densely",
+                                lambda n, count, dense=dense: dense)
+            spectra.append(solve_modes(reduced, 6))
+        dense, sparse = spectra
+        np.testing.assert_allclose(dense.omega, sparse.omega, rtol=1e-10,
+                                   atol=0)
+        for pair in ([1, 2], [4, 5]):
+            assert largest_principal_sine(
+                dense.modes[:, pair], sparse.modes[:, pair], reduced.m) \
+                <= 7e-14, pair
 
     def test_navier_rectangle_independent_of_frame(self):
         # rotated by 30 degrees and moved by (2, -1): measured 1.1e-13

@@ -22,7 +22,7 @@ from quadplate import (
 from quadplate import mapping
 from quadplate.plate_element import PHI1_DOFS, PHI2_DOFS, U_DOFS
 
-from conftest import BIUNIT_SQUARE, convex_quads
+from conftest import BIUNIT_SQUARE, convex_quads, element_transform
 
 MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)
 RULE = gauss_rule(3)
@@ -148,7 +148,6 @@ class TestRotationField:
         # two elements of a structured mesh of a general quad: Cartesian
         # rotations along the shared edge coincide pointwise
         from quadplate import mesh_quad
-        from quadplate.modal import _element_transform
 
         mesh = mesh_quad([[0, 0], [2.3, 0.1], [2.0, 1.9], [-0.4, 1.6]], 2, 1)
         conn_a, conn_b = mesh.elements
@@ -160,7 +159,7 @@ class TestRotationField:
         def edge_rotation(conn, theta):
             quad = QuadGeometry(mesh.nodes[conn])
             scheme = build_scheme(quad, "pascal6")
-            transform = _element_transform(scheme)
+            transform = element_transform(scheme)
             dofs = np.concatenate([[3 * n, 3 * n + 1, 3 * n + 2]
                                    for n in conn])
             local = transform @ u_cart[dofs]
