@@ -27,6 +27,7 @@ from .mapping import (
     compute_poles_cartesian,  # not called; the benchmark's tracer wraps it
     corner_jacobians,
     distance,
+    fixed_points,
     lattice_points,
     map_point,
     random_convex_quad,
@@ -604,9 +605,8 @@ def run_sectprops(case: CaseFile) -> Report:
 
 
 #: The 9x9 natural lattice ``run_mapcheck`` compares the maps on (t1 outer).
-_MAPCHECK_GRID = lattice_points(np.linspace(-1.0, 1.0, 9),
-                                np.linspace(-1.0, 1.0, 9))
-_MAPCHECK_GRID.setflags(write=False)
+_MAPCHECK_GRID = fixed_points(lattice_points(np.linspace(-1.0, 1.0, 9),
+                                             np.linspace(-1.0, 1.0, 9)))
 
 
 def run_mapcheck(case: CaseFile) -> Report:

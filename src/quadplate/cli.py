@@ -47,9 +47,12 @@ def _add_common(parser: argparse.ArgumentParser, modal: bool = False):
                             help="sample mode shapes for plot output")
 
 
-def _overrides(args, modal: bool) -> dict:
+def _overrides(args) -> dict:
+    if args.verb == "mapcheck" and args.scheme is not None:
+        raise ValidationError("mapcheck reports every scheme; --scheme "
+                              "applies to sectprops and modal")
     overrides = {"scheme": args.scheme, "gauss": args.gauss}
-    if modal:
+    if args.verb == "modal":
         overrides.update({
             "modes": args.modes,
             "normalization": args.normalization,
@@ -88,7 +91,7 @@ def main(argv=None) -> int:
         # warning beside a report of infinities.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             case = load_case(args.case, seed=args.seed,
-                             overrides=_overrides(args, args.verb == "modal"))
+                             overrides=_overrides(args))
             report = runners[args.verb](case)
         emit(report, fmt=args.format, destination=args.out)
     except ArithmeticError as exc:

@@ -22,6 +22,11 @@ mapping and Jacobian evaluation are plain polynomial operations that
 remain valid outside the bi-unit square.  A scheme's shape functions carry
 their nodes as one read-only (n, 2) array of natural coordinates.
 
+The natural point sets that never change (the corners, the bilinear and
+serendipity nodes, the Gauss points, the report and sampling lattices)
+are declared once with ``fixed_points``; the monomial tables of each are
+computed on first use and shared by every later evaluation.
+
 ``corner_jacobians`` holds the one rule by which a bilinear map is
 accepted, from the signs of det J at its four corners; mesh assembly
 applies it to every element and the single-quad reports to their quad.
@@ -29,6 +34,7 @@ applies it to every element and the single-quad reports to their quad.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
@@ -37,9 +43,49 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
 
+#: Each point set declared by ``fixed_points``, keyed by ``id``: the array
+#: itself and its monomial tables, keyed by (evaluator, exponent table).
+_FIXED_TABLES: dict = {}
+
+
+def fixed_points(points) -> np.ndarray:
+    """A read-only copy of the natural points ``points`` (..., 2), declared
+    fixed: ``monomial_values`` and ``monomial_gradients`` compute their
+    table of this exact array once per exponent table, and return that
+    same read-only table on every later call.  Declare only constant sets,
+    once each, where they are defined."""
+    t = np.array(points, dtype=float)
+    t.setflags(write=False)
+    _FIXED_TABLES[id(t)] = (t, {})
+    return t
+
+
+def _tables_of(theta):
+    """The monomial tables of a ``fixed_points`` array, else ``None``."""
+    entry = _FIXED_TABLES.get(id(theta))
+    return entry[1] if entry is not None and entry[0] is theta else None
+
+
+def _tabulated(evaluate):
+    """``evaluate(exponents, theta)``, its result for a ``fixed_points``
+    array computed on the first call and returned read-only after it."""
+    @functools.wraps(evaluate)
+    def lookup(exponents, theta):
+        tables = _tables_of(theta)
+        if tables is None:
+            return evaluate(exponents, theta)
+        key = (evaluate, tuple(map(tuple, exponents)))
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = evaluate(exponents, theta)
+            table.setflags(write=False)
+        return table
+    return lookup
+
+
 #: Natural coordinates of the four corner nodes, counterclockwise.
-CORNER_NATURAL = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-CORNER_NATURAL.setflags(write=False)
+CORNER_NATURAL = fixed_points([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                               [-1.0, 1.0]])
 
 #: Natural coordinates of the four serendipity edge midpoints.
 MIDPOINT_NATURAL = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
@@ -74,9 +120,16 @@ _BILINEAR_SHAPE_COEFFS.setflags(write=False)
 _SERENDIPITY_SHAPE_COEFFS.setflags(write=False)
 
 
+@_tabulated
 def monomial_values(exponents, theta) -> np.ndarray:
     """Each basis monomial at natural points ``theta`` (..., 2); shape
-    (..., n_terms)."""
+    (..., n_terms).
+
+    For a declared fixed set (``fixed_points``: ``CORNER_NATURAL``, the
+    bilinear and serendipity shape nodes, each ``GaussRule.tensor_points``,
+    the mapcheck and mode-shape sampling lattices, the quadrant centers of
+    the subarea fractions) the table is computed once and shared,
+    read-only."""
     t = np.asarray(theta, dtype=float)
     t1, t2 = t[..., 0], t[..., 1]
     out = np.empty(t.shape[:-1] + (len(exponents),))
@@ -85,9 +138,13 @@ def monomial_values(exponents, theta) -> np.ndarray:
     return out
 
 
+@_tabulated
 def monomial_gradients(exponents, theta) -> np.ndarray:
     """Partial derivatives of each monomial at natural points ``theta``
-    (..., 2); shape (..., n_terms, 2)."""
+    (..., 2); shape (..., n_terms, 2).
+
+    Computed once and shared, read-only, for the declared fixed sets that
+    ``monomial_values`` names."""
     t = np.asarray(theta, dtype=float)
     t1, t2 = t[..., 0], t[..., 1]
     out = np.zeros(t.shape[:-1] + (len(exponents), 2))
@@ -271,7 +328,8 @@ class ShapeFunctionSet:
     ``coeffs[q, m]`` multiplies monomial m, so evaluating all functions at
     a point is a single matrix-vector product.  ``nodes`` (n, 2) holds the
     natural coordinates of the nodes, read-only: the four corners, then
-    the two poles or the four edge midpoints.
+    the two poles or the four edge midpoints.  A ``fixed_points`` array
+    is kept as given, any other copied.
     """
 
     coeffs: np.ndarray
@@ -279,9 +337,10 @@ class ShapeFunctionSet:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
+        if _tables_of(self.nodes) is None:
+            nodes = np.array(self.nodes, dtype=float)
+            nodes.setflags(write=False)
+            object.__setattr__(self, "nodes", nodes)
 
     def evaluate(self, theta) -> np.ndarray:
         """All shape functions at natural points (..., 2); shape
@@ -294,7 +353,7 @@ _BILINEAR_SHAPES = ShapeFunctionSet(
     _BILINEAR_SHAPE_COEFFS, BILINEAR_MONOMIALS, CORNER_NATURAL)
 _SERENDIPITY_SHAPES = ShapeFunctionSet(
     _SERENDIPITY_SHAPE_COEFFS, SERENDIPITY_MONOMIALS,
-    np.vstack([CORNER_NATURAL, MIDPOINT_NATURAL]))
+    fixed_points(np.vstack([CORNER_NATURAL, MIDPOINT_NATURAL])))
 
 
 @dataclass(frozen=True, eq=False)

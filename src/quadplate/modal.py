@@ -46,6 +46,7 @@ from .mapping import (
     bilinear_params,
     build_scheme,  # not called; the benchmark's tracer wraps it here
     corner_jacobians,
+    fixed_points,
     lattice_points,
     pair_distances,
     twice_signed_area,
@@ -220,6 +221,9 @@ def _validate_mesh(mesh: Mesh):
     )
 
 
+#: ``QUADRANT_CENTERS`` as natural points (4, 2).
+_QUADRANT_CENTER_POINTS = fixed_points(QUADRANT_CENTERS)
+
 #: Per corner, the element DOF indices of its two rotations.
 _CORNER_ROTATIONS = 3 * np.arange(4)[:, None] + np.array([1, 2])
 
@@ -240,7 +244,7 @@ def _element_geometry(mesh: Mesh) -> tuple:
     cjac, flat = corner_jacobians(coeffs, pair_distances(v).max(axis=1))
     # det J is affine in theta, so a quadrant's area (natural area 1) is
     # det J at its center
-    _, areas = bilinear_jacobians(coeffs, QUADRANT_CENTERS)
+    _, areas = bilinear_jacobians(coeffs, _QUADRANT_CENTER_POINTS)
     fractions = areas / areas.sum(axis=1, keepdims=True)
     blocks = np.stack([
         np.stack([cjac[..., 1, 1], -cjac[..., 1, 0]], axis=-1),
@@ -537,9 +541,13 @@ def _shift_invert_pairs(k, m, shifted, count: int, s: float) -> tuple:
         ) from exc
     opinv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve,
                                                dtype=float)
+    # M as a bare product: scipy's own wrapper of a sparse matrix sends
+    # each M x through matmat on an (n, 1) column
+    mass = scipy.sparse.linalg.LinearOperator((n, n), matvec=m.__matmul__,
+                                              dtype=float)
     try:
         omega_sq, v = scipy.sparse.linalg.eigsh(
-            k, count, m, sigma=-s, OPinv=opinv,
+            k, count, mass, sigma=-s, OPinv=opinv,
             v0=np.random.default_rng(0).standard_normal(n))
     except scipy.sparse.linalg.ArpackError as exc:
         raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
@@ -670,9 +678,8 @@ def nodes_on_segment(mesh: Mesh, p0, p1) -> tuple:
 
 
 #: The 5x5 natural lattice ``mode_shape_samples`` evaluates (t1 outer).
-_SAMPLE_POINTS = lattice_points(np.linspace(-1.0, 1.0, 5),
-                                np.linspace(-1.0, 1.0, 5))
-_SAMPLE_POINTS.setflags(write=False)
+_SAMPLE_POINTS = fixed_points(lattice_points(np.linspace(-1.0, 1.0, 5),
+                                             np.linspace(-1.0, 1.0, 5)))
 
 
 def mode_shape_samples(mesh: Mesh, system: GlobalSystem,

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .mapping import MappingScheme, det2, jacobian, lattice_points
+from .mapping import (MappingScheme, det2, fixed_points, jacobian,
+                      lattice_points)
 
 # Nodes and weights are hard-coded (radicals up to n=5, standard 16-digit
 # literals for n=6) for determinism; no root finding at runtime.
@@ -76,7 +77,9 @@ _GAUSS_TABLE = {
 class GaussRule:
     """A one-dimensional Gauss-Legendre rule on [-1, 1], with the points
     (n*n, 2) and weights (n*n,) of its two-dimensional tensor rule, in the
-    order the element loops visit them (t1 outer), all read-only."""
+    order the element loops visit them (t1 outer), all read-only.  The
+    tensor points are a ``fixed_points`` set: build one rule per order, as
+    ``gauss_rule`` does."""
 
     order: int
     nodes: np.ndarray
@@ -85,9 +88,9 @@ class GaussRule:
     tensor_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        points = lattice_points(self.nodes, self.nodes)
+        points = fixed_points(lattice_points(self.nodes, self.nodes))
         weights = np.outer(self.weights, self.weights).ravel()
-        for table in (self.nodes, self.weights, points, weights):
+        for table in (self.nodes, self.weights, weights):
             table.setflags(write=False)
         object.__setattr__(self, "tensor_points", points)
         object.__setattr__(self, "tensor_weights", weights)

@@ -1016,6 +1016,15 @@ class TestCli:
         assert "invalid input: --seed applies only to the random-quad case" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["bilinear", "all"])
+    def test_scheme_for_mapcheck_exit_two(self, capsys, scheme):
+        assert main(["mapcheck", "--case", "paper-quad",
+                     "--scheme", scheme]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input: mapcheck reports every scheme" \
+            in captured.err
+
     def test_workers_option_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["modal", "--case", "clamped-quad", "--workers", "2"])

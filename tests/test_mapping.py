@@ -21,7 +21,9 @@ from quadplate import (
     serendipity_shapes,
     solve_pole_natural,
 )
+import quadplate.cases
 import quadplate.mapping
+import quadplate.modal
 from quadplate.mapping import (
     BILINEAR_MONOMIALS,
     CORNER_NATURAL,
@@ -33,7 +35,8 @@ from quadplate.mapping import (
     pair_distances,
     twice_signed_area,
 )
-from quadplate.cases import load_case
+from quadplate.cases import load_case, run_mapcheck, run_modal, run_sectprops
+from quadplate.quadrature import gauss_rule
 
 from conftest import SECTION_QUAD, convex_quads, fd_jacobian
 
@@ -570,3 +573,80 @@ class TestPreallocatedEvaluators:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.array_equal(got, want)
             assert np.array_equal(new(exponents, theta.tolist()), want)
+
+
+def _fixed_sets():
+    """Every point set the package declares fixed, by name."""
+    sets = {
+        "CORNER_NATURAL": CORNER_NATURAL,
+        "serendipity nodes": quadplate.mapping._SERENDIPITY_SHAPES.nodes,
+        "mapcheck grid": quadplate.cases._MAPCHECK_GRID,
+        "mode-shape samples": quadplate.modal._SAMPLE_POINTS,
+        "quadrant centers": quadplate.modal._QUADRANT_CENTER_POINTS,
+    }
+    sets.update({f"gauss {order}": gauss_rule(order).tensor_points
+                 for order in range(1, 7)})
+    return sets
+
+
+def _table_count():
+    return sum(len(tables)
+               for _, tables in quadplate.mapping._FIXED_TABLES.values())
+
+
+class TestFixedPointTables:
+    """The monomial tables of the declared constant point sets are
+    computed once, equal a fresh computation bit for bit, and never
+    extend to input-dependent points."""
+
+    def test_registry_holds_exactly_the_declared_sets(self):
+        registered = [t for t, _ in quadplate.mapping._FIXED_TABLES.values()]
+        assert quadplate.mapping._BILINEAR_SHAPES.nodes is CORNER_NATURAL
+        declared = list(_fixed_sets().values())
+        assert len(registered) == len(declared)
+        assert all(any(t is d for d in declared) for t in registered)
+        assert not any(t.flags.writeable for t in registered)
+
+    @pytest.mark.parametrize("name", list(_fixed_sets()))
+    @pytest.mark.parametrize("exponents", [
+        BILINEAR_MONOMIALS, PASCAL_MONOMIALS, SERENDIPITY_MONOMIALS])
+    def test_table_is_the_fresh_computation(self, name, exponents):
+        points = _fixed_sets()[name]
+        for evaluate in (monomial_values, monomial_gradients):
+            table = evaluate(exponents, points)
+            fresh = evaluate(exponents, np.array(points))
+            assert fresh.flags.writeable and not table.flags.writeable
+            assert table.shape == fresh.shape
+            assert np.array_equal(table.view(np.uint64),
+                                  fresh.view(np.uint64))
+            assert evaluate(exponents, points) is table
+            assert evaluate(list(map(list, exponents)), points) is table
+
+    def test_size_fixed_after_warm_up(self):
+        def single_quads(seeds):
+            for seed in seeds:
+                case = load_case("random-quad", seed=seed)
+                run_sectprops(case)
+                run_mapcheck(case)
+
+        modal_case = load_case("cantilever-isosceles",
+                               overrides={"mode_shapes": True})
+        single_quads([0])
+        run_modal(modal_case)
+        sets, tables = len(quadplate.mapping._FIXED_TABLES), _table_count()
+        single_quads(range(1, 51))
+        run_modal(modal_case)
+        assert len(quadplate.mapping._FIXED_TABLES) == sets
+        assert _table_count() == tables
+
+    def test_undeclared_read_only_points_not_tabulated(self):
+        nodes = build_scheme(QuadGeometry(SECTION_QUAD), "pascal6") \
+            .shapes.nodes
+        assert not nodes.flags.writeable
+        sets, tables = len(quadplate.mapping._FIXED_TABLES), _table_count()
+        for evaluate in (monomial_values, monomial_gradients):
+            first = evaluate(PASCAL_MONOMIALS, nodes)
+            assert first.flags.writeable
+            assert evaluate(PASCAL_MONOMIALS, nodes) is not first
+        assert len(quadplate.mapping._FIXED_TABLES) == sets
+        assert _table_count() == tables

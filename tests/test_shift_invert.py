@@ -151,6 +151,34 @@ def test_sparse_path_matches_dense_on_16x16(monkeypatch, lanczos, vertices,
     assert_sparse_matches_dense(monkeypatch, lanczos, system, 6)
 
 
+@pytest.mark.parametrize("rotary", [False, True], ids=["plain", "rotary"])
+@pytest.mark.parametrize("vertices,edges", [
+    (CLAMPED_QUAD, [0, 1, 2, 3]), (CANTILEVER_QUAD, [0]),
+    (UNIT_SQUARE, [0, 1, 2, 3])],
+    ids=["clamped-quad-16x16", "cantilever-quad-16x16",
+         "clamped-square-16x16"])
+def test_mass_operator_matches_sparse_mass(monkeypatch, vertices, edges,
+                                           rotary):
+    # the solver hands eigsh M as a bare matvec; the sparse M itself must
+    # give the same bits
+    system = constrained(quad_mesh(vertices, 16, edges), rotary)
+    assert not modal._solves_densely(system.n_dofs, 6)
+    real = scipy.sparse.linalg.eigsh
+    pairs = []
+
+    def both(k, count, m, **kwargs):
+        assert isinstance(m, scipy.sparse.linalg.LinearOperator)
+        got = real(k, count, m, **kwargs)
+        pairs.append((got, real(k, count, system.m, **kwargs)))
+        return got
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", both)
+    solve_modes(system, 6)
+    (got, want), = pairs
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_free_square_rigid_modes(monkeypatch, lanczos):
     system = constrained(mesh_quad(UNIT_SQUARE, 16, 16))
     dense, sparse = solve_both(monkeypatch, system, 6)
