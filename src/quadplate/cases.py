@@ -402,7 +402,9 @@ class Report:
         return {"kind": self.kind, "meta": self.meta, "tables": tables}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` and a
+        newline, byte for byte (``_json_text``)."""
+        return _json_text(self.to_dict()) + "\n"
 
     def to_csv(self) -> str:
         if self.kind == "modal":
@@ -462,6 +464,54 @@ class Report:
             blocks.append(f"# {entry['mesh']} mode {entry['mode']}".encode()
                           + block.tobytes().translate(None, b"\0"))
         return (b"\n\n".join(blocks) + b"\n").decode()
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    ``json`` writes indented text with its pure-Python encoder; this is
+    the same rules in one recursive function.  Types are tested in
+    ``json``'s order (str, None, True, False, int, float, list or tuple,
+    dict), so a bool prints as true/false and a float subclass such as
+    ``np.float64`` as the float it holds.  Dict keys must be strings; any
+    other key or value raises ``TypeError``.  ``indent`` is the newline
+    and indentation that precede the lines of ``value``'s level.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_string(key) + ": " + _json_text(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
 
 
 #: ``_PAIRS[k]`` holds the two ASCII digits of k < 100 in one

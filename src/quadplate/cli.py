@@ -48,9 +48,13 @@ def _add_common(parser: argparse.ArgumentParser, modal: bool = False):
 
 
 def _overrides(args) -> dict:
-    if args.verb == "mapcheck" and args.scheme is not None:
-        raise ValidationError("mapcheck reports every scheme; --scheme "
-                              "applies to sectprops and modal")
+    if args.verb == "mapcheck":
+        if args.scheme is not None:
+            raise ValidationError("mapcheck reports every scheme; --scheme "
+                                  "applies to sectprops and modal")
+        if args.gauss is not None:
+            raise ValidationError("mapcheck uses no quadrature; --gauss "
+                                  "applies to sectprops and modal")
     overrides = {"scheme": args.scheme, "gauss": args.gauss}
     if args.verb == "modal":
         overrides.update({

@@ -162,11 +162,22 @@ def det2(matrix) -> np.ndarray:
             - matrix[..., 0, 1] * matrix[..., 1, 0])
 
 
+#: ``NEXT_CORNER[i]`` is the corner after corner i around a quad
+#: (read-only); ``v[..., NEXT_CORNER, :]`` is ``np.roll(v, -1, axis=-2)``.
+NEXT_CORNER = np.array([1, 2, 3, 0])
+NEXT_CORNER.setflags(write=False)
+
+
+def next_vertex(k: int) -> np.ndarray:
+    """Index of the vertex after each vertex i around a k-gon, (i + 1) % k."""
+    return NEXT_CORNER if k == 4 else (np.arange(k) + 1) % k
+
+
 def twice_signed_area(vertices) -> np.ndarray:
     """Twice the signed area of polygons (..., k, 2) (shoelace formula)."""
     x, y = vertices[..., 0], vertices[..., 1]
-    return np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
-                  axis=-1)
+    following = next_vertex(x.shape[-1])
+    return np.sum(x * y[..., following] - x[..., following] * y, axis=-1)
 
 
 def distance(a, b) -> np.ndarray:
@@ -443,7 +454,7 @@ def corner_jacobians(coeffs: np.ndarray, diam: np.ndarray) -> tuple:
     flat = np.abs(cdet) <= tol[:, None]
     # a collapsed edge leaves exactly its two (adjacent) ends flat
     tip = (np.count_nonzero(flat, axis=1) == 2) \
-        & (flat & np.roll(flat, 1, axis=1)).any(axis=1)
+        & (flat & flat[:, NEXT_CORNER]).any(axis=1)
     bad = np.argwhere((cdet <= tol[:, None]) & ~(flat & tip[:, None]))
     if bad.size:
         ei, corner = bad[0]
@@ -482,8 +493,9 @@ def _line_intersection(a, b, c, d):
     doubles, t of a pole 1e5 diameters out is 1e-11 off, relative)."""
     u = b - a
     w = d - c
-    if abs(det2(np.array([u, w]))) <= \
-            1e-12 * np.linalg.norm(u) * np.linalg.norm(w):
+    # np.linalg.norm of a vector is sqrt(x.dot(x)), bit for bit
+    if abs(u[0] * w[1] - u[1] * w[0]) <= \
+            1e-12 * np.sqrt(u.dot(u)) * np.sqrt(w.dot(w)):
         return None
     ratios = [x.as_integer_ratio()
               for x in np.concatenate([a, b, c, d]).tolist()]
@@ -584,7 +596,10 @@ def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
     except np.linalg.LinAlgError as exc:
         raise NumericalError("degenerate pole configuration: singular "
                              "interpolation matrix") from exc
-    cond = float(np.linalg.norm(a_mat, 1) * np.linalg.norm(b_mat, 1))
+    # the matrix 1-norm, the largest column sum of |entries|, computed as
+    # np.linalg.norm(x, 1) computes it
+    cond = float(np.abs(a_mat).sum(axis=0).max()
+                 * np.abs(b_mat).sum(axis=0).max())
     if cond > 1e12:
         raise NumericalError(
             f"degenerate pole configuration: condition estimate {cond:.3e}"
@@ -608,7 +623,7 @@ def build_scheme(quad: QuadGeometry, kind: str = "pascal6") -> MappingScheme:
         return MappingScheme("bilinear", quad, bilinear_params(quad),
                              _BILINEAR_SHAPES)
     if kind == "serendipity8":
-        node_xy = np.vstack([v, 0.5 * (v + np.roll(v, -1, axis=0))])
+        node_xy = np.vstack([v, 0.5 * (v + v[NEXT_CORNER])])
         params = GeneralizedParams(SERENDIPITY_MONOMIALS,
                                    _SERENDIPITY_SHAPE_COEFFS.T @ node_xy)
         return MappingScheme("serendipity8", quad, params,
@@ -626,7 +641,7 @@ def build_scheme(quad: QuadGeometry, kind: str = "pascal6") -> MappingScheme:
         except NumericalError as exc:
             reason = f"near-parallel edge pair ({exc})"
     # collapsed-edge (triangle) quads degrade by design and stay silent
-    if distance(np.roll(v, -1, axis=0), v).min() > 1e-12 * quad.diameter:
+    if distance(v[NEXT_CORNER], v).min() > 1e-12 * quad.diameter:
         warnings.warn(f"{reason}: pascal6 falls back to the bilinear "
                       "transformation", stacklevel=2)
     coeffs = np.zeros((6, 2))

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
 from .mapping import (
     BILINEAR_MONOMIALS,
+    NEXT_CORNER,
     GeneralizedParams,
     QuadGeometry,
     bilinear_coefficients,
@@ -184,7 +185,7 @@ def _validate_mesh(mesh: Mesh):
     conn = mesh.elements
     if np.any(conn < 0) or np.any(conn >= n):
         raise DegenerateGeometryError("element references a missing node")
-    following = np.roll(conn, -1, axis=1)
+    following = conn[:, NEXT_CORNER]
     distinct = 1 + np.count_nonzero(np.diff(np.sort(conn, axis=1)), axis=1)
     # a collapsed-edge (triangle) element is allowed only when the
     # repeated node is adjacent in the cycle

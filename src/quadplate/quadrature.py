@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .mapping import (MappingScheme, det2, fixed_points, jacobian,
-                      lattice_points)
+                      lattice_points, next_vertex)
 
 # Nodes and weights are hard-coded (radicals up to n=5, standard 16-digit
 # literals for n=6) for determinism; no root finding at runtime.
@@ -173,7 +173,8 @@ def polygon_section_properties(vertices) -> SectionProperties:
     """
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    following = next_vertex(len(v))
+    xn, yn = x[following], y[following]
     cross = x * yn - xn * y
     area = 0.5 * float(np.sum(cross))
     i_x1 = float(np.sum(cross * (y * y + y * yn + yn * yn))) / 12.0

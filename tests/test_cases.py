@@ -22,6 +22,7 @@ from quadplate import InvalidCaseError
 from quadplate.cases import (
     Report,
     _e6_cells,
+    _json_text,
     builtin_case_names,
     case_meshes,
     emit,
@@ -360,6 +361,60 @@ class TestPlotNumbers:
         assert _e6_cells(np.empty(0)).shape == (0, 14)
         assert self.printed(np.array([[1.5, -2.0], [0.25, 1e-7]])) == [
             "1.500000e+00", "-2.000000e+00", "2.500000e-01", "1.000000e-07"]
+
+
+#: JSON documents with the values that print in more than one way: signed
+#: zeros, subnormals, the ends of the double range, nan and inf, integers
+#: beyond 64 bits, bools, tuples, empty containers at every depth, and
+#: strings (keys too) with non-ASCII and control characters.
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.8e308,
+                                  -1.8e308, math.nan, math.inf, -math.inf]),
+    st.text(), st.sampled_from(["", "\x00\t\n\x1f\x7f", "é ü",
+                                "\u2028\U0001f600", '"\\/']),
+    st.just([]), st.just(()), st.just({}))
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    """``_json_text``, the report writer, against ``json.dumps(indent=2,
+    sort_keys=True)``."""
+
+    @staticmethod
+    def dumps(value) -> str:
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              database=None)
+    @given(_JSON_DOCUMENTS)
+    def test_matches_json_dumps_byte_for_byte(self, document):
+        assert _json_text(document) == self.dumps(document)
+
+    def test_numpy_floats_print_as_json_prints_them(self):
+        document = {"a": np.float64(0.1), "b": [np.float64(-0.0),
+                                                np.float64(math.nan),
+                                                np.float64(-math.inf)],
+                    "c": {"d": np.float64(1e-320)}}
+        assert _json_text(document) == self.dumps(document)
+        report = Report("sectprops", meta={"x": np.float64(2.5)})
+        assert report.to_json() == self.dumps(report.to_dict()) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        object(), {1, 2}, np.int64(3), np.bool_(True), np.array([1.0]),
+        {"a": [1, {"b": b"bytes"}]}], ids=[
+        "object", "set", "int64", "bool_", "ndarray", "nested-bytes"])
+    def test_non_json_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            self.dumps(value)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_text(value)
 
 
 class TestModalReports:
@@ -1024,6 +1079,14 @@ class TestCli:
         assert captured.out == ""
         assert "invalid input: mapcheck reports every scheme" \
             in captured.err
+
+    def test_gauss_for_mapcheck_exit_two(self, capsys):
+        # mapcheck compares maps point by point and integrates nothing
+        assert main(["mapcheck", "--case", "paper-quad", "--gauss", "5"]) \
+            == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid input: mapcheck uses no quadrature" in captured.err
 
     def test_workers_option_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,13 +31,17 @@ from quadplate.mapping import (
     PASCAL_MONOMIALS,
     SCHEME_KINDS,
     SERENDIPITY_MONOMIALS,
+    bilinear_coefficients,
+    bilinear_jacobians,
+    corner_jacobians,
+    det2,
     monomial_gradients,
     monomial_values,
     pair_distances,
     twice_signed_area,
 )
 from quadplate.cases import load_case, run_mapcheck, run_modal, run_sectprops
-from quadplate.quadrature import gauss_rule
+from quadplate.quadrature import gauss_rule, polygon_section_properties
 
 from conftest import SECTION_QUAD, convex_quads, fd_jacobian
 
@@ -535,6 +540,112 @@ class TestArrayEvaluation:
             assert dist.tolist() == [float(np.linalg.norm(v[p] - v[q]))
                                      for p in range(4)
                                      for q in range(p + 1, 4)]
+
+
+def _seeded_polygons(k, count=60, seed=26):
+    """Random k-gons (count, k, 2) over six decades of size, every fourth
+    quad with one edge collapsed (a triangle tip) at a varying corner."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, k, 2)) \
+        * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1, 1))
+    if k == 4:
+        for i in range(0, count, 4):
+            corner = i // 4 % 4
+            v[i, (corner + 1) % 4] = v[i, corner]
+    return v
+
+
+class TestIndexShiftsAndNorms:
+    """The helpers that shift by the fixed next-vertex index and compute
+    norms from the dot product give the bits of the ``np.roll`` and
+    ``np.linalg.norm`` formulas they replaced."""
+
+    @staticmethod
+    def rolled_area(v):
+        x, y = v[..., 0], v[..., 1]
+        return np.sum(x * np.roll(y, -1, axis=-1)
+                      - np.roll(x, -1, axis=-1) * y, axis=-1)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_twice_signed_area_matches_roll(self, k):
+        polygons = _seeded_polygons(k)
+        want = self.rolled_area(polygons)
+        assert twice_signed_area(polygons).tobytes() == want.tobytes()
+        for v, area in zip(polygons, want):
+            assert twice_signed_area(v).tobytes() == area.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_polygon_section_properties_match_roll(self, k):
+        for v in _seeded_polygons(k):
+            x, y = v[:, 0], v[:, 1]
+            xn, yn = np.roll(x, -1), np.roll(y, -1)
+            cross = x * yn - xn * y
+            want = [
+                0.5 * float(np.sum(cross)),
+                float(np.sum(cross * (y * y + y * yn + yn * yn))) / 12.0,
+                float(np.sum(cross * (x * x + x * xn + xn * xn))) / 12.0,
+                float(np.sum(cross * (x * yn + 2.0 * x * y + 2.0 * xn * yn
+                                      + xn * y))) / 24.0]
+            got = dataclasses.astuple(polygon_section_properties(v))
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_corner_jacobians_match_roll_tip_rule(self):
+        # each quad alone, so every one reaches the accept/reject decision
+        polygons = _seeded_polygons(4, count=200)
+        outcomes = {"accepted": 0, "tip": 0, "rejected": 0}
+        for v in polygons:
+            coeffs = bilinear_coefficients(v)[None]
+            diam = pair_distances(v[None]).max(axis=1)
+            tol = 1e-12 * diam * diam
+            _, cdet = bilinear_jacobians(coeffs, CORNER_NATURAL)
+            flat = np.abs(cdet) <= tol[:, None]
+            tip = (np.count_nonzero(flat, axis=1) == 2) \
+                & (flat & np.roll(flat, 1, axis=1)).any(axis=1)
+            bad = (cdet <= tol[:, None]) & ~(flat & tip[:, None])
+            if bad.any():
+                outcomes["rejected"] += 1
+                with pytest.raises((NumericalError, DegenerateGeometryError)):
+                    corner_jacobians(coeffs, diam)
+            else:
+                outcomes["tip" if tip[0] else "accepted"] += 1
+                _, got = corner_jacobians(coeffs, diam)
+                assert np.array_equal(got, flat)
+        assert min(outcomes.values()) >= 10, outcomes
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9,
+                                     1e-10, 1e-11, 1e-12, 1e-13])
+    def test_near_parallel_trapezoid_falls_back_as_before(self, eps):
+        # edge (3)(4) is eps off parallel to edge (1)(2); from 1e-6 on the
+        # interpolation matrix is rejected, from 1e-13 on p5 is parallel
+        quad = QuadGeometry([[0, 0], [2, 0], [1.5, 1], [0.5, 1 + eps]])
+        v = quad.vertices
+        for a, b, c, d in ((v[0], v[1], v[2], v[3]),
+                           (v[1], v[2], v[3], v[0])):
+            u, w = b - a, d - c
+            parallel = abs(det2(np.array([u, w]))) \
+                <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(w)
+            assert (quadplate.mapping._line_intersection(a, b, c, d)
+                    is None) == parallel
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            scheme = build_scheme(quad, "pascal6")
+        assert scheme.poles.parallel_flags == (eps <= 1e-13, False)
+        assert scheme.fallback == (eps <= 1e-6)
+        if not scheme.fallback:
+            assert scheme.cond_a == self.norm_condition(scheme)
+
+    @staticmethod
+    def norm_condition(scheme) -> float:
+        a_mat = monomial_values(PASCAL_MONOMIALS, scheme.shapes.nodes)
+        return float(np.linalg.norm(a_mat, 1)
+                     * np.linalg.norm(np.linalg.inv(a_mat), 1))
+
+    def test_condition_estimate_matches_matrix_norms(self):
+        quads = convex_quads(40, seed=26) + [QuadGeometry(SECTION_QUAD)]
+        for quad in quads:
+            scheme = build_scheme(quad, "pascal6")
+            if not scheme.fallback:
+                assert scheme.cond_a == self.norm_condition(scheme)
 
 
 # The evaluators as they were built from ``np.stack``: the oracle that the
