@@ -13,7 +13,10 @@ frames depend only on its four bilinear coefficients.  One pass,
 ``_element_geometry``, derives them for every element of a mesh, after
 accepting each element by the signs of det J at its four corners
 (``mapping.corner_jacobians``, the rule that the single-quad verbs apply
-as well); ``assemble`` and ``mode_shape_samples`` both start from it.
+as well).  ``assemble`` runs it once per mesh and keeps its arrays on the
+``GlobalSystem`` it returns (``apply_bcs`` carries them over), and
+``mode_shape_samples`` samples from those; only a hand-built system makes
+the sampler derive them again from the mesh.
 ``assemble`` integrates the elements in chunks of ``_ASSEMBLY_CHUNK``
 (``batch_element_matrices``), transforms each chunk (``_transforms``) and
 sums it into CSR matrices whose layout comes from the element node pairs
@@ -131,13 +134,21 @@ def _solves_densely(n: int, count: int) -> bool:
     their modes.
 
     Lanczos slows with the count (its basis holds about 2 * count
-    vectors), the dense subset solve less so.  Same VM, medians of 5-15
-    runs: on the clamped skew quad at 363 DOFs dense 28-34 and sparse
-    34-39 ms at 36 modes, 34-39 and 50-52 ms at 50, 43-46 and 64-65 ms at
-    72; on the 16x16 cantilever quad at 816 DOFs 188-193 and 131-259 ms at
-    81 modes, 240-251 and 286-295 ms at 140.  So near a tenth neither path
-    is always the faster one.  Every benchmark workload asks for six
-    modes, so none reaches the count rule.
+    vectors), the dense subset solve less so.  ``solve_modes`` on each
+    path, dense ms / sparse ms, medians of 11 alternating runs on a
+    2-vCPU Xeon VM with BLAS on one thread, for count = f * n modes of
+    the clamped skew quad at 12x12 (363 DOFs) and 16x16 (675), and of the
+    16x16 cantilever quad (816):
+
+        f       0.05     0.1      0.125    0.15     0.2      0.25
+        363    22/17    28/28    35/42    36/47    35/39    45/70
+        675    82/33   106/72   105/86   117/116  140/144  194/311
+        816   137/57   155/80   161/110  204/197  275/372  290/509
+
+    The paths cross near a tenth at 363 DOFs and between 0.15 n and 0.2 n
+    at 675 and 816, so no one fraction puts the faster path on both sides
+    at all three sizes.  Every benchmark workload asks for six modes, so
+    none reaches the count rule.
     """
     return n <= DENSE_MAX_DOFS or count > n // 10
 
@@ -149,13 +160,18 @@ class GlobalSystem:
     ``dof_map[node]`` holds the three global indices of that node's
     (u, phi1, phi2), with -1 for eliminated DOFs.  ``scale`` is the
     plate's omega^2 scale D / (rho t L^4), L the diagonal of the node
-    bounding box; both eigensolves shift K by scale * M.
+    bounding box; both eigensolves shift K by scale * M.  ``geometry`` is
+    what ``_element_geometry`` derived for the assembled mesh (bilinear
+    coefficients, subarea fractions, corner rotation blocks, collapsed
+    mask; one row per element), from which ``mode_shape_samples``
+    samples; a hand-built system leaves it None.
     """
 
     k: scipy.sparse.csr_array
     m: scipy.sparse.csr_array
     dof_map: np.ndarray
     scale: float
+    geometry: tuple | None = None
 
     @property
     def n_dofs(self) -> int:
@@ -354,7 +370,8 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     ``_CsrPattern`` by ``np.bincount``, in element order within a chunk.
     The system also carries the plate's omega^2 scale (``_omega_scale``,
     which first rejects magnitudes beyond the double range), from which
-    ``solve_modes`` takes its shift.
+    ``solve_modes`` takes its shift, and the element geometry, from which
+    ``mode_shape_samples`` samples.
     """
     import scipy.sparse
 
@@ -362,7 +379,8 @@ def assemble(mesh: Mesh, material: PlateMaterial,
         rule = gauss_rule(3)
     _validate_mesh(mesh)
     scale = _omega_scale(material, mesh.nodes)
-    coeffs, fractions, blocks, collapsed = _element_geometry(mesh)
+    geometry = _element_geometry(mesh)
+    coeffs, fractions, blocks, collapsed = geometry
     ndof = 3 * mesh.n_nodes
     pattern = _CsrPattern.of(mesh.elements, mesh.n_nodes)
     values = np.zeros((2, pattern.indices.size))
@@ -393,7 +411,8 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     k, m = (scipy.sparse.csr_array((total, pattern.indices, pattern.indptr),
                                    shape=(ndof, ndof)) for total in values)
     dof_map = np.arange(ndof).reshape(mesh.n_nodes, 3)
-    return GlobalSystem(k=k, m=m, dof_map=dof_map, scale=scale)
+    return GlobalSystem(k=k, m=m, dof_map=dof_map, scale=scale,
+                        geometry=geometry)
 
 
 def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
@@ -419,7 +438,8 @@ def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
     new_index[kept] = np.arange(kept.size)
     dof_map = new_index[system.dof_map]
     return GlobalSystem(k=system.k[kept][:, kept], m=system.m[kept][:, kept],
-                        dof_map=dof_map, scale=system.scale)
+                        dof_map=dof_map, scale=system.scale,
+                        geometry=system.geometry)
 
 
 def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
@@ -430,11 +450,14 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     largest nu = 1/(omega^2 + s) are the smallest omega^2.  Systems of at
     most ``DENSE_MAX_DOFS`` DOFs, or asked for more than a tenth of their
     modes, take that subset of a dense ``eigh``, larger ones shift-invert
-    Lanczos (``_shift_invert_pairs``).  M may be semidefinite (consistent
-    mass without rotary inertia has element rank 3); nu ~ 0 is a mode in
-    its nullspace (infinite frequency) and an error, and so is a mode whose
-    eigen-residual exceeds ``MAX_RESIDUAL``.  Rigid modes come out at
-    omega ~ 0.
+    Lanczos (``_shift_invert_pairs``).  The dense path adds s times the
+    dense M into the dense K; per entry that is the sum sparse K + sM
+    would give (``toarray`` writes no -0.0, and an entry the sparse sum
+    drops is 0.0 in both), so only the sparse path forms K + sM.  M may
+    be semidefinite (consistent mass without rotary inertia has element
+    rank 3); nu ~ 0 is a mode in its nullspace (infinite frequency) and an
+    error, and so is a mode whose eigen-residual exceeds
+    ``MAX_RESIDUAL``.  Rigid modes come out at omega ~ 0.
     """
     n = system.n_dofs
     if count > n:
@@ -449,19 +472,21 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     if not np.any(m.data):
         raise NumericalError("mass matrix is zero")
     scale_k = float(np.linalg.norm(k.data))
-    shifted = k + s * m
     if _solves_densely(n, count):
         import scipy.linalg
 
+        dm = m.toarray()
+        ds = k.toarray()
+        ds += s * dm
         try:
-            nu, v = scipy.linalg.eigh(m.toarray(), shifted.toarray(),
+            nu, v = scipy.linalg.eigh(dm, ds,
                                       subset_by_index=(n - count, n - 1))
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise NumericalError(
                 f"K + sM is not positive definite at s = {s:.6e}"
             ) from exc
     else:
-        nu, v = _shift_invert_pairs(k, m, shifted, count, s)
+        nu, v = _shift_invert_pairs(k, m, count, s)
     if not np.all(np.isfinite(nu)):
         raise NumericalError(f"non-finite eigenvalue in nu = {nu}")
     v = v[:, np.argsort(-nu, kind="stable")]
@@ -520,7 +545,7 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     )
 
 
-def _shift_invert_pairs(k, m, shifted, count: int, s: float) -> tuple:
+def _shift_invert_pairs(k, m, count: int, s: float) -> tuple:
     """(nu, modes) of the ``count`` largest nu = 1/(omega^2 + s) of sparse
     (K, M), by Lanczos on (K + sM)^-1 M (ARPACK's shift-invert mode about
     sigma = -s, below every omega^2).
@@ -534,7 +559,7 @@ def _shift_invert_pairs(k, m, shifted, count: int, s: float) -> tuple:
     n = k.shape[0]
     try:
         lu = scipy.sparse.linalg.splu(
-            shifted.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            (k + s * m).tocsc(), permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise NumericalError(
@@ -546,6 +571,11 @@ def _shift_invert_pairs(k, m, shifted, count: int, s: float) -> tuple:
     # each M x through matmat on an (n, 1) column
     mass = scipy.sparse.linalg.LinearOperator((n, n), matvec=m.__matmul__,
                                               dtype=float)
+    # eigsh keeps its default tolerance (machine precision): asked for 12
+    # modes of the free 12x12 unit square (507 DOFs) with tol=1e-10, it
+    # returned one copy of the double omega 62.657263 and the next mode,
+    # 79.245949, in place of the other, every residual within 7.1e-10, so
+    # the residual check cannot see such a missed mode
     try:
         omega_sq, v = scipy.sparse.linalg.eigsh(
             k, count, mass, sigma=-s, OPinv=opinv,
@@ -693,11 +723,22 @@ def mode_shape_samples(mesh: Mesh, system: GlobalSystem,
     that element's deflection expansion.  x and y are the same in every
     row.  ``Report.to_plot`` prints these arrays with every number
     byte-identical to ``'%.6e'``; ``Report.to_dict`` lists them.
+
+    The element geometry is the one ``assemble`` kept on the system, which
+    must have one row per element of ``mesh``; a system without it (built
+    by hand) has it derived from the mesh here, with the same bits.
     """
+    geometry = system.geometry
+    if geometry is None:
+        geometry = _element_geometry(mesh)
+    elif len(geometry[0]) != mesh.n_elements:
+        raise ValidationError(
+            f"the system's element geometry has {len(geometry[0])} rows "
+            f"for a mesh of {mesh.n_elements} elements")
+    coeffs, fractions, blocks, _ = geometry
     full = np.zeros((modes.shape[1], 3 * mesh.n_nodes))  # one row per mode
     kept = system.dof_map.ravel()
     full[:, kept >= 0] = modes[kept[kept >= 0]].T
-    coeffs, fractions, blocks, _ = _element_geometry(mesh)
     t = _transforms(blocks)
     xy = GeneralizedParams(BILINEAR_MONOMIALS, coeffs[:, None]) \
         .point(_SAMPLE_POINTS).reshape(-1, 2)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import quadplate.cases
 import quadplate.modal
-from quadplate import InvalidCaseError
+from quadplate import GlobalSystem, InvalidCaseError, ValidationError
 from quadplate.cases import (
     Report,
     _e6_cells,
@@ -613,6 +613,56 @@ class TestModalReports:
         report = run_modal(case)
         assert len(report.tables["mode_shapes"]) == 3
         assert calls == []
+
+    @pytest.mark.parametrize("name", ["clamped-quad",
+                                      "cantilever-isosceles"])
+    def test_one_geometry_pass_per_mesh(self, monkeypatch, name):
+        # assembly's element geometry rides on the system to the sampler
+        real = quadplate.modal._element_geometry
+        calls = []
+
+        def counting(mesh):
+            calls.append(mesh)
+            return real(mesh)
+
+        monkeypatch.setattr(quadplate.modal, "_element_geometry", counting)
+        case = load_case(name)
+        case.analysis["mode_shapes"] = True
+        report = run_modal(case)
+        meshes = [entry["mesh"] for entry in report.tables["meshes"]]
+        assert len(meshes) == len(case_meshes(case)) > 1
+        assert {entry["mesh"] for entry in report.tables["mode_shapes"]} \
+            == set(meshes)
+        assert len(calls) == len(meshes)
+        assert len({id(mesh) for mesh in calls}) == len(meshes)
+
+    @pytest.mark.parametrize("name", ["clamped-quad",
+                                      "cantilever-isosceles"])
+    def test_carried_geometry_samples_as_derived(self, name):
+        case = load_case(name)
+        _, mesh = case_meshes(case)[-1]
+        system = assemble(mesh, case.material, gauss_rule(3))
+        reduced = apply_bcs(system, mesh)
+        assert reduced.geometry is system.geometry
+        modes = solve_modes(reduced, 4).modes
+        carried = mode_shape_samples(mesh, reduced, modes)
+        # a hand-built system carries no geometry; the sampler derives it
+        # from the mesh
+        hand_built = GlobalSystem(k=reduced.k, m=reduced.m,
+                                  dof_map=reduced.dof_map,
+                                  scale=reduced.scale)
+        assert hand_built.geometry is None
+        derived = mode_shape_samples(mesh, hand_built, modes)
+        assert np.array_equal(carried.view(np.uint64),
+                              derived.view(np.uint64))
+
+    def test_geometry_of_another_mesh_rejected(self):
+        case = load_case("clamped-quad")
+        (_, small), *_, (_, large) = case_meshes(case)
+        reduced = apply_bcs(assemble(small, case.material), small)
+        modes = solve_modes(reduced, 1).modes
+        with pytest.raises(ValidationError, match="element geometry"):
+            mode_shape_samples(large, reduced, modes)
 
     @pytest.mark.parametrize("rotary", [False, True],
                              ids=["default", "rotary"])

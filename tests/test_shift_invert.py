@@ -9,9 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
+from scipy.sparse import csr_array
 
 from quadplate import (
+    GlobalSystem,
     NumericalError,
     PlateMaterial,
     apply_bcs,
@@ -113,6 +116,57 @@ def test_dispatch_rule():
         <= modal.DENSE_MAX_DOFS
 
 
+@pytest.fixture
+def dense_pencils(monkeypatch):
+    """Forces the dense path and records the (M, K + sM) of each ``eigh``
+    call."""
+    real = scipy.linalg.eigh
+    pencils = []
+
+    def recording_eigh(a, b, **kwargs):
+        pencils.append((a.copy(), b.copy()))
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: True)
+    return pencils
+
+
+def assert_dense_pencil_is_sparse_sum(dense_pencils, system, count):
+    solve_modes(system, count)
+    (a, b), = dense_pencils
+    k, m, s = system.k, system.m, system.scale
+    for got, want in ((a, m.toarray()), (b, (k + s * m).toarray())):
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("rotary", [False, True], ids=["plain", "rotary"])
+@pytest.mark.parametrize("name,label,mesh", SOLVABLE_MESHES,
+                         ids=[f"{n}-{l}" for n, l, _ in SOLVABLE_MESHES])
+def test_dense_pencil_is_the_sparse_sum(dense_pencils, name, label, mesh,
+                                        rotary):
+    system = constrained(mesh, rotary)
+    assert_dense_pencil_is_sparse_sum(dense_pencils, system,
+                                      min(6, system.n_dofs))
+
+
+def test_dense_pencil_keeps_signed_zeros_of_sparse_sum(dense_pencils):
+    # stored 0.0 and -0.0 in K, M or both, an entry stored in one matrix
+    # only, and a sum that cancels exactly (0.5 + 2 * -0.25), which the
+    # sparse sum drops
+    k = csr_array((np.array([2.0, 0.5, -0.0, 0.5, 3.0, -0.0, -0.0, 1.0]),
+                   np.array([0, 1, 2, 0, 1, 2, 1, 2]), np.array([0, 3, 6, 8])),
+                  shape=(3, 3))
+    m = csr_array((np.array([1.0, -0.25, -0.0, -0.25, 1.0, 0.0, 2.0]),
+                   np.array([0, 1, 2, 0, 1, 1, 2]), np.array([0, 3, 5, 7])),
+                  shape=(3, 3))
+    system = GlobalSystem(k=k, m=m, dof_map=np.array([[0, 1, 2]]), scale=2.0)
+    shifted = k + 2.0 * m
+    assert shifted.nnz < 8 and np.signbit(shifted.toarray()).sum() == 0
+    assert_dense_pencil_is_sparse_sum(dense_pencils, system, 2)
+
+
 @pytest.mark.parametrize("rotary", [False, True], ids=["plain", "rotary"])
 @pytest.mark.parametrize("name,label,mesh", SOLVABLE_MESHES,
                          ids=[f"{n}-{l}" for n, l, _ in SOLVABLE_MESHES])
@@ -194,6 +248,22 @@ def test_free_square_rigid_modes(monkeypatch, lanczos):
     rigid = sparse.modes[:, :3]
     projected = rigid @ (rigid.T @ (system.m @ dense.modes[:, :3]))
     np.testing.assert_allclose(projected, dense.modes[:, :3], atol=1e-8)
+
+
+def test_free_square_double_modes_on_both_paths(monkeypatch, lanczos):
+    # 12 modes of the free 12x12 square (507 DOFs): three rigid ones and
+    # the double pairs at 35.059656 and 62.657263; with tol=1e-10 eigsh
+    # returned one copy of the second pair and 79.245949 in place of the
+    # other, each residual within 7.1e-10
+    system = constrained(mesh_quad(UNIT_SQUARE, 12, 12))
+    assert system.n_dofs == 507
+    dense, sparse = solve_both(monkeypatch, system, 12)
+    assert len(lanczos) == 1
+    for spectrum in (dense, sparse):
+        assert np.all(spectrum.omega[:3] <= 1e-5 * spectrum.omega[3])
+    np.testing.assert_allclose(sparse.omega[3:], dense.omega[3:], rtol=1e-10)
+    for pair, value in ((slice(6, 8), 35.059656), (slice(8, 10), 62.657263)):
+        np.testing.assert_allclose(dense.omega[pair], value, rtol=1e-7)
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
