@@ -432,7 +432,9 @@ class Report:
         ``x y z`` line per row of the entry's (P, 3) ``points`` array; a
         blank line between blocks.
 
-        Every number is byte-identical to ``'%.6e'`` (``_e6_cells``).  The
+        Every number is byte-identical to ``'%.6e'``.  Each is encoded with
+        the separator that follows it as two 64-bit words (``_e6_words``),
+        so a line is six words, whose NUL bytes are then dropped.  The
         deflections of all blocks are encoded in one pass; x and y once for
         each run of blocks whose coordinates have the same bits (0.0 and
         -0.0 print differently).
@@ -444,26 +446,23 @@ class Report:
             )
         points = [np.ascontiguousarray(entry["points"], dtype=float)
                   .reshape(-1, 3) for entry in shapes]
-        # "\n" x " " y " " z, each number in a 14-byte cell
-        lines = np.empty((sum(map(len, points)), 45), dtype=np.uint8)
-        lines[:, 0] = ord("\n")
-        lines[:, 15] = lines[:, 30] = ord(" ")
-        lines[:, 31:] = _e6_cells(np.concatenate([p[:, 2] for p in points]))
+        lines = np.empty((sum(map(len, points)), 6), dtype="<u8")
+        lines[:, 4:] = _e6_words(np.concatenate([p[:, 2] for p in points]),
+                                 "\n")
         blocks = []
         start = 0
         xy = None
         for entry, p in zip(shapes, points):
             block = lines[start:start + len(p)]
             start += len(p)
-            bits = p[:, :2].view(np.uint64)
-            if xy is None or not np.array_equal(bits, xy):
+            bits = p[:, :2].tobytes()
+            if bits != xy:
                 xy = bits
-                cells = _e6_cells(p[:, :2]).reshape(-1, 28)
-            block[:, 1:15] = cells[:, :14]
-            block[:, 16:30] = cells[:, 14:]
-            blocks.append(f"# {entry['mesh']} mode {entry['mode']}".encode()
+                words = _e6_words(p[:, :2], " ").reshape(-1, 4)
+            block[:, :4] = words
+            blocks.append(f"# {entry['mesh']} mode {entry['mode']}\n".encode()
                           + block.tobytes().translate(None, b"\0"))
-        return (b"\n\n".join(blocks) + b"\n").decode()
+        return b"\n".join(blocks).decode()
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -514,18 +513,47 @@ def _json_text(value, indent: str = "\n") -> str:
                     "is not JSON serializable")
 
 
-#: ``_PAIRS[k]`` holds the two ASCII digits of k < 100 in one
-#: little-endian uint16, so the tens digit is its first byte;
-#: ``_EXPONENT_SIGNS`` holds "e+" and "e-" the same way.
-_PAIRS = (np.arange(100, dtype="<u2") // 10 + ord("0")) \
-    | (np.arange(100, dtype="<u2") % 10 + ord("0")) << 8
-_EXPONENT_SIGNS = np.array([ord("e") | ord("+") << 8,
-                            ord("e") | ord("-") << 8], dtype="<u2")
+def _digit_words(places: int, offset: int) -> np.ndarray:
+    """(10**places,) little-endian uint64 words: entry k holds the
+    ``places`` ASCII digits of k, the most significant at byte
+    ``offset``."""
+    words = np.zeros(1, dtype="<u8")
+    digits = np.arange(ord("0"), ord("0") + 10, dtype="<u8")
+    for place in range(places):
+        words = (words[:, None]
+                 | digits << np.uint64(8 * (offset + place))).ravel()
+    return words
 
 
-def _e6_cells(values) -> np.ndarray:
-    """``'%.6e' % v`` of each value as a row of 14 ASCII bytes, with a NUL
-    byte in place of an absent sign or third exponent digit.
+def _exponent_words() -> np.ndarray:
+    """Cell bytes 9-13 of each exponent -300 .. 300, in the second word
+    of a cell: "e", the exponent's sign and its two or three digits."""
+    e = np.arange(-300, 301)
+    digits = np.where(abs(e) >= 100, _digit_words(3, 3).take(abs(e)),
+                      _digit_words(2, 4).take(abs(e) % 100))
+    signs = np.where(e < 0, ord("-"), ord("+")).astype("<u8")
+    return digits | signs << np.uint64(16) | np.uint64(ord("e") << 8)
+
+
+#: Parts of the two words of a cell (see ``_e6_words``), whose seven
+#: digits are head = digits // 1000 and tail = digits % 1000.
+#: ``_HEADS[head + 10**4 * negative]`` holds bytes 0-5: the sign, the
+#: leading digit, the point and three digits; ``_TAILS[tail]`` bytes 6-7,
+#: the next two digits; ``_LAST_DIGITS[tail]`` byte 8, the last one;
+#: ``_EXPONENTS[e + 300]`` bytes 9-13.
+_HEADS = (np.array([0, ord("-")], dtype="<u8")[:, None, None]
+          | _digit_words(1, 1)[:, None] | _digit_words(3, 3)
+          | np.uint64(ord(".") << 16)).ravel()
+_TAILS = np.repeat(_digit_words(2, 6), 10)
+_LAST_DIGITS = np.tile(_digit_words(1, 0), 100)
+_EXPONENTS = _exponent_words()
+
+
+def _e6_words(values, separator: str) -> np.ndarray:
+    """``'%.6e' % v`` of each value, then ``separator``, as two
+    little-endian uint64 words (n, 2): bytes 0-13 the 14-byte cell, with
+    a NUL byte in place of an absent sign or third exponent digit, byte
+    14 the separator and byte 15 NUL.
 
     The decimal exponent e is floor(log10 |v|), corrected once by the
     scaled value s = |v| * 10**(6 - e), where 10**(6 - e) is the correctly
@@ -555,23 +583,22 @@ def _e6_cells(values) -> np.ndarray:
     carry = np.flatnonzero(m == 1e7)  # 9.9999995e-6 prints 1.000000e-05
     m[carry] = 1e6
     e[carry] += 1
-    digits = m.astype(np.uint64)
-    exponent = np.abs(e).astype(np.uint64)
-    cells = np.empty((x.size, 14), dtype=np.uint8)
-    cells[:, 0] = np.signbit(x) * ord("-")
-    cells[:, 1] = digits // 10 ** 6 + ord("0")
-    cells[:, 2] = ord(".")
-    for column, power in ((3, 10 ** 4), (5, 100), (7, 1)):
-        cells[:, column:column + 2].view("<u2")[:, 0] = \
-            _PAIRS.take(digits // power % 100)
-    cells[:, 9:11].view("<u2")[:, 0] = _EXPONENT_SIGNS.take(e < 0)
-    cells[:, 11] = (exponent // 100 + ord("0")) * (exponent >= 100)
-    cells[:, 12:14].view("<u2")[:, 0] = _PAIRS.take(exponent % 100)
+    head, tail = np.divmod(m.astype(np.int64), 1000)
+    words = np.empty((x.size, 2), dtype="<u8")
+    words[:, 0] = _HEADS.take(head + 10 ** 4 * np.signbit(x)) \
+        | _TAILS.take(tail)
+    words[:, 1] = _LAST_DIGITS.take(tail) | _EXPONENTS.take(e + 300) \
+        | np.uint64(ord(separator) << 48)
     if slow.size:
         text = b"".join(b"%-14.6e" % v for v in x[slow].tolist())
-        cells[slow] = np.frombuffer(text.replace(b" ", b"\0"),
-                                    dtype=np.uint8).reshape(-1, 14)
-    return cells
+        words.view(np.uint8).reshape(-1, 16)[slow, :14] = np.frombuffer(
+            text.replace(b" ", b"\0"), dtype=np.uint8).reshape(-1, 14)
+    return words
+
+
+def _e6_cells(values) -> np.ndarray:
+    """The (n, 14) ASCII cells of ``_e6_words``, a view of its bytes."""
+    return _e6_words(values, " ").view(np.uint8).reshape(-1, 16)[:, :14]
 
 
 def _csv_number(x: float) -> str:

@@ -15,8 +15,9 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from quadplate import QuadGeometry, random_convex_quad
+from quadplate import GlobalSystem, QuadGeometry, random_convex_quad
 from quadplate.mapping import CORNER_NATURAL
+from quadplate.modal import _FIXED_DOFS
 
 #: Worked quadrilateral cross-section used throughout (vertices, ccw).
 SECTION_QUAD = [[0.0, 0.0], [8.0, 0.0], [4.0, 3.0], [0.0, 5.0]]
@@ -78,3 +79,18 @@ def element_transform(scheme):
             [-jm[0, 1], jm[0, 0]],
         ]
     return t
+
+
+def apply_bcs_by_slicing(system, mesh):
+    """``system`` constrained by the mesh's boundary sets with scipy's
+    fancy indexing, ``k[kept][:, kept]``: the oracle of
+    ``modal.apply_bcs``."""
+    keep = np.ones((mesh.n_nodes, 3), dtype=bool)
+    for bset in mesh.boundary_sets.values():
+        keep[list(bset.nodes), :_FIXED_DOFS[bset.condition]] = False
+    kept = np.flatnonzero(keep)
+    new_index = -np.ones(system.n_dofs, dtype=int)
+    new_index[kept] = np.arange(kept.size)
+    return GlobalSystem(k=system.k[kept][:, kept], m=system.m[kept][:, kept],
+                        dof_map=new_index[system.dof_map],
+                        scale=system.scale, geometry=system.geometry)

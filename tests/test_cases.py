@@ -22,6 +22,7 @@ from quadplate import GlobalSystem, InvalidCaseError, ValidationError
 from quadplate.cases import (
     Report,
     _e6_cells,
+    _e6_words,
     _json_text,
     builtin_case_names,
     case_meshes,
@@ -361,6 +362,18 @@ class TestPlotNumbers:
         assert _e6_cells(np.empty(0)).shape == (0, 14)
         assert self.printed(np.array([[1.5, -2.0], [0.25, 1e-7]])) == [
             "1.500000e+00", "-2.000000e+00", "2.500000e-01", "1.000000e-07"]
+
+    @pytest.mark.parametrize("separator", [" ", "\n"])
+    def test_words_end_in_the_separator(self, separator):
+        values = np.array([1.5, -2.0, -1e-300, math.nan, 9.9999995e-6])
+        words = _e6_words(values, separator)
+        assert words.dtype == np.dtype("<u8") and words.shape == (5, 2)
+        cells = words.view(np.uint8).reshape(-1, 16)
+        assert np.all(cells[:, 14] == ord(separator))
+        assert np.all(cells[:, 15] == 0)
+        assert np.array_equal(cells[:, :14], _e6_cells(values))
+        assert words.tobytes().replace(b"\0", b"").decode() == "".join(
+            "%.6e" % v + separator for v in values.tolist())
 
 
 #: JSON documents with the values that print in more than one way: signed
@@ -783,6 +796,43 @@ class TestCli:
         path = write_square_case(tmp_path, edit)
         assert main([verb, "--case", path]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["material"].update(E=1e150), None),
+        (lambda doc: doc["material"].update(E=1e-160), None),
+        (lambda doc: doc["geometry"]["quad"].update(
+            vertices=[[0, 0], [1e-50, 0], [1e-50, 1e-50], [0, 1e-50]]), None),
+        (lambda doc: doc["material"].update(E=1e155),
+         "overflow encountered in dot"),
+        (lambda doc: doc["material"].update(E=1e-170),
+         "float division by zero"),
+        (lambda doc: doc["geometry"]["quad"].update(
+            vertices=[[0, 0], [1e-60, 0], [1e-60, 1e-60], [0, 1e-60]]),
+         "overflow encountered in dot"),
+        (lambda doc: doc["geometry"]["quad"].update(
+            vertices=[[0, 0], [1e-70, 0], [1e-70, 1e-70], [0, 1e-70]]),
+         "overflow encountered in dot"),
+    ], ids=["E-1e150", "E-1e-160", "mesh-1e-50", "E-1e155", "E-1e-170",
+            "mesh-1e-60", "mesh-1e-70"])
+    def test_plates_inside_the_range_rule(self, tmp_path, capsys, edit,
+                                          message):
+        # characterization, not a goal: these plates pass the range rule
+        # of the plate magnitudes, and some of them still overflow in the
+        # solve (the norm of K, the eigen-residual norms) or divide by
+        # zero; a change to the rule or to the solve shows up here
+        def cantilever(doc):
+            doc["geometry"]["quad"]["clamped_edges"] = [0]
+            edit(doc)
+
+        path = write_square_case(tmp_path, cantilever)
+        code = main(["modal", "--case", path])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (3, f"quadplate: numerical failure: "
+                                      f"{message} (input magnitudes beyond "
+                                      "the floating-point range)\n")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["geometry"]["quad"].update(meshes=[]),

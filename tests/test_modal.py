@@ -35,7 +35,13 @@ from quadplate import (
     solve_modes,
 )
 from quadplate import modal
-from quadplate.cases import case_meshes, parse_case, run_modal
+from quadplate.cases import (
+    builtin_case_names,
+    case_meshes,
+    load_case,
+    parse_case,
+    run_modal,
+)
 from quadplate.mapping import bilinear_jacobians
 from quadplate.modal import _CsrPattern, _element_geometry, _transforms
 from quadplate.plate_element import (
@@ -48,6 +54,7 @@ from conftest import (
     BIUNIT_SQUARE,
     SECTION_QUAD,
     UNIT_SQUARE,
+    apply_bcs_by_slicing,
     convex_quads,
     element_transform,
 )
@@ -358,6 +365,86 @@ class TestApplyBcs:
     def test_unknown_condition_rejected(self):
         with pytest.raises(ValidationError):
             BoundarySet("pinned", (0,))
+
+
+def assert_same_csr(got, want):
+    """Same shape, index arrays of the same dtype and values, and data of
+    the same bits."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+def assert_constrains_as_slicing(system, mesh):
+    got = apply_bcs(system, mesh)
+    want = apply_bcs_by_slicing(system, mesh)
+    assert_same_csr(got.k, want.k)
+    assert_same_csr(got.m, want.m)
+    np.testing.assert_array_equal(got.dof_map, want.dof_map)
+    assert got.scale == want.scale and got.geometry is want.geometry
+    return got
+
+
+class TestApplyBcsMatchesSlicing:
+    """``apply_bcs`` against ``k[kept][:, kept]`` (``apply_bcs_by_slicing``)."""
+
+    @pytest.mark.parametrize("rotary", [False, True],
+                             ids=["default", "rotary"])
+    @pytest.mark.parametrize("name", builtin_case_names())
+    def test_builtin_meshes(self, name, rotary):
+        case = load_case(name)
+        for _, mesh in case_meshes(case):
+            assert_constrains_as_slicing(
+                assemble(mesh, case.material, rotary=rotary), mesh)
+
+    def test_free_mesh_keeps_every_entry(self):
+        mesh = mesh_quad(SECTION_QUAD, 3, 3)
+        system = assemble(mesh, MAT)
+        reduced = assert_constrains_as_slicing(system, mesh)
+        assert_same_csr(reduced.k, system.k)
+
+    def test_all_clamped_mesh_keeps_nothing(self):
+        mesh = mesh_quad(UNIT_SQUARE, 2, 2)
+        mesh.boundary_sets["all"] = BoundarySet("clamped",
+                                                range(mesh.n_nodes))
+        reduced = assert_constrains_as_slicing(assemble(mesh, MAT), mesh)
+        assert reduced.k.shape == (0, 0) and reduced.k.nnz == 0
+
+    def test_node_under_two_conditions(self):
+        mesh = mesh_quad(UNIT_SQUARE, 3, 3)
+        bottom = nodes_on_segment(mesh, [0, 0], [1, 0])
+        left = nodes_on_segment(mesh, [0, 0], [0, 1])
+        mesh.boundary_sets = {"bottom": BoundarySet("simply_supported",
+                                                    bottom),
+                              "left": BoundarySet("clamped", left)}
+        assert set(bottom) & set(left) == {0}
+        assert_constrains_as_slicing(assemble(mesh, MAT), mesh)
+
+    def test_stored_zeros_are_kept(self):
+        case = load_case("cantilever-isosceles")
+        case.geometry["triangle"]["levels"] = [3]
+        [(_, mesh)] = case_meshes(case)
+        system = assemble(mesh, case.material)
+        reduced = assert_constrains_as_slicing(system, mesh)
+        assert np.count_nonzero(reduced.k.data == 0.0) == 1
+
+    def test_k_and_m_of_different_patterns(self):
+        # int32 indices, and rows of K that store nothing, one of them last
+        mesh = mesh_quad(UNIT_SQUARE, 1, 1)
+        mesh.boundary_sets = {"a": BoundarySet("clamped", (0,)),
+                              "b": BoundarySet("simply_supported", (2,))}
+        rng = np.random.default_rng(28)
+        k = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.4)
+        k[[5, 11]] = 0.0
+        system = GlobalSystem(k=csr_array(k),
+                              m=csr_array(np.diag(np.arange(1.0, 13.0))),
+                              dof_map=np.arange(12).reshape(4, 3), scale=1.0)
+        assert system.k.indices.dtype == np.int32
+        assert not np.array_equal(system.k.indptr, system.m.indptr)
+        assert_constrains_as_slicing(system, mesh)
 
 
 class TestSolveModes:

@@ -233,6 +233,31 @@ def test_mass_operator_matches_sparse_mass(monkeypatch, vertices, edges,
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def test_sparse_path_rayleigh_quotient_bits():
+    # solve_modes' long-double K and M share the index arrays of K and M;
+    # omega and the residuals are those of a.astype(np.longdouble), bit
+    # for bit
+    system = constrained(quad_mesh(CLAMPED_QUAD, 16, [0, 1, 2, 3]))
+    assert not modal._solves_densely(system.n_dofs, 6)
+    spectrum = solve_modes(system, 6)
+    v = spectrum.modes
+    wide = v.astype(np.longdouble)
+    kv, mv = (a.astype(np.longdouble) @ wide for a in (system.k, system.m))
+    omega_sq = (np.einsum("ij,ij->j", wide, kv)
+                / np.einsum("ij,ij->j", wide, mv)).astype(float)
+    assert np.all(np.diff(omega_sq) >= 0.0) and omega_sq[0] > 0.0
+    kv, mv = kv.astype(float), mv.astype(float)
+    scale_k = float(np.linalg.norm(system.k.data))
+    residuals = np.array([
+        float(np.linalg.norm(kv[:, j] - omega_sq[j] * mv[:, j]))
+        / max(float(np.linalg.norm(kv[:, j])),
+              1e-8 * scale_k * float(np.linalg.norm(v[:, j])))
+        for j in range(6)])
+    for got, want in ((spectrum.omega, np.sqrt(omega_sq)),
+                      (spectrum.residuals, residuals)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_free_square_rigid_modes(monkeypatch, lanczos):
     system = constrained(mesh_quad(UNIT_SQUARE, 16, 16))
     dense, sparse = solve_both(monkeypatch, system, 6)
