@@ -19,16 +19,19 @@ as well).  ``assemble`` runs it once per mesh and keeps its arrays on the
 the sampler derive them again from the mesh.
 ``assemble`` integrates the elements in chunks of ``_ASSEMBLY_CHUNK``
 (``batch_element_matrices``), transforms each chunk (``_transforms``) and
-sums it into CSR matrices whose layout comes from the element node pairs
-(``_CsrPattern``); the scalar ``element_stiffness``/``element_mass`` and
-the tests' per-element transformation are the reference implementation,
-which the batch matches to 1e-12 relative.
+sums it by node-pair blocks, 9 slots per unique node pair, whose slots
+are plain arithmetic on the element node pairs (``_CsrPattern``); one
+permutation then puts each matrix's sums in CSR order.  The scalar
+``element_stiffness``/``element_mass`` and the tests' per-element
+transformation are the reference implementation, which the batch matches
+to 1e-12 relative.
 
 ``apply_bcs`` keeps the entries of K and M in kept rows and columns
 through one mask over their shared CSR pattern (the tests slice with
 scipy as its oracle), and ``solve_modes`` takes each omega^2 as a
 long-double Rayleigh quotient on long-double copies of the data arrays
-alone, which share K's and M's index arrays.
+alone, which share K's and M's index arrays, one matrix-vector product
+per mode.
 
 scipy is imported inside the functions that use it (``scipy.sparse`` in
 ``assemble``, ``scipy.linalg`` in the dense branch of ``solve_modes``,
@@ -287,22 +290,31 @@ def _transforms(blocks: np.ndarray) -> np.ndarray:
     return transform
 
 
+#: Offset 3i + j of entry (i, j) of a node pair's 3x3 DOF block, on the
+#: (i, q, j) axes of an element's (p, i, q, j) 12x12 entries.
+_BLOCK_OFFSETS = 3 * np.arange(3)[:, None, None] + np.arange(3)
+
+
 @dataclass(frozen=True, eq=False)
 class _CsrPattern:
     """CSR layout of the global matrices, the sorted unique (row, column)
-    entries of all element DOF blocks, and the slot of each element entry.
+    entries of all element DOF blocks, and the block slot of each element
+    entry.
 
     It is built from the 16 node pairs of each element: node pair (a, b)
     stands for the DOF block (3a + i, 3b + j), so sorting the node pairs
     sorts the DOF entries.  ``pairs`` (m, 4, 4) indexes each element's
-    node pairs u, whose entry (i, j) has slot base[u] + i * stride[u] + j.
+    unique node pairs u.  Entry (i, j) of pair u has block slot
+    9u + 3i + j, and ``order`` maps each block slot to its CSR position:
+    the blocks of one node row lie side by side in its three DOF rows, so
+    a slot's position is ``base[u] + i * stride[u] + j``, with the pair's
+    first position ``base`` and its row's length ``stride``.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     pairs: np.ndarray
-    base: np.ndarray
-    stride: np.ndarray
+    order: np.ndarray
 
     @classmethod
     def of(cls, elements: np.ndarray, n_nodes: int) -> "_CsrPattern":
@@ -311,26 +323,27 @@ class _CsrPattern:
         rows, cols = np.divmod(unique, n_nodes)
         start = np.searchsorted(rows, np.arange(n_nodes + 1))
         degree = np.diff(start)
-        # node row a fills slots from 9 * start[a], 3 * degree[a] per DOF row
+        # node row a fills CSR positions from 9 * start[a], 3 * degree[a]
+        # per DOF row
         base = 9 * start[rows] + 3 * (np.arange(unique.size) - start[rows])
         stride = 3 * degree[rows]
-        indptr = np.append(
-            (9 * start[:-1, None] + 3 * degree[:, None] * np.arange(3))
-            .ravel(), 9 * unique.size)
-        indices = np.empty(9 * unique.size, dtype=cols.dtype)
         block = np.arange(3)
-        indices[base[:, None, None] + stride[:, None, None] * block[:, None]
-                + block] = 3 * cols[:, None, None] + block
+        order = (base[:, None, None] + stride[:, None, None] * block[:, None]
+                 + block).ravel()
+        indptr = np.append(
+            (9 * start[:-1, None] + 3 * degree[:, None] * block).ravel(),
+            9 * unique.size)
+        indices = np.empty(9 * unique.size, dtype=cols.dtype)
+        indices[order] = (3 * cols[:, None] + np.tile(block, 3)).ravel()
         return cls(indptr, indices, pairs.reshape(elements.shape + (4,)),
-                   base, stride)
+                   order)
 
     def slots(self, part: slice = slice(None)) -> np.ndarray:
-        """(c, 144) slots of elements ``part``, each in the row-major order
-        of its 12x12 matrix (node, DOF; node, DOF)."""
-        pairs = self.pairs[part][:, :, None, :, None]
-        block = np.arange(3)
-        return (self.base[pairs] + self.stride[pairs] * block[:, None, None]
-                + block).reshape(len(pairs), 144)
+        """(c, 144) block slots of elements ``part``, each in the row-major
+        order of its 12x12 matrix (node, DOF; node, DOF)."""
+        pairs = self.pairs[part]
+        return (9 * pairs[:, :, None, :, None] + _BLOCK_OFFSETS).reshape(
+            len(pairs), 144)
 
 
 #: Elements integrated, transformed and summed per step of ``assemble``,
@@ -372,8 +385,13 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     (``_element_geometry``).  Then ``_ASSEMBLY_CHUNK`` elements at a time
     are integrated together on their bilinear coefficients
     (``batch_element_matrices``), transformed to the global frame
-    (``_transforms``) and summed into the CSR entries of
-    ``_CsrPattern`` by ``np.bincount``, in element order within a chunk.
+    (``_transforms``) and summed by ``np.bincount`` into the block slots
+    of ``_CsrPattern``, in element order within a chunk; a chunk of
+    lattice elements touches a narrow band of node pairs, so each sum
+    covers that band only.  Each matrix's block sums then go to their CSR
+    positions through ``order``, one permutation: every CSR entry is the
+    sum of the same contributions in the same order as a sum straight into
+    CSR slots, to the bit.
     The system also carries the plate's omega^2 scale (``_omega_scale``,
     which first rejects magnitudes beyond the double range), from which
     ``solve_modes`` takes its shift, and the element geometry, from which
@@ -414,8 +432,10 @@ def assemble(mesh: Mesh, material: PlateMaterial,
         for total, a in zip(values, (k, m)):
             total[low:low + size] += np.bincount(
                 slots, (np.swapaxes(t, 1, 2) @ a @ t).ravel(), size)
+    data = np.empty_like(values)
+    data[:, pattern.order] = values
     k, m = (scipy.sparse.csr_array((total, pattern.indices, pattern.indptr),
-                                   shape=(ndof, ndof)) for total in values)
+                                   shape=(ndof, ndof)) for total in data)
     dof_map = np.arange(ndof).reshape(mesh.n_nodes, 3)
     return GlobalSystem(k=k, m=m, dof_map=dof_map, scale=scale,
                         geometry=geometry)
@@ -508,8 +528,12 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
 
     Each omega^2 is the Rayleigh quotient of its mode in long double.
     The long-double K and M are CSR arrays on long-double copies of the
-    data that share K's and M's index arrays, so their products have the
-    bits of ``a.astype(np.longdouble) @ v`` without copying the indices.
+    data that share K's and M's index arrays, and each multiplies the
+    modes one at a time: a matrix-vector product keeps a running sum per
+    row, where the (n, count) product updates every column of a row
+    through memory per stored entry.  Both add the same products from 0
+    in the same order, so the products have the bits of
+    ``a.astype(np.longdouble) @ v`` without copying the indices.
     """
     n = system.n_dofs
     if count > n:
@@ -564,8 +588,10 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     # elements.  Both paths then agree to 1e-13.  A double mode may come
     # out one ulp out of order, so the quotients are sorted.
     wide = v.astype(np.longdouble)
-    kv, mv = (type(a)((a.data.astype(np.longdouble), a.indices, a.indptr),
-                      shape=a.shape) @ wide for a in (k, m))
+    wide_k, wide_m = (type(a)((a.data.astype(np.longdouble), a.indices,
+                               a.indptr), shape=a.shape) for a in (k, m))
+    kv, mv = (np.stack([a @ mode for mode in wide.T], axis=1)
+              for a in (wide_k, wide_m))
     omega_sq = (np.einsum("ij,ij->j", wide, kv)
                 / np.einsum("ij,ij->j", wide, mv)).astype(float)
     order = np.argsort(omega_sq, kind="stable")

@@ -213,7 +213,8 @@ class TestAssemble:
     @pytest.mark.parametrize("mesh", PATTERN_MESHES, ids=PATTERN_IDS)
     def test_node_pattern_matches_dof_pattern(self, mesh):
         # the CSR layout from the sorted unique DOF entries of every
-        # element, and each element entry's slot in it
+        # element, and each element entry's slot in it: its block slot
+        # taken through ``order``, which fills every CSR slot exactly once
         ndof = 3 * mesh.n_nodes
         dofs = (3 * mesh.elements[:, :, None] + np.arange(3)).reshape(-1, 12)
         index = (dofs[:, :, None] * ndof + dofs[:, None, :]).ravel()
@@ -223,7 +224,9 @@ class TestAssemble:
         assert np.array_equal(pattern.indptr,
                               np.searchsorted(rows, np.arange(ndof + 1)))
         assert np.array_equal(pattern.indices, cols)
-        assert np.array_equal(pattern.slots().ravel(), slot.ravel())
+        assert np.array_equal(np.sort(pattern.order), np.arange(flat.size))
+        assert np.array_equal(pattern.order[pattern.slots()].ravel(),
+                              slot.ravel())
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     @pytest.mark.parametrize("mesh", PATTERN_MESHES, ids=PATTERN_IDS)

@@ -178,12 +178,16 @@ def test_sparse_path_matches_dense_on_builtin_meshes(monkeypatch, lanczos,
                                 min(6, system.n_dofs - 1))
 
 
+def cantilever_isosceles_level_3():
+    (mesh,) = [mesh for name, label, mesh in BUILTIN_MESHES
+               if (name, label) == ("cantilever-isosceles", "27-elements")]
+    return mesh
+
+
 def test_dense_omega_is_the_rayleigh_quotient_of_its_mode(monkeypatch):
     # the collapsed-tip elements are stiff, and the dense eigenvalue
     # 1/nu - s lands up to 1e-10 off the quotient here (rotary inertia)
-    (mesh,) = [mesh for name, label, mesh in BUILTIN_MESHES
-               if (name, label) == ("cantilever-isosceles", "27-elements")]
-    system = constrained(mesh, rotary=True)
+    system = constrained(cantilever_isosceles_level_3(), rotary=True)
     monkeypatch.setattr(modal, "_solves_densely", lambda n, k: True)
     spectrum = solve_modes(system, 6)
     np.testing.assert_allclose(spectrum.omega,
@@ -233,19 +237,28 @@ def test_mass_operator_matches_sparse_mass(monkeypatch, vertices, edges,
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_sparse_path_rayleigh_quotient_bits():
-    # solve_modes' long-double K and M share the index arrays of K and M;
-    # omega and the residuals are those of a.astype(np.longdouble), bit
-    # for bit
-    system = constrained(quad_mesh(CLAMPED_QUAD, 16, [0, 1, 2, 3]))
-    assert not modal._solves_densely(system.n_dofs, 6)
+@pytest.mark.parametrize("build,rotary,sparse,rigid", [
+    (lambda: quad_mesh(CLAMPED_QUAD, 16, [0, 1, 2, 3]), False, True, 0),
+    (cantilever_isosceles_level_3, False, False, 0),
+    (cantilever_isosceles_level_3, True, False, 0),
+    (lambda: mesh_quad(UNIT_SQUARE, 16, 16), False, True, 3)],
+    ids=["clamped-quad-16x16", "cantilever-isosceles-level-3",
+         "cantilever-isosceles-level-3-rotary", "free-square-16x16"])
+def test_rayleigh_quotient_bits(build, rotary, sparse, rigid):
+    # solve_modes' long-double K and M share the index arrays of K and M
+    # and multiply one mode at a time; omega and the residuals are those
+    # of a.astype(np.longdouble) @ modes, bit for bit, on either path
+    system = constrained(build(), rotary)
+    assert modal._solves_densely(system.n_dofs, 6) != sparse
     spectrum = solve_modes(system, 6)
     v = spectrum.modes
     wide = v.astype(np.longdouble)
     kv, mv = (a.astype(np.longdouble) @ wide for a in (system.k, system.m))
     omega_sq = (np.einsum("ij,ij->j", wide, kv)
                 / np.einsum("ij,ij->j", wide, mv)).astype(float)
-    assert np.all(np.diff(omega_sq) >= 0.0) and omega_sq[0] > 0.0
+    assert np.all(np.diff(omega_sq) >= 0.0)
+    assert np.count_nonzero(omega_sq <= 1e-10 * omega_sq[-1]) == rigid
+    omega_sq = np.clip(omega_sq, 0.0, None)
     kv, mv = kv.astype(float), mv.astype(float)
     scale_k = float(np.linalg.norm(system.k.data))
     residuals = np.array([
