@@ -235,6 +235,9 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
             "reference_length must be positive and finite, "
             f"got {reference_length}"
         )
+    # The copy (8-17 us of a single-quad case) is also the nesting guard:
+    # a block nested beyond the recursion limit fails here, with exit 2
+    # (``test_deeply_nested_geometry_exit_two`` fails without it).
     try:
         geometry = copy.deepcopy(geometry)
     except RecursionError:
@@ -258,6 +261,8 @@ def _known_keys(block: dict, known, what: str):
 def _integer(value, what: str) -> int:
     """``value`` as an int; booleans, strings and fractions are rejected
     rather than truncated."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) \
             or not float(value).is_integer():
         raise InvalidCaseError(f"{what} must be an integer, got {value!r}")
@@ -267,6 +272,8 @@ def _integer(value, what: str) -> int:
 def _real(value, what: str) -> float:
     """``value`` as a float; booleans, strings and lists are rejected
     rather than converted."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidCaseError(f"{what} must be a number, got {value!r}")
     return float(value)
@@ -466,6 +473,7 @@ class Report:
 
 
 _json_string = json.encoder.encode_basestring_ascii
+_isfinite = math.isfinite
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -478,6 +486,9 @@ def _json_text(value, indent: str = "\n") -> str:
     ``np.float64`` as the float it holds.  Dict keys must be strings; any
     other key or value raises ``TypeError``.  ``indent`` is the newline
     and indentation that precede the lines of ``value``'s level.
+
+    List and dict items that are finite floats of exactly that type, most
+    of a report, are written inline, without a call of their own.
     """
     if isinstance(value, str):
         return _json_string(value)
@@ -501,13 +512,19 @@ def _json_text(value, indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_json_text(item, inner) for item in value]
+        items = [float.__repr__(item) if type(item) is float
+                 and _isfinite(item) else _json_text(item, inner)
+                 for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [_json_string(key) + ": " + _json_text(value[key], inner)
-                 for key in sorted(value)]
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            items.append(_json_string(key) + ": " + (
+                float.__repr__(item) if type(item) is float
+                and _isfinite(item) else _json_text(item, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(value).__name__} "
                     "is not JSON serializable")
@@ -659,16 +676,14 @@ def run_sectprops(case: CaseFile) -> Report:
             f"vertex coordinates span {span:.3e}, too small for the section "
             "area and moments to be normal floating-point numbers")
     requested = case.analysis["scheme"]
+    exact_values = exact.as_dict()
     rows = []
     for kind in SCHEME_KINDS if requested == "all" else (requested,):
         scheme = build_scheme(quad, kind)
-        props = section_properties(scheme, rule)
-        row = {"scheme": kind}
-        row.update(props.as_dict())
-        row.update({
-            f"delta_{key}": value - exact.as_dict()[key]
-            for key, value in props.as_dict().items()
-        })
+        values = section_properties(scheme, rule).as_dict()
+        row = {"scheme": kind, **values}
+        row.update({f"delta_{key}": value - exact_values[key]
+                    for key, value in values.items()})
         rows.append(row)
     return Report(
         kind="sectprops",
@@ -677,7 +692,7 @@ def run_sectprops(case: CaseFile) -> Report:
             "gauss": case.analysis["gauss"],
             "vertices": quad.vertices.tolist(),
         },
-        tables={"exact": exact.as_dict(), "schemes": rows},
+        tables={"exact": exact_values, "schemes": rows},
     )
 
 
@@ -702,8 +717,9 @@ def run_mapcheck(case: CaseFile) -> Report:
         unity[0] -= 1.0
         kron = scheme.shapes.evaluate(scheme.shapes.nodes) \
             - np.eye(coeffs.shape[0])
-        deviation = float(distance(map_point(scheme, _MAPCHECK_GRID),
-                                   reference).max())
+        # the bilinear map is the reference itself
+        deviation = 0.0 if scheme is bilinear else float(distance(
+            map_point(scheme, _MAPCHECK_GRID), reference).max())
         entry = {
             "partition_of_unity_residual": float(np.abs(unity).max()),
             "kronecker_residual": float(np.abs(kron).max()),
@@ -714,7 +730,7 @@ def run_mapcheck(case: CaseFile) -> Report:
         if kind == "pascal6" and not scheme.fallback:
             entry["condition_estimate"] = scheme.cond_a
             nat = [scheme.poles.p5_nat, scheme.poles.p6_nat]
-            entry["pole_natural"] = [[float(c) for c in p] for p in nat]
+            entry["pole_natural"] = [p.tolist() for p in nat]
             entry["pole_round_trip_residual"] = float(distance(
                 map_point(bilinear, nat), [poles.p5_xy, poles.p6_xy]
             ).max()) / quad.diameter
@@ -727,9 +743,9 @@ def run_mapcheck(case: CaseFile) -> Report:
             "poles": {
                 "parallel_flags": list(poles.parallel_flags),
                 "p5_xy": None if poles.p5_xy is None else
-                [float(c) for c in poles.p5_xy],
+                poles.p5_xy.tolist(),
                 "p6_xy": None if poles.p6_xy is None else
-                [float(c) for c in poles.p6_xy],
+                poles.p6_xy.tolist(),
             },
             "schemes": schemes,
         },

@@ -67,9 +67,10 @@ def _overrides(args) -> dict:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused: parsing
-    returns a fresh namespace and leaves the parser unchanged."""
+def _parser() -> tuple:
+    """The argument parser and its verb parsers by name, built on the
+    first call and reused: parsing returns a fresh namespace and leaves
+    the parsers unchanged."""
     parser = argparse.ArgumentParser(
         prog="quadplate",
         description="quadrilateral mapping schemes and thin-plate modal "
@@ -82,11 +83,27 @@ def _parser() -> argparse.ArgumentParser:
         "mapcheck", help="poles, shape-function checks, map deviations"))
     _add_common(sub.add_parser(
         "modal", help="free-vibration frequency tables"), modal=True)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with a verb's own arguments parsed by
+    that verb's parser alone: the top-level pass would only hand them on.
+    Leftover arguments are the top-level parser's error, as there."""
+    parser, verbs = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:  # help, or a missing or unknown verb
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.verb = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     runners = {"sectprops": run_sectprops, "mapcheck": run_mapcheck,
                "modal": run_modal}
     try:

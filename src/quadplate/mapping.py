@@ -131,11 +131,11 @@ def monomial_values(exponents, theta) -> np.ndarray:
     the subarea fractions) the table is computed once and shared,
     read-only."""
     t = np.asarray(theta, dtype=float)
-    t1, t2 = t[..., 0], t[..., 1]
-    out = np.empty(t.shape[:-1] + (len(exponents),))
-    for q, (e1, e2) in enumerate(exponents):
-        out[..., q] = t1 ** e1 * t2 ** e2
-    return out
+    e = np.array(exponents, dtype=int).reshape(-1, 2)
+    powers = _powers(t, int(e.max(initial=0)))
+    out = np.empty(t.shape[:-1] + (len(e),))
+    return np.multiply(powers[..., e[:, 0], 0], powers[..., e[:, 1], 1],
+                       out=out)
 
 
 @_tabulated
@@ -146,14 +146,28 @@ def monomial_gradients(exponents, theta) -> np.ndarray:
     Computed once and shared, read-only, for the declared fixed sets that
     ``monomial_values`` names."""
     t = np.asarray(theta, dtype=float)
-    t1, t2 = t[..., 0], t[..., 1]
-    out = np.zeros(t.shape[:-1] + (len(exponents), 2))
-    for q, (e1, e2) in enumerate(exponents):
-        if e1:
-            out[..., q, 0] = e1 * t1 ** (e1 - 1) * t2 ** e2
-        if e2:
-            out[..., q, 1] = e2 * t1 ** e1 * t2 ** (e2 - 1)
+    e = np.array(exponents, dtype=int).reshape(-1, 2)
+    powers = _powers(t, int(e.max(initial=0)))
+    out = np.zeros(t.shape[:-1] + (len(e), 2))
+    for axis in (0, 1):
+        q = np.flatnonzero(e[:, axis])
+        lowered = e[q]
+        lowered[:, axis] -= 1
+        # e * t1**(e1 - 1) * t2**e2 (or the t2 analogue), in that order
+        out[..., q, axis] = (e[q, axis] * powers[..., lowered[:, 0], 0]
+                             * powers[..., lowered[:, 1], 1])
     return out
+
+
+def _powers(t: np.ndarray, top: int) -> np.ndarray:
+    """``t ** k`` (..., top + 1, 2) of natural points ``t`` (..., 2), for
+    k = 0 .. top, each power as numpy's ``**`` gives it (``t ** 2`` is
+    ``t * t``)."""
+    powers = np.empty(t.shape[:-1] + (top + 1, 2))
+    powers[..., 0, :] = 1.0
+    for k in range(1, top + 1):
+        powers[..., k, :] = t ** k
+    return powers
 
 
 def det2(matrix) -> np.ndarray:
@@ -177,19 +191,24 @@ def twice_signed_area(vertices) -> np.ndarray:
     """Twice the signed area of polygons (..., k, 2) (shoelace formula)."""
     x, y = vertices[..., 0], vertices[..., 1]
     following = next_vertex(x.shape[-1])
-    return np.sum(x * y[..., following] - x[..., following] * y, axis=-1)
+    return (x * y[..., following] - x[..., following] * y).sum(axis=-1)
 
 
 def distance(a, b) -> np.ndarray:
     """Distances |a - b| of points (..., 2), each rounded exactly as
     ``np.linalg.norm`` of one difference vector."""
     d = np.asarray(a, dtype=float) - b
+    # Each square norm is OpenBLAS's ddot of the 2-vector, as in ``norm``.
+    # Python floats' x*x + y*y differ from it in the last bit on about
+    # 16% of random 2-vectors, so the norms stay on numpy's dot.
     return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
-#: Vertex pairs p < q of a quad, row-major (read-only).
+#: Vertex pairs p < q of a quad, row-major (read-only), and as a list of
+#: (p, q) tuples.
 _QUAD_PAIRS = np.array(np.triu_indices(4, 1))
 _QUAD_PAIRS.setflags(write=False)
+_QUAD_PAIR_LIST = list(zip(*_QUAD_PAIRS.tolist()))
 
 
 def pair_distances(vertices) -> np.ndarray:
@@ -227,23 +246,23 @@ class QuadGeometry:
             raise DegenerateGeometryError(
                 f"expected 4 vertices of 2 coordinates, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DegenerateGeometryError("non-finite vertex coordinate")
         # Distances square the coordinate differences, which overflow to
         # inf or underflow to 0 at magnitudes near 1e+-154.
         with np.errstate(over="ignore", under="ignore"):
-            pairs = pair_distances(v)
-            span = float(np.ptp(v, axis=0).max())
-        diam = float(pairs.max())
-        if not math.isfinite(diam) or (diam == 0.0 and span > 0.0):
+            pairs = pair_distances(v).tolist()
+        diam = max(pairs)
+        if not math.isfinite(diam) or diam == 0.0:
+            with np.errstate(over="ignore"):
+                span = float(np.ptp(v, axis=0).max())
+            if span == 0.0:
+                raise DegenerateGeometryError("all vertices coincide")
             raise DegenerateGeometryError(
                 f"vertex coordinates span {span:.3e}, outside the range "
                 f"whose squared distances are finite and nonzero"
             )
-        if diam == 0.0:
-            raise DegenerateGeometryError("all vertices coincide")
-        coincident = [(int(p), int(q))
-                      for p, q, d in zip(*_QUAD_PAIRS, pairs)
+        coincident = [pair for pair, d in zip(_QUAD_PAIR_LIST, pairs)
                       if d <= 1e-12 * diam]
         if coincident:
             adjacent = all((q - p) in (1, 3) for p, q in coincident)
@@ -312,7 +331,7 @@ class GeneralizedParams:
     def gradient(self, theta) -> np.ndarray:
         """Covariant base vectors (..., 2, 2); row a is d x / d theta_a."""
         grads = monomial_gradients(self.exponents, theta)
-        return np.swapaxes(grads, -1, -2) @ self.coeffs
+        return grads.swapaxes(-1, -2) @ self.coeffs
 
 
 @dataclass(frozen=True, eq=False)
@@ -451,6 +470,8 @@ def corner_jacobians(coeffs: np.ndarray, diam: np.ndarray) -> tuple:
     """
     tol = 1e-12 * diam * diam
     cjac, cdet = bilinear_jacobians(coeffs, CORNER_NATURAL)
+    if (cdet > tol[:, None]).all():  # no corner flat or folded
+        return cjac, np.zeros(cdet.shape, dtype=bool)
     flat = np.abs(cdet) <= tol[:, None]
     # a collapsed edge leaves exactly its two (adjacent) ends flat
     tip = (np.count_nonzero(flat, axis=1) == 2) \
@@ -474,11 +495,13 @@ def serendipity_shapes(theta) -> np.ndarray:
 def compute_poles_cartesian(quad: QuadGeometry) -> PoleSet:
     """Both poles of the quad, where the lines of opposite edges meet
     (``_pole_lines``), each with its natural root nearest the element
-    center (``_nearest_root``).  A parallel pair is flagged, its pole and
+    center (``_nearest_roots``).  A parallel pair is flagged, its pole and
     root ``None``: a parallelogram has both flags set and is no error."""
     lines = _pole_lines(quad)
     p5_xy, p6_xy = (None if line is None else line[0] for line in lines)
-    p5_nat, p6_nat = (None if line is None else _nearest_root(line[1])
+    roots = [line[1] for line in lines if line is not None]
+    nearest = iter(_nearest_roots(np.array(roots)) if roots else ())
+    p5_nat, p6_nat = (None if line is None else next(nearest)
                       for line in lines)
     return PoleSet(p5_xy, p6_xy, p5_nat, p6_nat,
                    parallel_flags=(p5_xy is None, p6_xy is None))
@@ -493,19 +516,26 @@ def _line_intersection(a, b, c, d):
     doubles, t of a pole 1e5 diameters out is 1e-11 off, relative)."""
     u = b - a
     w = d - c
-    # np.linalg.norm of a vector is sqrt(x.dot(x)), bit for bit
-    if abs(u[0] * w[1] - u[1] * w[0]) <= \
-            1e-12 * np.sqrt(u.dot(u)) * np.sqrt(w.dot(w)):
+    (ux, uy), (wx, wy) = u.tolist(), w.tolist()
+    # np.linalg.norm of a vector is sqrt(x.dot(x)), bit for bit.  The
+    # norms stay on numpy's dot, as in ``distance``: OpenBLAS ddot
+    # differs from x*x + y*y in the last bit on about 16% of random
+    # 2-vectors.
+    if abs(ux * wy - uy * wx) <= \
+            1e-12 * math.sqrt(u.dot(u)) * math.sqrt(w.dot(w)):
         return None
-    ratios = [x.as_integer_ratio()
-              for x in np.concatenate([a, b, c, d]).tolist()]
+    coords = [*a.tolist(), *b.tolist(), *c.tolist(), *d.tolist()]
+    ratios = [x.as_integer_ratio() for x in coords]
     unit = max(den for _, den in ratios)
     ax, ay, bx, by, cx, cy, dx, dy = (n * (unit // den) for n, den in ratios)
-    ux, uy, wx, wy, rx, ry = bx - ax, by - ay, dx - cx, dy - cy, cx - ax, cy - ay
-    cross = ux * wy - uy * wx
-    t = (rx * wy - ry * wx) / cross
-    s = (rx * uy - ry * ux) / cross
-    point = a + t * u
+    iux, iuy, iwx, iwy = bx - ax, by - ay, dx - cx, dy - cy
+    rx, ry = cx - ax, cy - ay
+    cross = iux * iwy - iuy * iwx
+    t = (rx * iwy - ry * iwx) / cross
+    s = (rx * iuy - ry * iux) / cross
+    # ``a + t * u`` in Python floats, the bits of numpy's; past the
+    # parallel test |t u| < 1e12 |c - a|, far from overflow
+    point = np.array([coords[0] + t * ux, coords[1] + t * uy])
     point.setflags(write=False)
     return point, t, s
 
@@ -534,25 +564,25 @@ def _pole_lines(quad: QuadGeometry) -> tuple:
     return p5, p6
 
 
-def _nearest_root(roots: np.ndarray, guess=None) -> np.ndarray:
-    """Of a pole's two natural ``roots``, the one nearest ``guess``, by
-    default the element center.
+def _nearest_roots(roots: np.ndarray, guess=None) -> np.ndarray:
+    """Of each pole's two natural roots, ``roots`` (p, 2, 2), the one
+    nearest ``guess``, by default the element center; shape (p, 2).
 
     Raises ``ValidationError`` for a guess that is not finite or whose
-    distances to the roots overflow.
+    distances to a pole's roots overflow.
     """
     guess = np.zeros(2) if guess is None else np.asarray(guess, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = distance(roots, guess)
-    if not np.isfinite(gaps).any():
+    if not np.isfinite(gaps).any(axis=1).all():
         raise ValidationError(f"pole guess {guess.tolist()} is not finite "
                               "or beyond the floating-point range")
-    return roots[np.argmin(gaps)]
+    return roots[np.arange(len(roots)), np.argmin(gaps, axis=1)]
 
 
 def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
     """Natural coordinates of a pole: of its two roots (``_pole_lines``),
-    the one nearest ``guess`` (``_nearest_root``).
+    the one nearest ``guess`` (``_nearest_roots``).
 
     Raises ``ValidationError`` for a point that is neither pole, and for
     a guess that is not finite or whose distances to the roots overflow.
@@ -565,7 +595,7 @@ def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:
             point, roots = line
             scale = max(quad.diameter, np.abs(point - quad.centroid).max())
             if np.abs(target - point).max() <= 1e-9 * scale:
-                return _nearest_root(roots, guess)
+                return _nearest_roots(roots[None], guess)[0]
     raise ValidationError(f"{target.tolist()} is neither pole of the quad")
 
 
@@ -589,7 +619,7 @@ def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
         raise ValidationError(
             "pascal scheme needs both poles finite with natural coordinates"
         )
-    nodes = np.vstack([CORNER_NATURAL, poles.p5_nat, poles.p6_nat])
+    nodes = np.concatenate((CORNER_NATURAL, [poles.p5_nat, poles.p6_nat]))
     a_mat = monomial_values(PASCAL_MONOMIALS, nodes)
     try:
         b_mat = np.linalg.inv(a_mat)
@@ -604,7 +634,7 @@ def pascal_shape_set(quad: QuadGeometry, poles: PoleSet):
         raise NumericalError(
             f"degenerate pole configuration: condition estimate {cond:.3e}"
         )
-    node_xy = np.vstack([quad.vertices, poles.p5_xy, poles.p6_xy])
+    node_xy = np.concatenate((quad.vertices, [poles.p5_xy, poles.p6_xy]))
     params = GeneralizedParams(PASCAL_MONOMIALS, b_mat @ node_xy)
     shapes = ShapeFunctionSet(b_mat.T, PASCAL_MONOMIALS, nodes)
     return shapes, params, cond

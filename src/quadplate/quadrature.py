@@ -121,14 +121,14 @@ def integrate_element(scheme: MappingScheme, f, rule: GaussRule):
     points, weights = rule.tensor_points, rule.tensor_weights
     det = det2(scheme.params.gradient(points))
     diam = scheme.quad.diameter
-    bad = np.flatnonzero(det <= 1e-12 * diam * diam)
-    if bad.size:
-        theta = tuple(map(float, points[bad[0]]))
+    bad = det <= 1e-12 * diam * diam
+    if bad.any():
+        theta = tuple(map(float, points[bad.argmax()]))
         jacobian(scheme, theta)  # raises its own error where det J ~ 0
         raise NumericalError(
             f"non-positive Jacobian at quadrature point {theta}")
     values = np.asarray(f(points, scheme.params.point(points)), dtype=float)
-    total = np.cumsum(weights * values * det, axis=-1)[..., -1]
+    total = (weights * values * det).cumsum(axis=-1)[..., -1]
     return float(total) if total.ndim == 0 else total
 
 
@@ -157,12 +157,19 @@ class SectionProperties:
 
 def section_properties(scheme: MappingScheme, rule: GaussRule) -> SectionProperties:
     """Area and moments of inertia of the mapped element."""
-    return SectionProperties(*map(float, integrate_element(
-        scheme,
-        lambda t, x: [np.ones(len(x)), x[:, 1] * x[:, 1], x[:, 0] * x[:, 0],
-                      x[:, 0] * x[:, 1]],
-        rule,
-    )))
+    return SectionProperties(
+        *integrate_element(scheme, _section_integrands, rule).tolist())
+
+
+def _section_integrands(t, x) -> np.ndarray:
+    """1, x2^2, x1^2 and x1 x2 at Cartesian points ``x`` (n, 2); (4, n)."""
+    values = np.empty((4, len(x)))
+    values[0] = 1.0
+    x1, x2 = x.T
+    np.multiply(x2, x2, out=values[1])
+    np.multiply(x1, x1, out=values[2])
+    np.multiply(x1, x2, out=values[3])
+    return values
 
 
 def polygon_section_properties(vertices) -> SectionProperties:
@@ -176,8 +183,9 @@ def polygon_section_properties(vertices) -> SectionProperties:
     following = next_vertex(len(v))
     xn, yn = x[following], y[following]
     cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    i_x1 = float(np.sum(cross * (y * y + y * yn + yn * yn))) / 12.0
-    i_x2 = float(np.sum(cross * (x * x + x * xn + xn * xn))) / 12.0
-    i_x1x2 = float(np.sum(cross * (x * yn + 2.0 * x * y + 2.0 * xn * yn + xn * y))) / 24.0
+    area = 0.5 * float(cross.sum())
+    i_x1 = float((cross * (y * y + y * yn + yn * yn)).sum()) / 12.0
+    i_x2 = float((cross * (x * x + x * xn + xn * xn)).sum()) / 12.0
+    i_x1x2 = float((cross * (x * yn + 2.0 * x * y + 2.0 * xn * yn
+                             + xn * y)).sum()) / 24.0
     return SectionProperties(area=area, i_x1=i_x1, i_x2=i_x2, i_x1x2=i_x1x2)

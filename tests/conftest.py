@@ -15,8 +15,9 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from quadplate import GlobalSystem, QuadGeometry, random_convex_quad
-from quadplate.mapping import CORNER_NATURAL
+from quadplate import (DegenerateGeometryError, GlobalSystem, NumericalError,
+                       QuadGeometry, random_convex_quad)
+from quadplate.mapping import CORNER_NATURAL, NEXT_CORNER, bilinear_jacobians
 from quadplate.modal import _FIXED_DOFS
 
 #: Worked quadrilateral cross-section used throughout (vertices, ccw).
@@ -94,3 +95,25 @@ def apply_bcs_by_slicing(system, mesh):
     return GlobalSystem(k=system.k[kept][:, kept], m=system.m[kept][:, kept],
                         dof_map=new_index[system.dof_map],
                         scale=system.scale, geometry=system.geometry)
+
+
+def corner_jacobians_by_mask(coeffs, diam):
+    """Corner Jacobians and flat-corner mask of the bilinear maps
+    ``coeffs`` (m, 4, 2), by the full mask rule on every input: the oracle
+    of ``mapping.corner_jacobians``, which skips the masks when every
+    corner det J clears its tolerance."""
+    tol = 1e-12 * diam * diam
+    cjac, cdet = bilinear_jacobians(coeffs, CORNER_NATURAL)
+    flat = np.abs(cdet) <= tol[:, None]
+    # a collapsed edge leaves exactly its two (adjacent) ends flat
+    tip = (np.count_nonzero(flat, axis=1) == 2) \
+        & (flat & flat[:, NEXT_CORNER]).any(axis=1)
+    bad = np.argwhere((cdet <= tol[:, None]) & ~(flat & tip[:, None]))
+    if bad.size:
+        ei, corner = bad[0]
+        value = cdet[ei, corner]
+        error, fault = ((NumericalError, "folded element") if value < -tol[ei]
+                        else (DegenerateGeometryError, "degenerate corner"))
+        raise error(f"element {ei}: {fault}: det J = {value:.3e} at "
+                    f"theta={tuple(map(float, CORNER_NATURAL[corner]))}")
+    return cjac, flat

@@ -63,6 +63,12 @@ RECORDED_MODAL_CSV = json.loads(
 RECORDED_SHAPES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "modal_shapes.json")
     .read_text())
+#: Exit code, stdout and stderr of the CLI's parse-time outcomes (help,
+#: an unknown argument, a bad choice, a missing --case, per verb) at
+#: COLUMNS=80, recorded when one top-level ``parse_args`` parsed every
+#: verb's arguments.
+RECORDED_USAGE = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_usage.json").read_text())
 
 BUILTINS = ("paper-quad", "cantilever-isosceles", "clamped-isosceles",
             "clamped-equilateral", "clamped-quad", "cantilever-quad")
@@ -730,6 +736,20 @@ class TestCsvColumns:
 
 
 class TestCli:
+    @pytest.mark.parametrize("name", sorted(RECORDED_USAGE))
+    def test_parse_bytes_match_recording(self, name, monkeypatch, capsys):
+        # an unknown argument is the top-level parser's error: its usage
+        # line, not the verb's
+        monkeypatch.setenv("COLUMNS", "80")
+        entry = RECORDED_USAGE[name]
+        try:
+            code = main(entry["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (entry["exit"], entry["stdout"],
+                                    entry["stderr"])
+
     def test_sectprops_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = main(["sectprops", "--case", "paper-quad",

@@ -40,10 +40,12 @@ from quadplate.mapping import (
     pair_distances,
     twice_signed_area,
 )
-from quadplate.cases import load_case, run_mapcheck, run_modal, run_sectprops
+from quadplate.cases import (case_meshes, load_case, run_mapcheck, run_modal,
+                             run_sectprops)
 from quadplate.quadrature import gauss_rule, polygon_section_properties
 
-from conftest import SECTION_QUAD, convex_quads, fd_jacobian
+from conftest import (SECTION_QUAD, convex_quads, corner_jacobians_by_mask,
+                      fd_jacobian)
 
 
 class TestQuadGeometry:
@@ -612,6 +614,24 @@ class TestIndexShiftsAndNorms:
                 assert np.array_equal(got, flat)
         assert min(outcomes.values()) >= 10, outcomes
 
+    def test_poles_match_numpy_forms(self):
+        # the pole point in Python floats and both poles' roots from one
+        # distance call give the bits of the array forms they replaced
+        quads = convex_quads(100, seed=30) + [
+            QuadGeometry([[0, 0], [2, 0], [1.5, 1], [0.5, 1 + eps]])
+            for eps in (1e-3, 1e-6, 1e-9, 1e-12)]
+        for quad in quads:
+            v = quad.vertices
+            for a, b, c, d in ((v[0], v[1], v[2], v[3]),
+                               (v[1], v[2], v[3], v[0])):
+                point, t, _ = quadplate.mapping._line_intersection(a, b, c, d)
+                assert point.tobytes() == (a + t * (b - a)).tobytes()
+            poles = compute_poles_cartesian(quad)
+            lines = quadplate.mapping._pole_lines(quad)
+            for nat, (_, roots) in zip((poles.p5_nat, poles.p6_nat), lines):
+                nearest = np.argmin([np.linalg.norm(r) for r in roots])
+                assert nat.tobytes() == roots[nearest].tobytes()
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9,
                                      1e-10, 1e-11, 1e-12, 1e-13])
     def test_near_parallel_trapezoid_falls_back_as_before(self, eps):
@@ -646,6 +666,69 @@ class TestIndexShiftsAndNorms:
             scheme = build_scheme(quad, "pascal6")
             if not scheme.fallback:
                 assert scheme.cond_a == self.norm_condition(scheme)
+
+
+class TestCornerJacobians:
+    """``corner_jacobians`` returns early when every corner det J clears
+    its tolerance; it agrees with the full mask rule
+    (``corner_jacobians_by_mask``) on every input."""
+
+    @staticmethod
+    def assert_corners_match_mask_rule(v):
+        """``corner_jacobians`` of the quads ``v`` (m, 4, 2) gives the
+        oracle's Jacobian bits and flat mask, or its error and message."""
+        coeffs = bilinear_coefficients(v)
+        diam = pair_distances(v).max(axis=1)
+        try:
+            want = corner_jacobians_by_mask(coeffs, diam)
+        except (NumericalError, DegenerateGeometryError) as exc:
+            with pytest.raises(type(exc)) as got:
+                corner_jacobians(coeffs, diam)
+            assert str(got.value) == str(exc)
+            return None
+        cjac, flat = corner_jacobians(coeffs, diam)
+        assert cjac.tobytes() == want[0].tobytes()
+        assert cjac.shape == want[0].shape
+        assert flat.dtype == bool and np.array_equal(flat, want[1])
+        return flat
+
+    @pytest.mark.parametrize("name", [
+        name for name in quadplate.cases.builtin_case_names()
+        if name in quadplate.cases._PLATES])
+    def test_corner_jacobians_match_mask_rule_on_builtin_meshes(self, name):
+        meshes = case_meshes(load_case(name))
+        tips = 0
+        for _, mesh in meshes:
+            flat = self.assert_corners_match_mask_rule(
+                mesh.nodes[mesh.elements])
+            tips += int(flat.any())
+        # the triangle meshes reach the masks through their tip elements
+        assert tips == (len(meshes) if "isosceles" in name
+                        or "equilateral" in name else 0)
+
+    def test_corner_jacobians_match_mask_rule_on_random_quads(self):
+        rng = np.random.default_rng(30)
+        for count in (1, 2, 7, 64):
+            v = np.stack([quadplate.mapping.random_convex_quad(
+                rng, center=rng.uniform(-5.0, 5.0, 2),
+                scale=10.0 ** rng.uniform(-2.0, 2.0)).vertices
+                for _ in range(count)])
+            assert not self.assert_corners_match_mask_rule(v).any()
+
+    @pytest.mark.parametrize("fault,error", [
+        ("folded", NumericalError), ("flat", DegenerateGeometryError)])
+    def test_corner_jacobians_errors_match_mask_rule(self, fault, error):
+        good = np.array([[0.0, 0.0], [2.0, 0.0], [2.5, 1.5], [0.0, 1.0]])
+        bad = good.copy()
+        if fault == "folded":
+            bad[2] = [-1.0, 3.0]  # det J < 0 at the third corner
+        else:
+            bad[1] = [1.25, 0.75]  # second corner on its neighbours' line
+        for v in (bad[None], np.stack([good, bad, bad])):
+            with pytest.raises(error, match=f"element {len(v) // 2}"):
+                corner_jacobians(bilinear_coefficients(v),
+                                 pair_distances(v).max(axis=1))
+            self.assert_corners_match_mask_rule(v)
 
 
 # The evaluators as they were built from ``np.stack``: the oracle that the
@@ -732,6 +815,25 @@ class TestFixedPointTables:
                                   fresh.view(np.uint64))
             assert evaluate(exponents, points) is table
             assert evaluate(list(map(list, exponents)), points) is table
+
+    @pytest.mark.parametrize("exponents", [
+        BILINEAR_MONOMIALS, PASCAL_MONOMIALS, SERENDIPITY_MONOMIALS])
+    def test_tables_are_c_contiguous_float64(self, exponents):
+        # the same values in another memory order send the ``@`` of
+        # ``GeneralizedParams.point`` down another BLAS path, whose
+        # products differ in the last bits
+        rng = np.random.default_rng(len(exponents))
+        free = [rng.uniform(-2.0, 2.0, shape)
+                for shape in [(2,), (6, 2), (81, 2), (3, 5, 2)]]
+        free += [np.asfortranarray(free[1]), free[2][::-1],
+                 rng.uniform(-2.0, 2.0, (2, 9)).T, free[1].tolist(),
+                 build_scheme(QuadGeometry(SECTION_QUAD), "pascal6")
+                 .shapes.nodes]
+        for points in [*_fixed_sets().values(), *free]:
+            for evaluate in (monomial_values, monomial_gradients):
+                table = evaluate(exponents, points)
+                assert table.dtype == np.float64
+                assert table.flags.c_contiguous
 
     def test_size_fixed_after_warm_up(self):
         def single_quads(seeds):
