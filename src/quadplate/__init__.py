@@ -24,7 +24,6 @@ from .mapping import (
     map_point,
     pascal_shape_set,
     random_convex_quad,
-    serendipity_shapes,
     solve_pole_natural,
 )
 from .modal import (
@@ -44,17 +43,9 @@ from .modal import (
 from .plate_element import (
     ElementMatrices,
     PlateMaterial,
-    SubareaWeights,
-    boundary_rotation_matrix,
     curvature_operator,
-    deflection_row,
-    element_mass,
     element_matrices,
-    element_stiffness,
-    hermite_basis,
-    natural_rigidity,
     rotation_field,
-    subarea_weights,
 )
 from .quadrature import (
     GaussRule,

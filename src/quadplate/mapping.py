@@ -397,11 +397,6 @@ class Jacobian:
     matrix: np.ndarray
     det: float
 
-    @property
-    def contravariant(self) -> np.ndarray:
-        """Dual base-vector components; ``[a, i]`` is d theta_a / d x_i."""
-        return np.linalg.inv(self.matrix.T)
-
 
 @dataclass(frozen=True, eq=False)
 class MappingScheme:
@@ -485,11 +480,6 @@ def corner_jacobians(coeffs: np.ndarray, diam: np.ndarray) -> tuple:
         raise error(f"element {ei}: {fault}: det J = {value:.3e} at "
                     f"theta={tuple(map(float, CORNER_NATURAL[corner]))}")
     return cjac, flat
-
-
-def serendipity_shapes(theta) -> np.ndarray:
-    """The eight serendipity shape functions at natural points (..., 2)."""
-    return _SERENDIPITY_SHAPES.evaluate(theta)
 
 
 def compute_poles_cartesian(quad: QuadGeometry) -> PoleSet:

@@ -17,6 +17,13 @@ with signs fixed so that on a square element the operator reproduces
 -d2w/dtheta_a dtheta_b of the Hermite interpolant.  The bending energy is
 evaluated in natural coordinates with the isotropic Kirchhoff rigidity
 pushed through the inverse Jacobian.
+
+For straight edges every scheme gives the bilinear transformation, so an
+element's K and M depend only on its Jacobians at the Gauss points and
+its subarea fractions.  ``batch_element_matrices`` computes them for many
+elements at once from fixed tables per Gauss rule; ``element_matrices``
+is that kernel on one scheme's own map.  The scalar per-Gauss-point
+element is the tests' reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .mapping import MappingScheme, Jacobian, jacobian, lattice_points
-from .quadrature import GaussRule, gauss_rule
+from .errors import ValidationError
+from .mapping import MappingScheme, det2, fixed_points, lattice_points
+from .quadrature import GaussRule, positive_jacobians
 
 #: Positions of the deflection and rotation DOFs in the 12-entry vector.
 U_DOFS = np.array([0, 3, 6, 9])
@@ -67,27 +74,6 @@ class PlateMaterial:
 
 
 @dataclass(frozen=True, eq=False)
-class SubareaWeights:
-    """Fractions of element area in the four natural quadrants, one per
-    corner; they average nodal deflections into the center deflection."""
-
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        f = np.array(self.fractions, dtype=float)
-        if f.shape != (4,):
-            raise ValidationError("need exactly four subarea fractions")
-        if np.any(f <= 0.0) or np.any(f >= 1.0):
-            raise NumericalError(
-                f"subarea fractions outside (0, 1): {f} (folded element?)"
-            )
-        if abs(f.sum() - 1.0) > 1e-12:
-            raise NumericalError(f"subarea fractions sum to {f.sum()!r}, not 1")
-        f.setflags(write=False)
-        object.__setattr__(self, "fractions", f)
-
-
-@dataclass(frozen=True, eq=False)
 class ElementMatrices:
     """Stiffness and mass of one element, natural-frame DOFs."""
 
@@ -122,13 +108,6 @@ def _hermite(t: float, direction: int):
     return table[0], table[1], table[2]
 
 
-def hermite_basis(t: float, direction: int):
-    """The four edge Hermite cubics of one direction and their
-    derivatives; returns ``(values, first_derivatives)``."""
-    h, dh, _ = _hermite(t, direction)
-    return h, dh
-
-
 # Columns of the boundary rotation rows: (u, rotation) DOF pairs of the
 # edge's two end nodes, in Hermite order (left value, left slope, right
 # value, right slope).
@@ -139,7 +118,14 @@ _EDGE_LEFT = np.array([0, 1, 9, 10])     # (i)(l), Hermite in theta2, phi1
 
 
 def _boundary_rows(theta):
-    """The four boundary rotation rows and their parametric derivatives."""
+    """Rotations along the four element boundaries as the rows of a 4x12
+    matrix on the element DOF vector, and their parametric derivatives.
+
+    Row order: phi2 on (i)(j), phi1 on (j)(k), phi2 on (l)(k), phi1 on
+    (i)(l).  Each row is the derivative of the edge's Hermite deflection
+    interpolant, signed per the rotation convention, and restricted to
+    that edge's nodal DOFs.
+    """
     _, d1, dd1 = _hermite(float(theta[0]), 1)
     _, d2, dd2 = _hermite(float(theta[1]), 2)
     rows = np.zeros((4, 12))
@@ -153,19 +139,6 @@ def _boundary_rows(theta):
     drows[2, _EDGE_TOP] = -dd1
     drows[3, _EDGE_LEFT] = dd2
     return rows, drows
-
-
-def boundary_rotation_matrix(theta) -> np.ndarray:
-    """Rotations along the four element boundaries as rows of a 4x12
-    matrix acting on the element DOF vector.
-
-    Row order: phi2 on (i)(j), phi1 on (j)(k), phi2 on (l)(k), phi1 on
-    (i)(l).  Each row is the derivative of the edge's Hermite deflection
-    interpolant, signed per the rotation convention, and restricted to
-    that edge's nodal DOFs.
-    """
-    rows, _ = _boundary_rows(theta)
-    return rows
 
 
 def rotation_field(theta) -> np.ndarray:
@@ -183,7 +156,7 @@ def rotation_field(theta) -> np.ndarray:
     ])
 
 
-#: Rotation field at the element center: the slopes of ``deflection_row``.
+#: Rotation field at the element center: the slopes of ``deflection_rows``.
 _CENTER_ROTATION = rotation_field((0.0, 0.0))
 
 
@@ -208,64 +181,16 @@ def curvature_operator(theta) -> np.ndarray:
     ])
 
 
-#: Natural index pairs (a, b) of the Voigt order (11, 22, 12).
-_VOIGT_A = np.array([0, 1, 0])
-_VOIGT_B = np.array([0, 1, 1])
+#: Centers of the four natural quadrants (4, 2), one per corner node.
+#: det J is affine in theta for straight edges, so a quadrant's area
+#: (natural area 1) is det J at its center.
+QUADRANT_CENTERS = fixed_points(
+    ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)))
 
 
-def natural_rigidity(material: PlateMaterial, jac: Jacobian) -> np.ndarray:
-    """Bending rigidity in natural indices, condensed to a Voigt 3x3.
-
-    The Cartesian isotropic Kirchhoff tensor is transformed with four
-    contravariant base-vector factors (``g[a, i]`` = d theta_a / d x_i);
-    the Voigt ordering matches the curvature rows (chi11, chi22, 2*chi12),
-    so the quadratic form chi^T E chi is the bending energy density.
-    """
-    d = material.rigidity
-    nu = material.nu
-    delta = np.eye(2)
-    cartesian = d * (
-        nu * np.einsum("ij,kl->ijkl", delta, delta)
-        + 0.5 * (1.0 - nu) * (
-            np.einsum("ik,jl->ijkl", delta, delta)
-            + np.einsum("il,jk->ijkl", delta, delta)
-        )
-    )
-    g = jac.contravariant
-    e4 = np.einsum("...ai,...bj,...ck,...dl,ijkl->...abcd",
-                   g, g, g, g, cartesian)
-    voigt = e4[..., _VOIGT_A[:, None], _VOIGT_B[:, None],
-               _VOIGT_A[None, :], _VOIGT_B[None, :]]
-    return 0.5 * (voigt + np.swapaxes(voigt, -1, -2))
-
-
-#: Centers of the four natural quadrants, one per corner node.
-QUADRANT_CENTERS = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
-
-
-def subarea_weights(scheme: MappingScheme, rule: GaussRule | None = None
-                    ) -> SubareaWeights:
-    """Fraction of element area in each natural quadrant.
-
-    Each subarea is the integral of det J over the quadrant between the
-    two edges meeting at that corner and the coordinate lines through the
-    element center.
-    """
-    if rule is None:
-        rule = gauss_rule(3)
-    areas = np.empty(4)
-    for p, (c1, c2) in enumerate(QUADRANT_CENTERS):
-        total = 0.0
-        for s1, w1 in zip(rule.nodes, rule.weights):
-            for s2, w2 in zip(rule.nodes, rule.weights):
-                theta = (c1 + 0.5 * s1, c2 + 0.5 * s2)
-                total += 0.25 * w1 * w2 * jacobian(scheme, theta).det
-        areas[p] = total
-    return SubareaWeights(areas / areas.sum())
-
-
-def deflection_row(theta, weights: SubareaWeights) -> np.ndarray:
-    """Deflection at a natural point as a 1x12 row on the DOF vector.
+def deflection_rows(points, fractions) -> np.ndarray:
+    """Deflection at natural points (n, 2) as rows on the DOF vector, for
+    one or many elements' subarea fractions (..., 4); shape (..., n, 12).
 
     The deflection is expanded linearly about the element center: the
     center value is the subarea-weighted average of the nodal deflections
@@ -273,64 +198,11 @@ def deflection_row(theta, weights: SubareaWeights) -> np.ndarray:
     convention (du/dtheta1 = -phi2, du/dtheta2 = +phi1).  This expansion
     only distributes mass; it does not enter the stiffness.
     """
-    return deflection_rows([theta], weights.fractions)[0]
-
-
-def deflection_rows(points, fractions) -> np.ndarray:
-    """``deflection_row`` at many points (n, 2) for one or many elements'
-    subarea fractions (..., 4); shape (..., n, 12)."""
     t = np.asarray(points, dtype=float)
     center = np.zeros(np.shape(fractions)[:-1] + (1, 12))
     center[..., 0, U_DOFS] = fractions
     return (center - t[:, :1] * _CENTER_ROTATION[1]
             + t[:, 1:] * _CENTER_ROTATION[0])
-
-
-def element_stiffness(scheme: MappingScheme, material: PlateMaterial,
-                      rule: GaussRule) -> np.ndarray:
-    """12x12 bending stiffness, integrated in natural coordinates."""
-    _check_rule(rule)
-    k = np.zeros((12, 12))
-    for t1, w1 in zip(rule.nodes, rule.weights):
-        for t2, w2 in zip(rule.nodes, rule.weights):
-            theta = (t1, t2)
-            jac = _positive_jacobian(scheme, theta)
-            b = curvature_operator(theta)
-            e = natural_rigidity(material, jac)
-            k += (w1 * w2 * jac.det) * (b.T @ e @ b)
-    return 0.5 * (k + k.T)
-
-
-def element_mass(scheme: MappingScheme, material: PlateMaterial,
-                 rule: GaussRule, rotary: bool = False) -> np.ndarray:
-    """12x12 consistent mass.
-
-    Translational inertia rho*t acts on the deflection expansion; rotary
-    inertia rho*t^3/12 on the rotation field when ``rotary`` is set
-    (default off for thin-plate frequency tables).
-    """
-    _check_rule(rule)
-    weights = subarea_weights(scheme, rule)
-    r = material.rho * material.t ** 3 / 12.0 if rotary else 0.0
-    density = np.diag([material.rho * material.t, r, r])
-    m = np.zeros((12, 12))
-    for t1, w1 in zip(rule.nodes, rule.weights):
-        for t2, w2 in zip(rule.nodes, rule.weights):
-            theta = (t1, t2)
-            jac = _positive_jacobian(scheme, theta)
-            n = np.vstack([deflection_row(theta, weights),
-                           rotation_field(theta)])
-            m += (w1 * w2 * jac.det) * (n.T @ density @ n)
-    return 0.5 * (m + m.T)
-
-
-def element_matrices(scheme: MappingScheme, material: PlateMaterial,
-                     rule: GaussRule, rotary: bool = False) -> ElementMatrices:
-    """Stiffness and mass of one element."""
-    return ElementMatrices(
-        k=element_stiffness(scheme, material, rule),
-        m=element_mass(scheme, material, rule, rotary=rotary),
-    )
 
 
 #: Upper-triangle Voigt pairs (I, J) of the symmetric natural rigidity.
@@ -385,7 +257,7 @@ def batch_element_matrices(jac: np.ndarray, det: np.ndarray,
     the points of ``rule.tensor_points``, ``fractions`` (m, 4) its subarea
     fractions.  Returns ``(k, m)``, each (m, 12, 12), in the precision of
     ``jac``.  The caller checks the Jacobians and fractions.  The results
-    agree with ``element_stiffness`` and ``element_mass`` to round-off
+    agree with the scalar element of ``tests/oracles.py`` to round-off
     (1e-12 relative), not bit for bit.
 
     With s_p = w_p det J_p at Gauss point p, K is linear in s_p E_p (E_p
@@ -423,18 +295,29 @@ def batch_element_matrices(jac: np.ndarray, det: np.ndarray,
     return k.reshape(count, 12, 12), m.reshape(count, 12, 12)
 
 
+def element_matrices(scheme: MappingScheme, material: PlateMaterial,
+                     rule: GaussRule, rotary: bool = False) -> ElementMatrices:
+    """Stiffness and mass of one element: ``batch_element_matrices`` on
+    the Jacobians of the scheme's own map at the points of ``rule``.
+
+    A det J at or below 1e-12 diam^2 at a Gauss point raises
+    ``NumericalError`` (``positive_jacobians``); the subarea fractions are
+    det J at the ``QUADRANT_CENTERS``, as in mesh assembly.
+    """
+    jac, det = positive_jacobians(scheme, rule)
+    areas = det2(scheme.params.gradient(QUADRANT_CENTERS))
+    k, m = batch_element_matrices(jac[None], det[None],
+                                  (areas / areas.sum())[None], material,
+                                  rule, rotary=rotary)
+    return ElementMatrices(k=k[0], m=m[0])
+
+
 def _check_rule(rule: GaussRule):
-    # 3x3 integrates the element exactly for straight edges; lower orders
+    # 3x3 integrates M exactly for straight edges (det J affine in theta),
+    # but K only on parallelograms: elsewhere h = g g^T carries 1/det^2,
+    # and K moves by 5.5e-3 relative from Gauss 3 to 6 on a trapezoid,
+    # 0.26 on the skew quad [[0,0],[8,0],[4,3],[0,5]].  Lower orders
     # underintegrate and admit spurious modes.
     if rule.order < 3:
         raise ValidationError("element integration needs Gauss order >= 3")
 
-
-def _positive_jacobian(scheme: MappingScheme, theta) -> Jacobian:
-    jac = jacobian(scheme, theta)
-    if jac.det <= 0.0:
-        raise NumericalError(
-            f"folded element: det J = {jac.det:.3e} "
-            f"at theta={tuple(map(float, theta))}"
-        )
-    return jac

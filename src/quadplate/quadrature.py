@@ -108,6 +108,26 @@ def gauss_rule(order: int) -> GaussRule:
     return _RULES[order]
 
 
+def positive_jacobians(scheme: MappingScheme, rule: GaussRule) -> tuple:
+    """Jacobians (n, 2, 2) and determinants (n,) of the scheme's map at
+    the points of ``rule.tensor_points``.
+
+    A determinant at or below 1e-12 diam^2 at any point (folded or
+    degenerate mapping) raises ``NumericalError``.
+    """
+    points = rule.tensor_points
+    matrix = scheme.params.gradient(points)
+    det = det2(matrix)
+    diam = scheme.quad.diameter
+    bad = det <= 1e-12 * diam * diam
+    if bad.any():
+        theta = tuple(map(float, points[bad.argmax()]))
+        jacobian(scheme, theta)  # raises its own error where det J ~ 0
+        raise NumericalError(
+            f"non-positive Jacobian at quadrature point {theta}")
+    return matrix, det
+
+
 def integrate_element(scheme: MappingScheme, f, rule: GaussRule):
     """Integrate one field (a float) or k fields (an array (k,)) over the
     mapped element, with area element det J dtheta1 dtheta2.
@@ -116,17 +136,10 @@ def integrate_element(scheme: MappingScheme, f, rule: GaussRule):
     natural (n, 2) and Cartesian (n, 2), and returns values (n,) or (k, n);
     the terms are summed in point order.  A non-positive Jacobian
     determinant at a quadrature point (folded mapping) raises
-    ``NumericalError``.
+    ``NumericalError`` (``positive_jacobians``).
     """
     points, weights = rule.tensor_points, rule.tensor_weights
-    det = det2(scheme.params.gradient(points))
-    diam = scheme.quad.diameter
-    bad = det <= 1e-12 * diam * diam
-    if bad.any():
-        theta = tuple(map(float, points[bad.argmax()]))
-        jacobian(scheme, theta)  # raises its own error where det J ~ 0
-        raise NumericalError(
-            f"non-positive Jacobian at quadrature point {theta}")
+    _, det = positive_jacobians(scheme, rule)
     values = np.asarray(f(points, scheme.params.point(points)), dtype=float)
     total = (weights * values * det).cumsum(axis=-1)[..., -1]
     return float(total) if total.ndim == 0 else total

@@ -25,8 +25,6 @@ from quadplate import (
     assemble,
     build_scheme,
     compute_poles_cartesian,
-    element_mass,
-    element_stiffness,
     frequency_parameter,
     gauss_rule,
     map_point,
@@ -41,6 +39,7 @@ from quadplate.mapping import SCHEME_KINDS
 from quadplate.plate_element import U_DOFS
 
 from conftest import SECTION_QUAD, UNIT_SQUARE, convex_quads
+from oracles import element_mass, element_stiffness
 from test_plate_element import fd_energy_hessian
 
 MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)

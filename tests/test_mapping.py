@@ -19,18 +19,19 @@ from quadplate import (
     jacobian,
     map_point,
     pascal_shape_set,
-    serendipity_shapes,
     solve_pole_natural,
 )
 import quadplate.cases
 import quadplate.mapping
 import quadplate.modal
+import quadplate.plate_element
 from quadplate.mapping import (
     BILINEAR_MONOMIALS,
     CORNER_NATURAL,
     PASCAL_MONOMIALS,
     SCHEME_KINDS,
     SERENDIPITY_MONOMIALS,
+    _SERENDIPITY_SHAPES,
     bilinear_coefficients,
     bilinear_jacobians,
     corner_jacobians,
@@ -46,6 +47,7 @@ from quadplate.quadrature import gauss_rule, polygon_section_properties
 
 from conftest import (SECTION_QUAD, convex_quads, corner_jacobians_by_mask,
                       fd_jacobian)
+from oracles import contravariant
 
 
 class TestQuadGeometry:
@@ -183,13 +185,13 @@ class TestJacobian:
         scheme = build_scheme(section_quad, "pascal6")
         jac = jacobian(scheme, (0.2, -0.4))
         # g^a . g_b = delta
-        prod = jac.contravariant @ jac.matrix.T
+        prod = contravariant(jac) @ jac.matrix.T
         np.testing.assert_allclose(prod, np.eye(2), atol=1e-13)
 
 
 class TestSerendipity:
     def test_midpoint_node_value(self):
-        values = serendipity_shapes((0.0, -1.0))
+        values = _SERENDIPITY_SHAPES.evaluate((0.0, -1.0))
         expected = np.zeros(8)
         expected[4] = 1.0
         np.testing.assert_allclose(values, expected, atol=1e-15)
@@ -198,8 +200,8 @@ class TestSerendipity:
         rng = np.random.default_rng(3)
         for _ in range(50):
             theta = rng.uniform(-1.5, 1.5, 2)
-            assert serendipity_shapes(theta).sum() == pytest.approx(1.0,
-                                                                    abs=1e-12)
+            assert _SERENDIPITY_SHAPES.evaluate(theta).sum() == \
+                pytest.approx(1.0, abs=1e-12)
 
     def test_map_equals_bilinear_on_section_quad(self, section_quad):
         # quadratic and cubic terms cancel for straight edges and true
@@ -776,7 +778,7 @@ def _fixed_sets():
         "serendipity nodes": quadplate.mapping._SERENDIPITY_SHAPES.nodes,
         "mapcheck grid": quadplate.cases._MAPCHECK_GRID,
         "mode-shape samples": quadplate.modal._SAMPLE_POINTS,
-        "quadrant centers": quadplate.modal._QUADRANT_CENTER_POINTS,
+        "quadrant centers": quadplate.plate_element.QUADRANT_CENTERS,
     }
     sets.update({f"gauss {order}": gauss_rule(order).tensor_points
                  for order in range(1, 7)})

@@ -25,7 +25,6 @@ from quadplate import (
     apply_bcs,
     assemble,
     build_scheme,
-    element_matrices,
     frequency_parameter,
     gauss_rule,
     mesh_quad,
@@ -44,11 +43,7 @@ from quadplate.cases import (
 )
 from quadplate.mapping import bilinear_jacobians
 from quadplate.modal import _CsrPattern, _element_geometry, _transforms
-from quadplate.plate_element import (
-    batch_element_matrices,
-    element_mass,
-    element_stiffness,
-)
+from quadplate.plate_element import batch_element_matrices
 
 from conftest import (
     BIUNIT_SQUARE,
@@ -58,6 +53,7 @@ from conftest import (
     convex_quads,
     element_transform,
 )
+from oracles import element_mass, element_matrices, element_stiffness
 
 MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)
 RULE = gauss_rule(3)
@@ -298,8 +294,11 @@ class TestAssemble:
         ([[0, 1, 4, 3], [1, 2, 5, 4], [1, 2, 5, 4]],
          "elements 1 and 2 traverse edge (1, 2) in the same direction"),
         ([[0, 1, 4, 3], [1, 2, 5, 4]], "node 6 belongs to no element"),
+        ([[0, 1, 4, 3], [1, 2, 5, 8]], "element references a missing node"),
+        ([[0, 1, 4, 3], [1, 2, 5, 4], [6, 1, 4, 7]],
+         "elements 0 and 2 traverse edge (1, 4) in the same direction"),
     ], ids=["repeats", "non-adjacent", "clockwise-first", "edge", "copy",
-            "unused-node"])
+            "unused-node", "missing-node", "edge-later-corner"])
     def test_mesh_fault_names_first_element(self, elements, message):
         # a 2x1 strip of unit squares plus two points inside the first;
         # the spare points are reported only when every element passes

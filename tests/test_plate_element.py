@@ -1,31 +1,50 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from quadplate import (
+    DegenerateGeometryError,
+    NumericalError,
     PlateMaterial,
     QuadGeometry,
     ValidationError,
-    boundary_rotation_matrix,
     build_scheme,
     curvature_operator,
-    deflection_row,
-    element_mass,
     element_matrices,
-    element_stiffness,
     gauss_rule,
-    hermite_basis,
     jacobian,
-    natural_rigidity,
     rotation_field,
-    subarea_weights,
 )
 from quadplate import mapping
-from quadplate.plate_element import PHI1_DOFS, PHI2_DOFS, U_DOFS
+from quadplate.mapping import (SCHEME_KINDS, bilinear_coefficients,
+                               corner_jacobians)
+from quadplate.plate_element import (
+    PHI1_DOFS,
+    PHI2_DOFS,
+    U_DOFS,
+    _boundary_rows,
+    _hermite,
+)
 
+import oracles
 from conftest import BIUNIT_SQUARE, convex_quads, element_transform
+from oracles import (
+    deflection_row,
+    element_mass,
+    element_stiffness,
+    natural_rigidity,
+    subarea_weights,
+)
 
 MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)
 RULE = gauss_rule(3)
+PARALLELOGRAM = [[0, 0], [2, 0], [3, 1], [1, 1]]
+TIP = [[0, 0], [1, 0.25], [1, 0.25], [0, 0.5]]
+#: det J vanishes at the straight angle of vertex 2, a corner only.
+FLAT_CORNER = [[0, 0], [1, 0], [2, 0], [1, 1]]
+#: Vertex 3 is reflex, so det J is negative at Gauss points near it.
+DART = [[0, 0], [4, 0], [1, 1], [0, 4]]
 
 
 def nodal_vector(u, phi1, phi2):
@@ -54,37 +73,37 @@ class TestMaterial:
 
 class TestHermiteBasis:
     def test_end_values_direction_one(self):
-        h, _ = hermite_basis(-1.0, 1)
+        h, _, _ = _hermite(-1.0, 1)
         np.testing.assert_allclose(h, [1, 0, 0, 0], atol=1e-15)
-        h, _ = hermite_basis(1.0, 1)
+        h, _, _ = _hermite(1.0, 1)
         np.testing.assert_allclose(h, [0, 0, 1, 0], atol=1e-15)
 
     def test_value_functions_sum_to_one(self):
         for t in np.linspace(-1, 1, 9):
             for direction in (1, 2):
-                h, _ = hermite_basis(t, direction)
+                h, _, _ = _hermite(t, direction)
                 assert h[0] + h[2] == pytest.approx(1.0, abs=1e-14)
 
     def test_derivatives_against_finite_differences(self):
         step = 1e-6
         for t in np.linspace(-0.9, 0.9, 7):
             for direction in (1, 2):
-                _, dh = hermite_basis(t, direction)
-                hp, _ = hermite_basis(t + step, direction)
-                hm, _ = hermite_basis(t - step, direction)
+                _, dh, _ = _hermite(t, direction)
+                hp, _, _ = _hermite(t + step, direction)
+                hm, _, _ = _hermite(t - step, direction)
                 np.testing.assert_allclose(dh, (hp - hm) / (2 * step),
                                            atol=1e-8)
 
     def test_slope_dofs_have_unit_end_derivative(self):
         # direction 1 pairs with phi2 = -du/dt: -h2' = +1 at the left end,
         # -h4' = +1 at the right end; direction 2 pairs with phi1 = +du/dt
-        _, d1 = hermite_basis(-1.0, 1)
+        _, d1, _ = _hermite(-1.0, 1)
         assert -d1[1] == pytest.approx(1.0)
-        _, d1 = hermite_basis(1.0, 1)
+        _, d1, _ = _hermite(1.0, 1)
         assert -d1[3] == pytest.approx(1.0)
-        _, d2 = hermite_basis(-1.0, 2)
+        _, d2, _ = _hermite(-1.0, 2)
         assert d2[1] == pytest.approx(1.0)
-        _, d2 = hermite_basis(1.0, 2)
+        _, d2, _ = _hermite(1.0, 2)
         assert d2[3] == pytest.approx(1.0)
 
 
@@ -99,7 +118,7 @@ class TestBoundaryRotations:
             (3, (-1.0, -1.0), 1), (3, (-1.0, 1.0), 10),   # phi1 on (i)(l)
         ]
         for row, theta, dof in cases:
-            picked = boundary_rotation_matrix(theta)[row]
+            picked = _boundary_rows(theta)[0][row]
             expected = np.zeros(12)
             expected[dof] = 1.0
             np.testing.assert_allclose(picked, expected, atol=1e-14,
@@ -109,13 +128,13 @@ class TestBoundaryRotations:
         edge_dofs = [
             {0, 2, 3, 5}, {3, 4, 6, 7}, {6, 8, 9, 11}, {0, 1, 9, 10},
         ]
-        rows = boundary_rotation_matrix((0.37, -0.58))
+        rows, _ = _boundary_rows((0.37, -0.58))
         for row, dofs in enumerate(edge_dofs):
             outside = [c for c in range(12) if c not in dofs]
             np.testing.assert_allclose(rows[row, outside], 0.0, atol=1e-15)
 
     def test_zero_dofs_give_zero_rotations(self):
-        rows = boundary_rotation_matrix((0.2, 0.9))
+        rows, _ = _boundary_rows((0.2, 0.9))
         np.testing.assert_allclose(rows @ np.zeros(12), 0.0)
 
 
@@ -123,12 +142,12 @@ class TestRotationField:
     def test_edge_restriction_equals_boundary_row(self):
         for t2 in np.linspace(-1, 1, 5):
             field = rotation_field((1.0, t2))
-            boundary = boundary_rotation_matrix((1.0, t2))
+            boundary, _ = _boundary_rows((1.0, t2))
             np.testing.assert_allclose(field[0], boundary[1], atol=1e-14)
 
     def test_center_is_average_of_opposite_boundaries(self):
         field = rotation_field((0.0, 0.0))
-        boundary = boundary_rotation_matrix((0.0, 0.0))
+        boundary, _ = _boundary_rows((0.0, 0.0))
         np.testing.assert_allclose(field[0],
                                    0.5 * (boundary[1] + boundary[3]),
                                    atol=1e-14)
@@ -486,3 +505,48 @@ class TestElementMatrices:
         calls.clear()
         element_matrices(scheme, MAT, RULE, rotary=True)
         assert calls == []
+
+    @pytest.mark.parametrize("kind", SCHEME_KINDS)
+    def test_matches_scalar_element(self, kind):
+        # each scheme's own map, 200 random convex quads, a parallelogram
+        # (pascal6 falls back) and a collapsed-edge tip, every Gauss rule;
+        # rotary inertia alternates, so each quad has it on and off
+        quads = convex_quads(200, seed=2031) + [
+            QuadGeometry(PARALLELOGRAM),
+            QuadGeometry(TIP, allow_collapsed=True)]
+        for index, quad in enumerate(quads):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                scheme = build_scheme(quad, kind)
+            for order in (3, 4, 6):
+                rule = gauss_rule(order)
+                rotary = (index + order) % 2 == 1
+                got = element_matrices(scheme, MAT, rule, rotary)
+                want = oracles.element_matrices(scheme, MAT, rule, rotary)
+                for a, b in ((got.k, want.k), (got.m, want.m)):
+                    assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), \
+                        (index, order, rotary)
+
+    def test_flat_corner_accepted_as_by_scalar_element(self):
+        # only a Gauss point's det J decides, as in the scalar element;
+        # assembly's corner rule rejects this quad
+        quad = QuadGeometry(FLAT_CORNER)
+        with pytest.raises(DegenerateGeometryError):
+            corner_jacobians(bilinear_coefficients(quad.vertices)[None],
+                             np.array([quad.diameter]))
+        for kind in SCHEME_KINDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                scheme = build_scheme(quad, kind)
+            got = element_matrices(scheme, MAT, RULE, rotary=True)
+            want = oracles.element_matrices(scheme, MAT, RULE, rotary=True)
+            for a, b in ((got.k, want.k), (got.m, want.m)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), kind
+
+    @pytest.mark.parametrize("element", [element_matrices,
+                                         oracles.element_matrices],
+                             ids=["kernel", "scalar"])
+    def test_dart_rejected(self, element):
+        scheme = build_scheme(QuadGeometry(DART), "bilinear")
+        with pytest.raises(NumericalError):
+            element(scheme, MAT, RULE)
