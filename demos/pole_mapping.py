@@ -18,7 +18,6 @@ from quadplate import (
     QuadGeometry,
     build_scheme,
     compute_poles_cartesian,
-    map_point,
     pascal_shape_set,
     solve_pole_natural,
 )
@@ -66,11 +65,11 @@ def main():
     axis = np.linspace(-1, 1, 9)
     grid = np.stack(np.meshgrid(axis, axis), axis=-1)  # 9x9 natural points
     bil = build_scheme(quad, "bilinear")
-    reference = map_point(bil, grid)
+    reference = bil.params.point(grid)
     worst = 0.0
     for kind in ("serendipity8", "pascal6"):
         scheme = build_scheme(quad, kind)
-        dev = np.linalg.norm(map_point(scheme, grid) - reference,
+        dev = np.linalg.norm(scheme.params.point(grid) - reference,
                              axis=-1).max()
         worst = max(worst, dev)
         print(f"max |{kind} - bilinear| on a 9x9 grid: {dev:.3e}")
@@ -80,7 +79,7 @@ def main():
 
     theta = solve_pole_natural(quad, poles.p5_xy, guess=(4.0, 1.0))
     print(f"pole round trip: map({theta}) = "
-          f"{map_point(bil, theta)} vs pole {poles.p5_xy}")
+          f"{bil.params.point(theta)} vs pole {poles.p5_xy}")
 
 
 if __name__ == "__main__":

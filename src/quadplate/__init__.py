@@ -12,16 +12,12 @@ from .mapping import (
     PASCAL_MONOMIALS,
     SERENDIPITY_MONOMIALS,
     GeneralizedParams,
-    Jacobian,
     MappingScheme,
     PoleSet,
     QuadGeometry,
     ShapeFunctionSet,
-    bilinear_params,
     build_scheme,
     compute_poles_cartesian,
-    jacobian,
-    map_point,
     pascal_shape_set,
     random_convex_quad,
     solve_pole_natural,
@@ -51,7 +47,6 @@ from .quadrature import (
     GaussRule,
     SectionProperties,
     gauss_rule,
-    integrate_element,
     polygon_section_properties,
     section_properties,
 )

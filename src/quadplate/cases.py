@@ -29,7 +29,6 @@ from .mapping import (
     distance,
     fixed_points,
     lattice_points,
-    map_point,
     random_convex_quad,
 )
 from .modal import (
@@ -613,11 +612,6 @@ def _e6_words(values, separator: str) -> np.ndarray:
     return words
 
 
-def _e6_cells(values) -> np.ndarray:
-    """The (n, 14) ASCII cells of ``_e6_words``, a view of its bytes."""
-    return _e6_words(values, " ").view(np.uint8).reshape(-1, 16)[:, :14]
-
-
 def _csv_number(x: float) -> str:
     """``x`` in ``%.6f``, or in ``%.6e`` where fixed point would print a
     nonzero value as 0.000000 (|x| < 1e-6) or run to 16 or more digits
@@ -708,7 +702,7 @@ def run_mapcheck(case: CaseFile) -> Report:
     built = {kind: build_scheme(quad, kind) for kind in SCHEME_KINDS}
     poles = built["pascal6"].poles
     bilinear = built["bilinear"]
-    reference = map_point(bilinear, _MAPCHECK_GRID)
+    reference = bilinear.params.point(_MAPCHECK_GRID)
 
     schemes = {}
     for kind, scheme in built.items():
@@ -719,7 +713,7 @@ def run_mapcheck(case: CaseFile) -> Report:
             - np.eye(coeffs.shape[0])
         # the bilinear map is the reference itself
         deviation = 0.0 if scheme is bilinear else float(distance(
-            map_point(scheme, _MAPCHECK_GRID), reference).max())
+            scheme.params.point(_MAPCHECK_GRID), reference).max())
         entry = {
             "partition_of_unity_residual": float(np.abs(unity).max()),
             "kronecker_residual": float(np.abs(kron).max()),
@@ -732,7 +726,7 @@ def run_mapcheck(case: CaseFile) -> Report:
             nat = [scheme.poles.p5_nat, scheme.poles.p6_nat]
             entry["pole_natural"] = [p.tolist() for p in nat]
             entry["pole_round_trip_residual"] = float(distance(
-                map_point(bilinear, nat), [poles.p5_xy, poles.p6_xy]
+                bilinear.params.point(nat), [poles.p5_xy, poles.p6_xy]
             ).max()) / quad.diameter
         schemes[kind] = entry
 

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
 Validation errors (bad geometry, bad case input) and numerical failures
-(singular Jacobians, ill-conditioning, failed eigensolves) are kept apart so
+(folded element maps, ill-conditioning, failed eigensolves) are kept apart so
 callers can map them to distinct exit codes.
 """
 
@@ -23,5 +23,5 @@ class InvalidCaseError(ValidationError):
 
 
 class NumericalError(QuadplateError):
-    """Numerical failure: singular Jacobian, ill-conditioned system, ..."""
+    """Numerical failure: folded element map, ill-conditioned system, ..."""
 

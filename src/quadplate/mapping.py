@@ -17,10 +17,10 @@ Three interpolation schemes are provided for straight-edged quadrilaterals:
 
 For straight edges all three produce the same point transformation; they
 differ only in their shape functions.  Every scheme stores the polynomial
-coefficients of its transformation (``GeneralizedParams``), so point
-mapping and Jacobian evaluation are plain polynomial operations that
-remain valid outside the bi-unit square.  A scheme's shape functions carry
-their nodes as one read-only (n, 2) array of natural coordinates.
+coefficients of its transformation (``GeneralizedParams``), whose
+``point`` and ``gradient`` evaluate the map and its base vectors on arrays
+of natural points, also outside the bi-unit square.  A scheme's shape
+functions carry their nodes as one read-only (n, 2) natural array.
 
 The natural point sets that never change (the corners, the bilinear and
 serendipity nodes, the Gauss points, the report and sampling lattices)
@@ -30,6 +30,8 @@ computed on first use and shared by every later evaluation.
 ``corner_jacobians`` holds the one rule by which a bilinear map is
 accepted, from the signs of det J at its four corners; mesh assembly
 applies it to every element and the single-quad reports to their quad.
+A scheme integrated on its own map is checked point by point at the
+Gauss points instead, by ``quadrature.positive_jacobians``.
 """
 
 from __future__ import annotations
@@ -387,18 +389,6 @@ _SERENDIPITY_SHAPES = ShapeFunctionSet(
 
 
 @dataclass(frozen=True, eq=False)
-class Jacobian:
-    """Covariant base vectors of a mapping at one natural point.
-
-    ``matrix[a, i]`` is d x_i / d theta_a, i.e. row a is the covariant
-    base vector g_a.  ``det`` is the area scale factor.
-    """
-
-    matrix: np.ndarray
-    det: float
-
-
-@dataclass(frozen=True, eq=False)
 class MappingScheme:
     """A built geometry mapping: tagged kind, coefficients, shape functions.
 
@@ -421,20 +411,13 @@ class MappingScheme:
 # scheme construction
 # ---------------------------------------------------------------------------
 
-def bilinear_params(quad: QuadGeometry) -> GeneralizedParams:
-    """Generalized parameters of the standard bilinear map.
+def bilinear_coefficients(vertices) -> np.ndarray:
+    """Bilinear map coefficients (..., 4, 2) of vertex arrays (..., 4, 2).
 
     The rows are, in order: the vertex centroid, the two quarter edge-sum
     differences (center base vectors), and the quarter diagonal difference
     (mixed second derivative).
     """
-    return GeneralizedParams(
-        BILINEAR_MONOMIALS, bilinear_coefficients(quad.vertices)
-    )
-
-
-def bilinear_coefficients(vertices) -> np.ndarray:
-    """Bilinear map coefficients (..., 4, 2) of vertex arrays (..., 4, 2)."""
     return _BILINEAR_SHAPE_COEFFS.T @ vertices
 
 
@@ -636,12 +619,14 @@ def build_scheme(quad: QuadGeometry, kind: str = "pascal6") -> MappingScheme:
     pascal6 takes its poles from ``compute_poles_cartesian``.  For an edge
     pair that is parallel (a pole at infinity) or so nearly parallel that
     ``pascal_shape_set`` rejects the poles, it warns and falls back to the
-    bilinear transformation, which it equals for straight edges.
+    bilinear transformation, which it equals for straight edges; the
+    warning names the vertex a pole lies on (collinear adjacent edges).
     """
     v = quad.vertices
     if kind == "bilinear":
-        return MappingScheme("bilinear", quad, bilinear_params(quad),
-                             _BILINEAR_SHAPES)
+        params = GeneralizedParams(BILINEAR_MONOMIALS,
+                                   bilinear_coefficients(v))
+        return MappingScheme("bilinear", quad, params, _BILINEAR_SHAPES)
     if kind == "serendipity8":
         node_xy = np.vstack([v, 0.5 * (v + v[NEXT_CORNER])])
         params = GeneralizedParams(SERENDIPITY_MONOMIALS,
@@ -660,6 +645,12 @@ def build_scheme(quad: QuadGeometry, kind: str = "pascal6") -> MappingScheme:
                                  poles=poles, cond_a=cond)
         except NumericalError as exc:
             reason = f"near-parallel edge pair ({exc})"
+            gaps = distance(v, np.stack([poles.p5_xy, poles.p6_xy])[:, None])
+            on_vertex = np.argwhere(gaps <= 1e-12 * quad.diameter)
+            if on_vertex.size:
+                pole, vertex = on_vertex[0].tolist()
+                reason = (f"collinear adjacent edges (pole p{pole + 5} on "
+                          f"vertex {vertex + 1})")
     # collapsed-edge (triangle) quads degrade by design and stay silent
     if distance(v[NEXT_CORNER], v).min() > 1e-12 * quad.diameter:
         warnings.warn(f"{reason}: pascal6 falls back to the bilinear "
@@ -669,37 +660,6 @@ def build_scheme(quad: QuadGeometry, kind: str = "pascal6") -> MappingScheme:
     return MappingScheme("pascal6", quad,
                          GeneralizedParams(PASCAL_MONOMIALS, coeffs),
                          _BILINEAR_SHAPES, poles=poles, fallback=True)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-def map_point(scheme: MappingScheme, theta) -> np.ndarray:
-    """Cartesian images (..., 2) of natural points (..., 2) under the
-    scheme's transformation.
-
-    Defined for all theta, including outside the bi-unit square (the poles
-    themselves lie outside it).
-    """
-    return scheme.params.point(theta)
-
-
-def jacobian(scheme: MappingScheme, theta) -> Jacobian:
-    """Covariant base vectors and area scale of the mapping at ``theta``.
-
-    Raises ``NumericalError`` when the determinant vanishes relative to
-    the squared quad diameter (folded or degenerate mapping).
-    """
-    matrix = scheme.params.gradient(theta)
-    det = float(det2(matrix))
-    diam = scheme.quad.diameter
-    if abs(det) < 1e-12 * diam * diam:
-        raise NumericalError(
-            f"singular Jacobian at theta={tuple(map(float, theta))}: "
-            f"det={det:.3e}"
-        )
-    return Jacobian(matrix=matrix, det=det)
 
 
 def random_convex_quad(rng: np.random.Generator, center=(0.0, 0.0),

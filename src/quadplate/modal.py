@@ -56,7 +56,6 @@ from .mapping import (
     QuadGeometry,
     bilinear_coefficients,
     bilinear_jacobians,
-    bilinear_params,
     build_scheme,  # not called; the benchmark's tracer wraps it here
     corner_jacobians,
     fixed_points,
@@ -711,7 +710,9 @@ def _lattice_mesh(quad: QuadGeometry, m: int, n: int,
     ``edges`` holds the nodes of each side of ``quad`` in its vertex
     order, the collapsed side left out.
     """
-    nodes = bilinear_params(quad).point(lattice_points(
+    params = GeneralizedParams(BILINEAR_MONOMIALS,
+                               bilinear_coefficients(quad.vertices))
+    nodes = params.point(lattice_points(
         -1.0 + 2.0 * np.arange(m + 1) / m, -1.0 + 2.0 * np.arange(n + 1) / n))
     ids = np.arange(len(nodes)).reshape(m + 1, n + 1)
     if apex:

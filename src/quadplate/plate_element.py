@@ -270,7 +270,7 @@ def batch_element_matrices(jac: np.ndarray, det: np.ndarray,
     _check_rule(rule)
     stiffness, mass, rotation = _kernel_tables(tuple(rule.nodes))
     count = det.shape[0]
-    scale = np.outer(rule.weights, rule.weights).ravel() * det
+    scale = rule.tensor_weights * det
     # h = g g^T, the inverse of the metric J J^T (determinant det^2)
     j = jac / det[..., None, None]
     h00 = j[..., 1, 0] ** 2 + j[..., 1, 1] ** 2

@@ -1,4 +1,5 @@
-"""Gauss-Legendre rules on [-1, 1] and integration over mapped elements."""
+"""Gauss-Legendre rules on [-1, 1], the per-point det J check of a
+scheme's map at a rule's points, and section properties."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .mapping import (MappingScheme, det2, fixed_points, jacobian,
-                      lattice_points, next_vertex)
+from .mapping import (MappingScheme, det2, fixed_points, lattice_points,
+                      next_vertex)
 
 # Nodes and weights are hard-coded (radicals up to n=5, standard 16-digit
 # literals for n=6) for determinism; no root finding at runtime.
@@ -76,9 +77,9 @@ _GAUSS_TABLE = {
 @dataclass(frozen=True, eq=False)
 class GaussRule:
     """A one-dimensional Gauss-Legendre rule on [-1, 1], with the points
-    (n*n, 2) and weights (n*n,) of its two-dimensional tensor rule, in the
-    order the element loops visit them (t1 outer), all read-only.  The
-    tensor points are a ``fixed_points`` set: build one rule per order, as
+    (n*n, 2) and weights (n*n,) of its two-dimensional tensor rule in
+    ``lattice_points`` order (t1 outer), all read-only.  The tensor
+    points are a ``fixed_points`` set: build one rule per order, as
     ``gauss_rule`` does."""
 
     order: int
@@ -112,8 +113,9 @@ def positive_jacobians(scheme: MappingScheme, rule: GaussRule) -> tuple:
     """Jacobians (n, 2, 2) and determinants (n,) of the scheme's map at
     the points of ``rule.tensor_points``.
 
-    A determinant at or below 1e-12 diam^2 at any point (folded or
-    degenerate mapping) raises ``NumericalError``.
+    This is the package's one per-point det J rule: a determinant at or
+    below 1e-12 diam^2 at any point (folded or degenerate mapping) raises
+    ``NumericalError`` naming the first such point and its det J.
     """
     points = rule.tensor_points
     matrix = scheme.params.gradient(points)
@@ -121,28 +123,11 @@ def positive_jacobians(scheme: MappingScheme, rule: GaussRule) -> tuple:
     diam = scheme.quad.diameter
     bad = det <= 1e-12 * diam * diam
     if bad.any():
-        theta = tuple(map(float, points[bad.argmax()]))
-        jacobian(scheme, theta)  # raises its own error where det J ~ 0
+        k = bad.argmax()
         raise NumericalError(
-            f"non-positive Jacobian at quadrature point {theta}")
+            f"non-positive Jacobian at quadrature point "
+            f"{tuple(map(float, points[k]))}: det J = {det[k]:.3e}")
     return matrix, det
-
-
-def integrate_element(scheme: MappingScheme, f, rule: GaussRule):
-    """Integrate one field (a float) or k fields (an array (k,)) over the
-    mapped element, with area element det J dtheta1 dtheta2.
-
-    ``f(theta, x)`` gets every point of ``rule.tensor_points`` at once,
-    natural (n, 2) and Cartesian (n, 2), and returns values (n,) or (k, n);
-    the terms are summed in point order.  A non-positive Jacobian
-    determinant at a quadrature point (folded mapping) raises
-    ``NumericalError`` (``positive_jacobians``).
-    """
-    points, weights = rule.tensor_points, rule.tensor_weights
-    _, det = positive_jacobians(scheme, rule)
-    values = np.asarray(f(points, scheme.params.point(points)), dtype=float)
-    total = (weights * values * det).cumsum(axis=-1)[..., -1]
-    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,20 +154,19 @@ class SectionProperties:
 
 
 def section_properties(scheme: MappingScheme, rule: GaussRule) -> SectionProperties:
-    """Area and moments of inertia of the mapped element."""
-    return SectionProperties(
-        *integrate_element(scheme, _section_integrands, rule).tolist())
-
-
-def _section_integrands(t, x) -> np.ndarray:
-    """1, x2^2, x1^2 and x1 x2 at Cartesian points ``x`` (n, 2); (4, n)."""
-    values = np.empty((4, len(x)))
+    """Area and moments of inertia of the mapped element: the integrals of
+    1, x2^2, x1^2 and x1 x2 with area element det J dtheta1 dtheta2
+    (``positive_jacobians``), Gauss terms summed in point order."""
+    points, weights = rule.tensor_points, rule.tensor_weights
+    _, det = positive_jacobians(scheme, rule)
+    x1, x2 = scheme.params.point(points).T
+    values = np.empty((4, len(points)))
     values[0] = 1.0
-    x1, x2 = x.T
     np.multiply(x2, x2, out=values[1])
     np.multiply(x1, x1, out=values[2])
     np.multiply(x1, x2, out=values[3])
-    return values
+    total = (weights * values * det).cumsum(axis=-1)[..., -1]
+    return SectionProperties(*total.tolist())
 
 
 def polygon_section_properties(vertices) -> SectionProperties:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quadplate import NumericalError, ValidationError
-from quadplate.mapping import Jacobian, MappingScheme, jacobian
+from quadplate.mapping import MappingScheme, det2
 from quadplate.plate_element import (
     ElementMatrices,
     PlateMaterial,
@@ -45,9 +45,28 @@ class SubareaWeights:
         object.__setattr__(self, "fractions", f)
 
 
-def contravariant(jac: Jacobian) -> np.ndarray:
-    """Dual base-vector components; ``[a, i]`` is d theta_a / d x_i."""
-    return np.linalg.inv(jac.matrix.T)
+def point_jacobian(scheme: MappingScheme, theta) -> tuple:
+    """Covariant base vectors (2, 2) and det J of the scheme's map at one
+    natural point; ``matrix[a, i]`` is d x_i / d theta_a.
+
+    A det J at or below 1e-12 diam^2 (folded or degenerate mapping)
+    raises ``NumericalError``.
+    """
+    matrix = scheme.params.gradient(theta)
+    det = float(det2(matrix))
+    diam = scheme.quad.diameter
+    if det <= 1e-12 * diam * diam:
+        raise NumericalError(
+            f"folded element: det J = {det:.3e} "
+            f"at theta={tuple(map(float, theta))}"
+        )
+    return matrix, det
+
+
+def contravariant(matrix: np.ndarray) -> np.ndarray:
+    """Dual base-vector components of the covariant base vectors
+    ``matrix`` (2, 2); ``[a, i]`` is d theta_a / d x_i."""
+    return np.linalg.inv(matrix.T)
 
 
 #: Natural index pairs (a, b) of the Voigt order (11, 22, 12).
@@ -55,13 +74,15 @@ _VOIGT_A = np.array([0, 1, 0])
 _VOIGT_B = np.array([0, 1, 1])
 
 
-def natural_rigidity(material: PlateMaterial, jac: Jacobian) -> np.ndarray:
+def natural_rigidity(material: PlateMaterial,
+                     matrix: np.ndarray) -> np.ndarray:
     """Bending rigidity in natural indices, condensed to a Voigt 3x3.
 
     The Cartesian isotropic Kirchhoff tensor is transformed with four
-    contravariant base-vector factors (``g[a, i]`` = d theta_a / d x_i);
-    the Voigt ordering matches the curvature rows (chi11, chi22, 2*chi12),
-    so the quadratic form chi^T E chi is the bending energy density.
+    contravariant factors of the covariant base vectors ``matrix``
+    (``g[a, i]`` = d theta_a / d x_i); the Voigt ordering matches the
+    curvature rows (chi11, chi22, 2*chi12), so the quadratic form
+    chi^T E chi is the bending energy density.
     """
     d = material.rigidity
     nu = material.nu
@@ -73,7 +94,7 @@ def natural_rigidity(material: PlateMaterial, jac: Jacobian) -> np.ndarray:
             + np.einsum("il,jk->ijkl", delta, delta)
         )
     )
-    g = contravariant(jac)
+    g = contravariant(matrix)
     e4 = np.einsum("...ai,...bj,...ck,...dl,ijkl->...abcd",
                    g, g, g, g, cartesian)
     voigt = e4[..., _VOIGT_A[:, None], _VOIGT_B[:, None],
@@ -97,7 +118,7 @@ def subarea_weights(scheme: MappingScheme, rule: GaussRule | None = None
         for s1, w1 in zip(rule.nodes, rule.weights):
             for s2, w2 in zip(rule.nodes, rule.weights):
                 theta = (c1 + 0.5 * s1, c2 + 0.5 * s2)
-                total += 0.25 * w1 * w2 * jacobian(scheme, theta).det
+                total += 0.25 * w1 * w2 * point_jacobian(scheme, theta)[1]
         areas[p] = total
     return SubareaWeights(areas / areas.sum())
 
@@ -114,16 +135,6 @@ def deflection_row(theta, weights: SubareaWeights) -> np.ndarray:
     return deflection_rows([theta], weights.fractions)[0]
 
 
-def _positive_jacobian(scheme: MappingScheme, theta) -> Jacobian:
-    jac = jacobian(scheme, theta)
-    if jac.det <= 0.0:
-        raise NumericalError(
-            f"folded element: det J = {jac.det:.3e} "
-            f"at theta={tuple(map(float, theta))}"
-        )
-    return jac
-
-
 def element_stiffness(scheme: MappingScheme, material: PlateMaterial,
                       rule: GaussRule) -> np.ndarray:
     """12x12 bending stiffness, integrated in natural coordinates."""
@@ -132,10 +143,10 @@ def element_stiffness(scheme: MappingScheme, material: PlateMaterial,
     for t1, w1 in zip(rule.nodes, rule.weights):
         for t2, w2 in zip(rule.nodes, rule.weights):
             theta = (t1, t2)
-            jac = _positive_jacobian(scheme, theta)
+            matrix, det = point_jacobian(scheme, theta)
             b = curvature_operator(theta)
-            e = natural_rigidity(material, jac)
-            k += (w1 * w2 * jac.det) * (b.T @ e @ b)
+            e = natural_rigidity(material, matrix)
+            k += (w1 * w2 * det) * (b.T @ e @ b)
     return 0.5 * (k + k.T)
 
 
@@ -155,10 +166,10 @@ def element_mass(scheme: MappingScheme, material: PlateMaterial,
     for t1, w1 in zip(rule.nodes, rule.weights):
         for t2, w2 in zip(rule.nodes, rule.weights):
             theta = (t1, t2)
-            jac = _positive_jacobian(scheme, theta)
+            _, det = point_jacobian(scheme, theta)
             n = np.vstack([deflection_row(theta, weights),
                            rotation_field(theta)])
-            m += (w1 * w2 * jac.det) * (n.T @ density @ n)
+            m += (w1 * w2 * det) * (n.T @ density @ n)
     return 0.5 * (m + m.T)
 
 

@@ -27,7 +27,6 @@ from quadplate import (
     compute_poles_cartesian,
     frequency_parameter,
     gauss_rule,
-    map_point,
     mesh_quad,
     modal_analysis,
     nodes_on_segment,
@@ -85,7 +84,7 @@ def test_criterion_3_poles():
 
     def round_trip(pole, guess=None):
         theta = solve_pole_natural(quad, pole, guess)
-        return np.linalg.norm(map_point(bil, theta) - pole) <= 1e-10
+        return np.linalg.norm(bil.params.point(theta) - pole) <= 1e-10
 
     ok &= round_trip(poles.p5_xy) and round_trip(poles.p6_xy)
     for guess5, guess6 in (((4.0, 1.0), (1.0, 3.0)),
@@ -112,8 +111,8 @@ def test_criterion_4_shape_function_properties():
             ok &= np.abs(kron - np.eye(len(kron))).max() <= 1e-10
             if kind == "pascal6":
                 dev = max(
-                    np.linalg.norm(map_point(scheme, (t1, t2))
-                                   - map_point(bil, (t1, t2)))
+                    np.linalg.norm(scheme.params.point((t1, t2))
+                                   - bil.params.point((t1, t2)))
                     for t1 in grid for t2 in grid
                 )
                 ok &= dev <= 1e-9 * quad.diameter

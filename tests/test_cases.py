@@ -21,7 +21,6 @@ import quadplate.modal
 from quadplate import GlobalSystem, InvalidCaseError, ValidationError
 from quadplate.cases import (
     Report,
-    _e6_cells,
     _e6_words,
     _json_text,
     builtin_case_names,
@@ -325,8 +324,13 @@ def lattice_coordinates() -> np.ndarray:
     return points[:, :2].ravel()
 
 
+def _e6_cells(values) -> np.ndarray:
+    """The (n, 14) ASCII cells of ``_e6_words``, a view of its bytes."""
+    return _e6_words(values, " ").view(np.uint8).reshape(-1, 16)[:, :14]
+
+
 class TestPlotNumbers:
-    """``_e6_cells``, the plot's number encoder, against ``'%.6e'``."""
+    """``_e6_words``, the plot's number encoder, against ``'%.6e'``."""
 
     @staticmethod
     def printed(values) -> list:

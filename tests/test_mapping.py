@@ -13,11 +13,8 @@ from quadplate import (
     PoleSet,
     QuadGeometry,
     ValidationError,
-    bilinear_params,
     build_scheme,
     compute_poles_cartesian,
-    jacobian,
-    map_point,
     pascal_shape_set,
     solve_pole_natural,
 )
@@ -106,18 +103,18 @@ class TestQuadGeometry:
 class TestBilinearParams:
     def test_section_quad_constants(self, section_quad):
         # x1 = 3 + 3 t1 - t2 - t1 t2 ; x2 = 2 - 0.5 t1 + 2 t2 - 0.5 t1 t2
-        params = bilinear_params(section_quad)
+        params = build_scheme(section_quad, "bilinear").params
         np.testing.assert_allclose(params.coeffs[:, 0], [3.0, 3.0, -1.0, -1.0])
         np.testing.assert_allclose(params.coeffs[:, 1], [2.0, -0.5, 2.0, -0.5])
 
     def test_unit_square(self, unit_square):
-        params = bilinear_params(unit_square)
+        params = build_scheme(unit_square, "bilinear").params
         np.testing.assert_allclose(params.coeffs[:, 0], [0.5, 0.5, 0.0, 0.0])
         np.testing.assert_allclose(params.coeffs[:, 1], [0.5, 0.0, 0.5, 0.0])
 
     def test_constant_row_is_vertex_centroid(self):
         for quad in convex_quads(20, seed=7):
-            params = bilinear_params(quad)
+            params = build_scheme(quad, "bilinear").params
             np.testing.assert_allclose(params.coeffs[0], quad.centroid,
                                        atol=1e-14)
 
@@ -125,19 +122,19 @@ class TestBilinearParams:
 class TestMapPoint:
     def test_section_quad_center(self, section_quad):
         scheme = build_scheme(section_quad, "bilinear")
-        np.testing.assert_allclose(map_point(scheme, (0.0, 0.0)), [3.0, 2.0])
+        np.testing.assert_allclose(scheme.params.point((0.0, 0.0)), [3.0, 2.0])
 
     def test_section_quad_pole_image(self, section_quad):
         # x1 = 3 + 12 - 1 - 4 = 10 at theta = (4, 1), outside the square
         scheme = build_scheme(section_quad, "bilinear")
-        np.testing.assert_allclose(map_point(scheme, (4.0, 1.0)), [10.0, 0.0],
-                                   atol=1e-12)
+        np.testing.assert_allclose(scheme.params.point((4.0, 1.0)),
+                                   [10.0, 0.0], atol=1e-12)
 
     def test_corners_map_to_vertices_all_schemes(self, section_quad):
         for kind in SCHEME_KINDS:
             scheme = build_scheme(section_quad, kind)
             for corner, vertex in zip(CORNER_NATURAL, section_quad.vertices):
-                np.testing.assert_allclose(map_point(scheme, corner), vertex,
+                np.testing.assert_allclose(scheme.params.point(corner), vertex,
                                            atol=1e-10, err_msg=kind)
 
 
@@ -145,18 +142,18 @@ class TestJacobian:
     def test_section_quad_center(self, section_quad):
         # rows are [dx/dt1, dx/dt2] of the worked transformation
         scheme = build_scheme(section_quad, "bilinear")
-        jac = jacobian(scheme, (0.0, 0.0))
-        np.testing.assert_allclose(jac.matrix, [[3.0, -0.5], [-1.0, 2.0]])
-        assert jac.det == pytest.approx(5.5)
-        np.testing.assert_allclose(jac.matrix, fd_jacobian(scheme, (0.0, 0.0)),
+        jac = scheme.params.gradient((0.0, 0.0))
+        np.testing.assert_allclose(jac, [[3.0, -0.5], [-1.0, 2.0]])
+        assert det2(jac) == pytest.approx(5.5)
+        np.testing.assert_allclose(jac, fd_jacobian(scheme, (0.0, 0.0)),
                                    rtol=1e-7)
 
     def test_unit_square_affine(self, unit_square):
         scheme = build_scheme(unit_square, "bilinear")
         for theta in [(0.0, 0.0), (0.3, -0.7), (1.0, 1.0)]:
-            jac = jacobian(scheme, theta)
-            np.testing.assert_allclose(jac.matrix, 0.5 * np.eye(2), atol=1e-15)
-            assert jac.det == pytest.approx(0.25)
+            jac = scheme.params.gradient(theta)
+            np.testing.assert_allclose(jac, 0.5 * np.eye(2), atol=1e-15)
+            assert det2(jac) == pytest.approx(0.25)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
@@ -164,28 +161,16 @@ class TestJacobian:
             scheme = build_scheme(quad, "bilinear")
             for _ in range(10):
                 theta = rng.uniform(-0.95, 0.95, 2)
-                jac = jacobian(scheme, theta)
+                jac = scheme.params.gradient(theta)
                 fd = fd_jacobian(scheme, theta)
-                assert np.abs(jac.matrix - fd).max() <= 1e-6 * max(
-                    1.0, np.abs(jac.matrix).max())
-
-    def test_singular_jacobian_raises(self, section_quad):
-        # det = 5.5 - 2 t1 - 2.5 t2 vanishes on a line outside the square
-        scheme = build_scheme(section_quad, "bilinear")
-        with pytest.raises(NumericalError):
-            jacobian(scheme, (2.75, 0.0))
-
-    def test_singular_jacobian_message_prints_plain_floats(self, section_quad):
-        scheme = build_scheme(section_quad, "bilinear")
-        with pytest.raises(NumericalError) as exc:
-            jacobian(scheme, np.array([2.75, 0.0]))
-        assert "singular Jacobian at theta=(2.75, 0.0): det=" in str(exc.value)
+                assert np.abs(jac - fd).max() <= 1e-6 * max(
+                    1.0, np.abs(jac).max())
 
     def test_contravariant_is_inverse(self, section_quad):
         scheme = build_scheme(section_quad, "pascal6")
-        jac = jacobian(scheme, (0.2, -0.4))
+        jac = scheme.params.gradient((0.2, -0.4))
         # g^a . g_b = delta
-        prod = contravariant(jac) @ jac.matrix.T
+        prod = contravariant(jac) @ jac.T
         np.testing.assert_allclose(prod, np.eye(2), atol=1e-13)
 
 
@@ -210,7 +195,7 @@ class TestSerendipity:
         bil = build_scheme(section_quad, "bilinear")
         for theta in [(-0.3, 0.8), (0.5, 0.5), (1.0, -1.0), (0.0, 0.0)]:
             np.testing.assert_allclose(
-                map_point(ser, theta), map_point(bil, theta), atol=1e-12)
+                ser.params.point(theta), bil.params.point(theta), atol=1e-12)
         # the extra monomial rows of the serendipity parameters vanish
         np.testing.assert_allclose(ser.params.coeffs[3], 0.0, atol=1e-12)
         np.testing.assert_allclose(ser.params.coeffs[5:], 0.0, atol=1e-12)
@@ -244,7 +229,7 @@ class TestPoles:
         bil = build_scheme(section_quad, "bilinear")
         for pole in ([10.0, 0.0], [0.0, 6.0]):
             theta = solve_pole_natural(section_quad, pole)
-            np.testing.assert_allclose(map_point(bil, theta), pole,
+            np.testing.assert_allclose(bil.params.point(theta), pole,
                                        atol=1e-10)
 
     def test_newton_reaches_both_published_root_sets(self, section_quad):
@@ -385,8 +370,24 @@ class TestPascalScheme:
         assert scheme.fallback and scheme.kind == "pascal6"
         bil = build_scheme(quad, "bilinear")
         grid = np.array([(0.1, 0.9), (-1.0, 0.3), (1.0, 1.0)])
-        np.testing.assert_allclose(map_point(scheme, grid),
-                                   map_point(bil, grid), atol=1e-14)
+        np.testing.assert_allclose(scheme.params.point(grid),
+                                   bil.params.point(grid), atol=1e-14)
+
+    def test_pole_on_vertex_warning_names_the_vertex(self):
+        # the edges at vertex 2 are collinear: p5 = (2, 0) and p6 = (0, 0)
+        # lie on vertices 3 and 1, and no edge pair is parallel
+        quad = QuadGeometry([[0, 0], [1, 0], [2, 0], [1, 1]])
+        poles = compute_poles_cartesian(quad)
+        assert poles.parallel_flags == (False, False)
+        np.testing.assert_array_equal(poles.p5_xy, [2.0, 0.0])
+        np.testing.assert_array_equal(poles.p6_xy, [0.0, 0.0])
+        message = ("collinear adjacent edges (pole p5 on vertex 3): pascal6 "
+                   "falls back to the bilinear transformation")
+        with pytest.warns(UserWarning) as record:
+            scheme = build_scheme(quad, "pascal6")
+        assert [str(w.message) for w in record] == [message]
+        assert record[0].filename == __file__
+        assert scheme.fallback
 
     def test_parallelogram_falls_back_to_bilinear(self, unit_square):
         with pytest.warns(UserWarning, match="falls back"):
@@ -395,8 +396,8 @@ class TestPascalScheme:
         assert scheme.kind == "pascal6"
         bil = build_scheme(unit_square, "bilinear")
         for theta in [(0.1, 0.9), (-1.0, 0.3)]:
-            np.testing.assert_allclose(map_point(scheme, theta),
-                                       map_point(bil, theta), atol=1e-14)
+            np.testing.assert_allclose(scheme.params.point(theta),
+                                       bil.params.point(theta), atol=1e-14)
 
 
 class TestOnePolePath:
@@ -469,9 +470,10 @@ class TestSchemeInvariants:
                       ("serendipity8", "pascal6")]
             for t1 in grid:
                 for t2 in grid:
-                    ref = map_point(bil, (t1, t2))
+                    ref = bil.params.point((t1, t2))
                     for scheme in others:
-                        dev = np.linalg.norm(map_point(scheme, (t1, t2)) - ref)
+                        dev = np.linalg.norm(
+                            scheme.params.point((t1, t2)) - ref)
                         assert dev <= 1e-9 * quad.diameter
 
     def test_pole_round_trip_on_random_quads(self):
@@ -482,7 +484,7 @@ class TestSchemeInvariants:
             bil = build_scheme(quad, "bilinear")
             for nat, xy in ((scheme.poles.p5_nat, scheme.poles.p5_xy),
                             (scheme.poles.p6_nat, scheme.poles.p6_xy)):
-                residual = np.linalg.norm(map_point(bil, nat) - xy)
+                residual = np.linalg.norm(bil.params.point(nat) - xy)
                 assert residual <= 1e-9 * quad.diameter
 
     def test_center_criterion(self):
@@ -490,7 +492,7 @@ class TestSchemeInvariants:
             for kind in SCHEME_KINDS:
                 scheme = build_scheme(quad, kind)
                 np.testing.assert_allclose(
-                    map_point(scheme, (0.0, 0.0)), quad.centroid, atol=1e-12)
+                    scheme.params.point((0.0, 0.0)), quad.centroid, atol=1e-12)
 
 
 class TestArrayEvaluation:
@@ -515,7 +517,7 @@ class TestArrayEvaluation:
                      [0.0 if e1 == 0 else e1 * t[0] ** (e1 - 1) * t[1] ** e2,
                       0.0 if e2 == 0 else e2 * t[0] ** e1 * t[1] ** (e2 - 1)]
                      for e1, e2 in exponents])),
-                (lambda t: map_point(scheme, t), (2,),
+                (lambda t: scheme.params.point(t), (2,),
                  lambda t: monomial_values(exponents, t) @ coeffs),
                 (scheme.params.gradient, (2, 2),
                  lambda t: monomial_gradients(exponents, t).T @ coeffs),

@@ -13,12 +13,11 @@ from quadplate import (
     curvature_operator,
     element_matrices,
     gauss_rule,
-    jacobian,
     rotation_field,
 )
 from quadplate import mapping
 from quadplate.mapping import (SCHEME_KINDS, bilinear_coefficients,
-                               corner_jacobians)
+                               corner_jacobians, det2)
 from quadplate.plate_element import (
     PHI1_DOFS,
     PHI2_DOFS,
@@ -183,7 +182,7 @@ class TestRotationField:
                                    for n in conn])
             local = transform @ u_cart[dofs]
             nat = rotation_field(theta) @ local
-            jm = jacobian(scheme, theta).matrix
+            jm = scheme.params.gradient(theta)
             t_point = np.array([[jm[1, 1], -jm[1, 0]], [-jm[0, 1], jm[0, 0]]])
             return np.linalg.solve(t_point, nat), scheme.params.point(theta)
 
@@ -230,9 +229,9 @@ class TestCurvatureOperator:
 
 class TestNaturalRigidity:
     def test_identity_jacobian_gives_voigt_matrix(self):
-        jac = jacobian(build_scheme(QuadGeometry(BIUNIT_SQUARE), "bilinear"),
-                       (0.0, 0.0))
-        np.testing.assert_allclose(jac.matrix, np.eye(2), atol=1e-15)
+        jac = build_scheme(QuadGeometry(BIUNIT_SQUARE), "bilinear") \
+            .params.gradient((0.0, 0.0))
+        np.testing.assert_allclose(jac, np.eye(2), atol=1e-15)
         d = MAT.rigidity
         nu = MAT.nu
         expected = d * np.array([[1, nu, 0], [nu, 1, 0], [0, 0, (1 - nu) / 2]])
@@ -242,9 +241,9 @@ class TestNaturalRigidity:
     def test_uniform_scaling_pulls_four_contravariant_factors(self):
         s = 2.5
         square = QuadGeometry(s * np.asarray(BIUNIT_SQUARE))
-        jac = jacobian(build_scheme(square, "bilinear"), (0.0, 0.0))
-        base = jacobian(build_scheme(QuadGeometry(BIUNIT_SQUARE), "bilinear"),
-                        (0.0, 0.0))
+        jac = build_scheme(square, "bilinear").params.gradient((0.0, 0.0))
+        base = build_scheme(QuadGeometry(BIUNIT_SQUARE), "bilinear") \
+            .params.gradient((0.0, 0.0))
         np.testing.assert_allclose(
             natural_rigidity(MAT, jac),
             natural_rigidity(MAT, base) * s ** -4 * 1.0, atol=1e-14)
@@ -256,11 +255,10 @@ class TestNaturalRigidity:
         for quad in convex_quads(10, seed=31):
             scheme = build_scheme(quad, "bilinear")
             theta = rng.uniform(-0.9, 0.9, 2)
-            jac = jacobian(scheme, theta)
+            jac = scheme.params.gradient(theta)
             chi_cart = rng.standard_normal((2, 2))
             chi_cart = 0.5 * (chi_cart + chi_cart.T)
-            chi_nat = np.einsum("ai,bj,ij->ab", jac.matrix, jac.matrix,
-                                chi_cart)
+            chi_nat = np.einsum("ai,bj,ij->ab", jac, jac, chi_cart)
             v_cart = np.array([chi_cart[0, 0], chi_cart[1, 1],
                                2 * chi_cart[0, 1]])
             v_nat = np.array([chi_nat[0, 0], chi_nat[1, 1], 2 * chi_nat[0, 1]])
@@ -296,7 +294,8 @@ class TestSubareaWeights:
             total = 0.0
             for a in ticks:
                 for b in ticks:
-                    total += jacobian(scheme, (c1 + a, c2 + b)).det / (n * n)
+                    jac = scheme.params.gradient((c1 + a, c2 + b))
+                    total += det2(jac) / (n * n)
             areas.append(total)
         areas = np.asarray(areas)
         np.testing.assert_allclose(weights.fractions, areas / areas.sum(),
@@ -337,7 +336,7 @@ def fd_energy_hessian(scheme, material, step=1e-5):
         total = 0.0
         for t1, w1 in zip(rule.nodes, rule.weights):
             for t2, w2 in zip(rule.nodes, rule.weights):
-                jac = jacobian(scheme, (t1, t2))
+                jac = scheme.params.gradient((t1, t2))
 
                 def phi(a, b):
                     return rotation_field((a, b)) @ v
@@ -349,7 +348,7 @@ def fd_energy_hessian(scheme, material, step=1e-5):
                     - (phi(t1 + step, t2)[0] - phi(t1 - step, t2)[0]) / (2 * step),
                 ])
                 e = natural_rigidity(material, jac)
-                total += 0.5 * w1 * w2 * jac.det * (chi @ e @ chi)
+                total += 0.5 * w1 * w2 * det2(jac) * (chi @ e @ chi)
         return total
 
     k = np.empty((12, 12))
@@ -449,8 +448,8 @@ def fine_grid_mass_oracle(scheme, material, rotary=False, cells=32):
                     theta = (c1 + 0.5 * h * a, c2 + 0.5 * h * b)
                     n = np.vstack([deflection_row(theta, weights),
                                    rotation_field(theta)])
-                    m += (0.25 * h * h * jacobian(scheme, theta).det) * \
-                        (n.T @ density @ n)
+                    det = det2(scheme.params.gradient(theta))
+                    m += (0.25 * h * h * det) * (n.T @ density @ n)
     return m
 
 

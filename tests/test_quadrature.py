@@ -1,22 +1,29 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from quadplate import (
     NumericalError,
+    PlateMaterial,
     QuadGeometry,
     ValidationError,
     build_scheme,
+    element_matrices,
     gauss_rule,
-    integrate_element,
     polygon_section_properties,
     section_properties,
 )
-from quadplate.mapping import SCHEME_KINDS, lattice_points
+from quadplate.mapping import SCHEME_KINDS, det2, lattice_points
 
 from conftest import convex_quads
 
 # Worked cross-section values: A, I_x1, I_x2, I_x1x2 about the global axes.
 SECTION_EXACT = (22.0, 99.6667, 250.6667, 84.6667)
+#: Vertex 3 is reflex, so the bilinear map folds inside the element.
+CHEVRON = [[0, 0], [1, 0], [0.05, 0.05], [0, 1]]
+MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)
 
 
 class TestGaussRule:
@@ -68,27 +75,43 @@ class TestGaussRule:
 
 
 class TestIntegrateElement:
+    """``section_properties`` integrates over the mapped element."""
+
     def test_unit_square_area(self, unit_square):
         scheme = build_scheme(unit_square, "bilinear")
-        value = integrate_element(scheme, lambda t, x: 1.0, gauss_rule(3))
+        value = section_properties(scheme, gauss_rule(3)).area
         assert value == pytest.approx(1.0, abs=1e-14)
 
     def test_section_quad_area(self, section_quad):
         scheme = build_scheme(section_quad, "bilinear")
-        value = integrate_element(scheme, lambda t, x: 1.0, gauss_rule(3))
+        value = section_properties(scheme, gauss_rule(3)).area
         assert value == pytest.approx(22.0, abs=1e-12)
 
     def test_unit_square_x_squared(self, unit_square):
         scheme = build_scheme(unit_square, "bilinear")
-        value = integrate_element(scheme, lambda t, x: x[:, 0] ** 2,
-                                  gauss_rule(3))
+        value = section_properties(scheme, gauss_rule(3)).i_x2
         assert value == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_folded_element_rejected(self):
-        chevron = QuadGeometry([[0, 0], [1, 0], [0.05, 0.05], [0, 1]])
-        scheme = build_scheme(chevron, "bilinear")
+        scheme = build_scheme(QuadGeometry(CHEVRON), "bilinear")
         with pytest.raises(NumericalError):
-            integrate_element(scheme, lambda t, x: 1.0, gauss_rule(3))
+            section_properties(scheme, gauss_rule(3))
+
+    @pytest.mark.parametrize("integrate", [
+        section_properties,
+        lambda scheme, rule: element_matrices(scheme, MAT, rule)],
+        ids=["section_properties", "element_matrices"])
+    def test_folded_error_names_point_and_det(self, integrate):
+        # det J of the chevron is first non-positive at the fifth point
+        # of the Gauss 3 rule, (0, sqrt(3/5))
+        scheme = build_scheme(QuadGeometry(CHEVRON), "bilinear")
+        theta = (0.0, math.sqrt(0.6))
+        det = float(det2(scheme.params.gradient(theta)))
+        assert det < 0.0
+        message = (f"non-positive Jacobian at quadrature point {theta}: "
+                   f"det J = {det:.3e}")
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            integrate(scheme, gauss_rule(3))
 
 
 class TestSectionProperties:
