@@ -28,13 +28,17 @@ batch matches to 1e-12 relative.
 
 ``apply_bcs`` keeps the entries of K and M in kept rows and columns
 through one mask over their shared CSR pattern (the tests slice with
-scipy as its oracle), and ``solve_modes`` takes each omega^2 as a
-long-double Rayleigh quotient on long-double copies of the data arrays
-alone, which share K's and M's index arrays, one matrix-vector product
-per mode.
+scipy as its oracle).  ``solve_modes`` solves small systems densely;
+larger ones whose K + sM is narrow-banded as numbered, as lattice meshes
+are, by Lanczos on its band Cholesky factor (``_band_pairs``), and the
+rest by shift-invert Lanczos on a sparse LU factor
+(``_shift_invert_pairs``).  It takes each omega^2 as a long-double
+Rayleigh quotient on long-double copies of the data arrays alone, which
+share K's and M's index arrays, one matrix-vector product per mode.
 
 scipy is imported inside the functions that use it (``scipy.sparse`` in
 ``assemble``, ``scipy.linalg`` in the dense branch of ``solve_modes``,
+``scipy.linalg.lapack`` and ``scipy.sparse.linalg`` in ``_band_pairs``,
 ``scipy.sparse.linalg`` in ``_shift_invert_pairs``), so importing the
 package and the single-quad verbs (``sectprops``, ``mapcheck``) load no
 scipy module at all.
@@ -121,10 +125,24 @@ class Mesh:
 
 #: Systems of at most this many DOFs are solved densely (``eigh``).  Six
 #: modes of the clamped skew quad on a 1-vCPU Xeon VM, BLAS on one
-#: thread, medians of 15 runs: dense 3.6-4.2 and sparse 7.2-10.7 ms at 147
+#: thread, medians of 15 runs: dense 3.6-4.2 and splu 7.2-10.7 ms at 147
 #: DOFs, 7.7-10.2 and 8.7-12.7 ms at 243, 20-21.5 and 12.7-13.6 ms at
-#: 363; every built-in mesh has at most 216.
+#: 363; every built-in mesh has at most 216.  The band path, timed later
+#: on a 2-vCPU VM (medians of 11, dense / band / splu), is faster than
+#: dense from 243 DOFs: 3.5/3.3/6.1 ms at 147, 7.0/3.0/6.7 at 243 and
+#: 21/5.8/12 at 363.
 DENSE_MAX_DOFS = 300
+
+#: Larger systems whose K + sM has at most this half-bandwidth kd (the
+#: largest |i - j| of a stored entry, as numbered) take the band Cholesky
+#: path (``_band_pairs``), wider ones ``splu`` (``_shift_invert_pairs``).
+#: Six modes, 2-vCPU VM, BLAS on one thread: on square lattices the band
+#: path was faster and no larger in peak RSS up to 96x96 (kd 290), at RSS
+#: parity at 128x128 (kd 386), where its storage of (kd + 1) n doubles
+#: reaches the LU fill; on strips numbered along their long side it lost
+#: a run at kd 218 and won every run at 194.  200 covers every lattice up
+#: to 64x64.
+BAND_MAX_KD = 200
 
 
 #: Largest relative eigen-residual ``solve_modes`` returns.  Both paths
@@ -143,20 +161,21 @@ def _solves_densely(n: int, count: int) -> bool:
 
     Lanczos slows with the count (its basis holds about 2 * count
     vectors), the dense subset solve less so.  ``solve_modes`` on each
-    path, dense ms / sparse ms, medians of 11 alternating runs on a
-    2-vCPU Xeon VM with BLAS on one thread, for count = f * n modes of
-    the clamped skew quad at 12x12 (363 DOFs) and 16x16 (675), and of the
-    16x16 cantilever quad (816):
+    path, dense ms / band ms / splu ms, medians of 11 alternating runs on
+    a 2-vCPU Xeon VM with BLAS on one thread, for count = f * n modes of
+    the clamped skew quad at 12x12 (363 DOFs, half-bandwidth 38) and
+    16x16 (675, 50), and of the 16x16 cantilever quad (816, 53):
 
-        f       0.05     0.1      0.125    0.15     0.2      0.25
-        363    22/17    28/28    35/42    36/47    35/39    45/70
-        675    82/33   106/72   105/86   117/116  140/144  194/311
-        816   137/57   155/80   161/110  204/197  275/372  290/509
+        f       0.05        0.1         0.15         0.2          0.25
+        363   21/8.3/16   26/15/26    28/21/33     33/25/39     39/33/48
+        675   79/20/35    99/45/67   121/85/134   156/135/209  161/173/223
+        816  141/28/46   165/61/87   193/135/205  239/212/295  284/396/514
 
-    The paths cross near a tenth at 363 DOFs and between 0.15 n and 0.2 n
-    at 675 and 816, so no one fraction puts the faster path on both sides
-    at all three sizes.  Every benchmark workload asks for six modes, so
-    none reaches the count rule.
+    These systems take the band path, which is the fastest up to 0.2 n at
+    all three sizes; dense overtakes it between 0.2 n and 0.25 n at 675
+    and 816.  So the count rule sends counts from 0.1 n to 0.2 n to the
+    slower path.  It stays as it was: every benchmark workload asks for
+    six modes, so none reaches it.
     """
     return n <= DENSE_MAX_DOFS or count > n // 10
 
@@ -506,19 +525,22 @@ def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
 def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     """Smallest eigenpairs of the symmetric pencil (K, M).
 
-    Both paths solve M phi = nu (K + sM) phi with s = ``system.scale``:
+    Every path solves M phi = nu (K + sM) phi with s = ``system.scale``:
     K + sM is positive definite even for a free plate, and the ``count``
     largest nu = 1/(omega^2 + s) are the smallest omega^2.  Systems of at
     most ``DENSE_MAX_DOFS`` DOFs, or asked for more than a tenth of their
-    modes, take that subset of a dense ``eigh``, larger ones shift-invert
-    Lanczos (``_shift_invert_pairs``).  The dense path adds s times the
-    dense M into the dense K; per entry that is the sum sparse K + sM
-    would give (``toarray`` writes no -0.0, and an entry the sparse sum
-    drops is 0.0 in both), so only the sparse path forms K + sM.  M may
-    be semidefinite (consistent mass without rotary inertia has element
-    rank 3); nu ~ 0 is a mode in its nullspace (infinite frequency) and an
-    error, and so is a mode whose eigen-residual exceeds
-    ``MAX_RESIDUAL``.  Rigid modes come out at omega ~ 0.
+    modes, take that subset of a dense ``eigh``.  Larger ones whose
+    K + sM has a half-bandwidth of at most ``BAND_MAX_KD`` take Lanczos
+    on its band Cholesky factor (``_band_pairs``), wider ones shift-invert
+    Lanczos on its sparse LU factor (``_shift_invert_pairs``).  The dense
+    and band paths add s times M into K entry by entry; per entry that is
+    the sum sparse K + sM would give (``toarray`` writes no -0.0, and an
+    entry the sparse sum drops is 0.0 in both), so only the splu path
+    forms a sparse K + sM.  M may be semidefinite (consistent mass without
+    rotary inertia has element rank 3); nu ~ 0 is a mode in its nullspace
+    (infinite frequency) and an error, and so is a mode whose
+    eigen-residual exceeds ``MAX_RESIDUAL``.  Rigid modes come out at
+    omega ~ 0.
 
     Each omega^2 is the Rayleigh quotient of its mode in long double.
     The long-double K and M are CSR arrays on long-double copies of the
@@ -556,7 +578,11 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
                 f"K + sM is not positive definite at s = {s:.6e}"
             ) from exc
     else:
-        nu, v = _shift_invert_pairs(k, m, count, s)
+        kd = _half_bandwidth(k, m)
+        if kd <= BAND_MAX_KD:
+            nu, v = _band_pairs(k, m, count, s, kd)
+        else:
+            nu, v = _shift_invert_pairs(k, m, count, s)
     if not np.all(np.isfinite(nu)):
         raise NumericalError(f"non-finite eigenvalue in nu = {nu}")
     v = v[:, np.argsort(-nu, kind="stable")]
@@ -616,6 +642,67 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     return ModalSpectrum(
         omega=np.sqrt(omega_sq), modes=v, residuals=residuals
     )
+
+
+#: CSR rows ``_band_pairs`` scatters per step, so that its temporaries
+#: stay small beside the band storage.
+_BAND_CHUNK = 4096
+
+
+def _half_bandwidth(*matrices) -> int:
+    """Largest |i - j| over the stored entries of CSR matrices."""
+    return max(int(np.abs(np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+                          - a.indices).max(initial=0)) for a in matrices)
+
+
+def _band_pairs(k, m, count: int, s: float, kd: int) -> tuple:
+    """(nu, modes) of the ``count`` largest nu = 1/(omega^2 + s) of sparse
+    (K, M), by Lanczos in standard mode on C = L^-1 M L^-T, L the band
+    Cholesky factor of K + sM = L L^T and kd its half-bandwidth.
+
+    C y = nu y is the pencil M phi = nu (K + sM) phi with phi = L^-T y.
+    The lower band of K + sM goes to LAPACK band storage (row i - j of
+    column j holds entry (i, j), each the sum k + s m as in the dense
+    path) and ``dpbtrf`` factors it; each product with C is two
+    triangular band solves (``dtbtrs``) around one product with M.  The
+    start vector is that of ``_shift_invert_pairs``.
+    """
+    import scipy.linalg.lapack
+    import scipy.sparse.linalg
+
+    n = k.shape[0]
+    band = np.zeros((kd + 1) * n)
+    for a, weight in ((k, 1.0), (m, s)):
+        for start in range(0, n, _BAND_CHUNK):
+            stop = min(start + _BAND_CHUNK, n)
+            part = slice(a.indptr[start], a.indptr[stop])
+            rows = np.repeat(np.arange(start, stop),
+                             np.diff(a.indptr[start:stop + 1]))
+            columns = a.indices[part].astype(np.intp)
+            below = rows >= columns
+            # entry (i, j) of the lower band sits at kd * j + i of the
+            # column-major (kd + 1, n) storage
+            np.add.at(band, kd * columns[below] + rows[below],
+                      weight * a.data[part][below])
+    factor, info = scipy.linalg.lapack.dpbtrf(
+        band.reshape((kd + 1, n), order="F"), lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NumericalError(f"K + sM is not positive definite at s = {s:.6e}")
+    solve = scipy.linalg.lapack.dtbtrs
+
+    def product(x):
+        y = solve(factor, x, uplo="L", trans="T")[0]
+        return solve(factor, m @ y, uplo="L")[0]
+
+    c = scipy.sparse.linalg.LinearOperator((n, n), matvec=product,
+                                           dtype=float)
+    try:
+        nu, y = scipy.sparse.linalg.eigsh(
+            c, count, which="LA",
+            v0=np.random.default_rng(0).standard_normal(n))
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise NumericalError(f"band Lanczos failed: {exc}") from exc
+    return nu, solve(factor, y, uplo="L", trans="T")[0]
 
 
 def _shift_invert_pairs(k, m, count: int, s: float) -> tuple:

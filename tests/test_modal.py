@@ -73,13 +73,18 @@ RECORDED_ASSEMBLY = json.loads(
 #: Prints the digests of ``RECORDED_ASSEMBLY``: the clamped-quad built-in
 #: at 16x16 and 40x40 (two assembly chunks) and the cantilever-isosceles
 #: one at level 7, Gauss 3 and 5, default and rotary; mode shapes at
-#: Gauss 3 on the 16x16 and level-7 meshes.
+#: Gauss 3 on the 16x16 and level-7 meshes, solved on the splu path.
 ASSEMBLY_DIGEST_CODE = """
 import hashlib, json
 import numpy as np
+from quadplate import modal
 from quadplate.cases import case_meshes, load_case
 from quadplate.modal import apply_bcs, assemble, mode_shape_samples, solve_modes
 from quadplate.quadrature import gauss_rule
+
+# recorded on the splu path, which the band Cholesky path matches only to
+# round-off in the mode bits
+modal.BAND_MAX_KD = -1
 
 def sha(data):
     return hashlib.sha256(data).hexdigest()
@@ -870,6 +875,7 @@ class TestMeshConvergence:
         assert 3.9 <= (coarse[0] - exact[0]) / (fine[0] - exact[0]) <= 4.1
 
     def test_navier_rectangle_on_both_solve_paths(self, monkeypatch):
+        monkeypatch.setattr(modal, "BAND_MAX_KD", -1)
         omega = []
         for dense in (True, False):
             monkeypatch.setattr(modal, "_solves_densely",
@@ -883,6 +889,7 @@ class TestMeshConvergence:
         # (by 4.6e-3 rad for modes 2-3), their spans by a largest principal
         # angle of 1.0e-14 ... 3.4e-14 (OpenBLAS kernels Prescott to
         # SkylakeX, 1-4 threads); bounded at twice the largest
+        monkeypatch.setattr(modal, "BAND_MAX_KD", -1)
         case = simply_supported_case(UNIT_SQUARE, [[16, 16]])
         (_, mesh), = case_meshes(case)
         reduced = apply_bcs(assemble(mesh, case.material, RULE), mesh)
@@ -898,6 +905,23 @@ class TestMeshConvergence:
             assert largest_principal_sine(
                 dense.modes[:, pair], sparse.modes[:, pair], reduced.m) \
                 <= 7e-14, pair
+
+    def test_navier_square_error_constant_at_64x64(self, monkeypatch):
+        # omega_1 error times N^2: 0.89443183 at 32x32 and 0.89443315 at
+        # 64x64, which differ by 1.47e-6 ... 1.51e-6 relative (OpenBLAS
+        # kernels Prescott, Haswell and SkylakeX, 1 and 2 threads); bounded
+        # at about twice.  The 64x64 system (12,419 DOFs, half-bandwidth
+        # 198) takes the band path, and splu gives the same omega_1 to
+        # within 2.2e-15
+        exact = 2.0 * np.pi ** 2
+        (coarse, *_), = simply_supported_omega(UNIT_SQUARE, [[32, 32]])
+        (fine, *_), = simply_supported_omega(UNIT_SQUARE, [[64, 64]])
+        monkeypatch.setattr(modal, "BAND_MAX_KD", -1)
+        (splu, *_), = simply_supported_omega(UNIT_SQUARE, [[64, 64]])
+        constants = [(omega - exact) / exact * size ** 2
+                     for omega, size in ((coarse, 32), (fine, 64))]
+        assert constants[1] == pytest.approx(constants[0], rel=3e-6)
+        assert fine == pytest.approx(splu, rel=1e-12, abs=0)
 
     def test_navier_rectangle_independent_of_frame(self):
         # rotated by 30 degrees and moved by (2, -1): measured 1.1e-13

@@ -1,11 +1,17 @@
 """The sparse eigensolve (shift-invert Lanczos) against the dense ``eigh``
-path, which stays the oracle, and its failures as exit code 3."""
+path, which stays the oracle, and its failures as exit code 3.
+
+Every test here runs the sparse path on ``splu`` (``splu_path``); the
+band Cholesky path that narrow bands take is tested in
+``test_band_path.py``.
+"""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +20,16 @@ import scipy.sparse.linalg
 from scipy.sparse import csr_array
 
 from quadplate import (
+    BoundarySet,
     GlobalSystem,
+    Mesh,
     NumericalError,
     PlateMaterial,
     apply_bcs,
     assemble,
     mesh_quad,
     modal,
+    nodes_on_segment,
     solve_modes,
 )
 from quadplate.cases import builtin_case_names, case_meshes, load_case
@@ -52,6 +61,16 @@ def quad_mesh(vertices, size, clamped_edges):
                                  clamped_edges=clamped_edges)
     (_, mesh), = case_meshes(case)
     return mesh
+
+
+#: The band limit of ``solve_modes``, before ``splu_path`` pins it.
+BAND_MAX_KD = modal.BAND_MAX_KD
+
+
+@pytest.fixture(autouse=True)
+def splu_path(monkeypatch):
+    """Sends every system that is not solved densely to ``splu``."""
+    monkeypatch.setattr(modal, "BAND_MAX_KD", -1)
 
 
 @pytest.fixture
@@ -107,13 +126,83 @@ def assert_sparse_matches_dense(monkeypatch, lanczos, system, count):
     assert np.array_equal(again.residuals, sparse.residuals)
 
 
-def test_dispatch_rule():
+def sparse_paths(monkeypatch):
+    """Restores the band limit and records, in order, which sparse pair
+    function each ``solve_modes`` call runs."""
+    monkeypatch.setattr(modal, "BAND_MAX_KD", BAND_MAX_KD)
+    taken = []
+    for name, path in (("_band_pairs", "band"),
+                       ("_shift_invert_pairs", "splu")):
+        def recording(*args, real=getattr(modal, name), path=path):
+            taken.append(path)
+            return real(*args)
+        monkeypatch.setattr(modal, name, recording)
+    return taken
+
+
+def banded_system(kd, n=402):
+    """A diagonal pencil with one symmetric pair of entries kd apart."""
+    rows = np.r_[np.arange(n), 0, kd]
+    columns = np.r_[np.arange(n), kd, 0]
+    k = csr_array((np.r_[np.arange(1.0, n + 1), 0.5, 0.5], (rows, columns)),
+                  shape=(n, n))
+    m = csr_array((np.ones(n), (np.arange(n), np.arange(n))), shape=(n, n))
+    return GlobalSystem(k=k, m=m, dof_map=np.arange(n).reshape(-1, 3),
+                        scale=1.0)
+
+
+def test_dispatch_rule(monkeypatch):
     assert modal._solves_densely(modal.DENSE_MAX_DOFS, 6)
     assert not modal._solves_densely(modal.DENSE_MAX_DOFS + 1, 6)
     assert modal._solves_densely(400, 41)
     assert not modal._solves_densely(400, 40)
     assert max(constrained(mesh).n_dofs for _, _, mesh in BUILTIN_MESHES) \
         <= modal.DENSE_MAX_DOFS
+    # past the dense rule, K + sM of half-bandwidth BAND_MAX_KD takes the
+    # band Cholesky path and one more splu
+    taken = sparse_paths(monkeypatch)
+    for kd in (BAND_MAX_KD, BAND_MAX_KD + 1):
+        system = banded_system(kd)
+        assert modal._half_bandwidth(system.k, system.m) == kd
+        solve_modes(system, 6)
+    assert taken == ["band", "splu"]
+    # the 16x16 lattice meshes of modal-medium take the band path
+    for vertices, edges in ((CLAMPED_QUAD, [0, 1, 2, 3]),
+                            (CANTILEVER_QUAD, [0])):
+        system = constrained(quad_mesh(vertices, 16, edges))
+        assert modal._half_bandwidth(system.k, system.m) <= BAND_MAX_KD
+
+
+def test_scattered_numbering_takes_splu(monkeypatch):
+    # an explicit 12x12 mesh of the clamped skew quad with its nodes
+    # numbered at random: K + sM spans nearly the whole matrix, so the
+    # sparse path factors it by splu and never allocates a band
+    lattice = mesh_quad(CLAMPED_QUAD, 12, 12)
+    order = np.random.default_rng(5).permutation(lattice.n_nodes)
+    mesh = Mesh(nodes=lattice.nodes[order],
+                elements=np.argsort(order)[lattice.elements])
+    for e in range(4):
+        nodes = nodes_on_segment(mesh, CLAMPED_QUAD[e],
+                                 CLAMPED_QUAD[(e + 1) % 4])
+        mesh.boundary_sets[f"edge{e}"] = BoundarySet("clamped", nodes)
+    system = constrained(mesh)
+    n = system.n_dofs
+    kd = modal._half_bandwidth(system.k, system.m)
+    assert n > modal.DENSE_MAX_DOFS and kd > BAND_MAX_KD
+    taken = sparse_paths(monkeypatch)
+    sparse = solve_modes(system, 6)
+    tracemalloc.start()
+    try:
+        solve_modes(system, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taken == ["splu", "splu"]
+    # measured 0.49 MB; the band storage alone would take 0.98 MB
+    assert peak < 8 * (kd + 1) * n
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: True)
+    np.testing.assert_allclose(sparse.omega, solve_modes(system, 6).omega,
+                               rtol=1e-10)
 
 
 @pytest.fixture
