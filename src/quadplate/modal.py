@@ -26,12 +26,12 @@ element and per-element transformation of the tests (``tests/oracles.py``
 and ``tests/conftest.py``) are the reference implementation, which the
 batch matches to 1e-12 relative.
 
-``apply_bcs`` keeps the entries of K and M in kept rows and columns
-through one mask over their shared CSR pattern (the tests slice with
-scipy as its oracle).  ``solve_modes`` solves small systems densely;
-larger ones whose K + sM is narrow-banded as numbered, as lattice meshes
-are, by Lanczos on its band Cholesky factor (``_band_pairs``), and the
-rest by shift-invert Lanczos on a sparse LU factor
+K and M share one canonical CSR pattern.  ``apply_bcs`` keeps the
+entries in kept rows and columns through one mask over it (the tests
+slice with scipy as its oracle).  ``solve_modes`` forms K + sM once, on
+that pattern, and factors it: densely for small systems, else for
+Lanczos, by band Cholesky where it is narrow-banded as numbered, as on
+lattice meshes (``_band_pairs``), or by sparse LU
 (``_shift_invert_pairs``).  It takes each omega^2 as a long-double
 Rayleigh quotient on long-double copies of the data arrays alone, which
 share K's and M's index arrays, one matrix-vector product per mode.
@@ -145,9 +145,9 @@ DENSE_MAX_DOFS = 300
 BAND_MAX_KD = 200
 
 
-#: Largest relative eigen-residual ``solve_modes`` returns.  Both paths
-#: stay below 1e-9 on every built-in mesh (six modes, with and without
-#: rotary inertia).  Forced onto the sparse path, a free unit square asked
+#: Largest relative eigen-residual ``solve_modes`` returns.  All three
+#: paths stay below 1e-9 on every built-in mesh (six modes, with and
+#: without rotary inertia).  Forced onto splu, a free unit square asked
 #: for all its finite modes came back at 1.5 (one element, 3 modes) and
 #: 8.8e-4 (2x2 elements, 12 modes), where the dense path gives 7e-9 and
 #: 1.3e-9.
@@ -187,11 +187,14 @@ class GlobalSystem:
     ``dof_map[node]`` holds the three global indices of that node's
     (u, phi1, phi2), with -1 for eliminated DOFs.  ``scale`` is the
     plate's omega^2 scale D / (rho t L^4), L the diagonal of the node
-    bounding box; both eigensolves shift K by scale * M.  ``geometry`` is
+    bounding box; every eigensolve shifts K by scale * M.  ``geometry`` is
     what ``_element_geometry`` derived for the assembled mesh (bilinear
     coefficients, subarea fractions, corner rotation blocks, collapsed
     mask; one row per element), from which ``mode_shape_samples``
     samples; a hand-built system leaves it None.
+
+    K and M are CSR of one shape on one canonical pattern, equal
+    ``indptr`` and ``indices`` with sorted unique columns per row.
     """
 
     k: scipy.sparse.csr_array
@@ -199,6 +202,16 @@ class GlobalSystem:
     dof_map: np.ndarray
     scale: float
     geometry: tuple | None = None
+
+    def __post_init__(self):
+        k, m = self.k, self.m
+        if not (getattr(k, "format", None) == getattr(m, "format", None)
+                == "csr" and k.shape == m.shape
+                and np.array_equal(k.indptr, m.indptr)
+                and np.array_equal(k.indices, m.indices)
+                and k.has_canonical_format):
+            raise ValidationError(
+                "K and M must be CSR of one shape on one canonical pattern")
 
     @property
     def n_dofs(self) -> int:
@@ -454,28 +467,6 @@ def assemble(mesh: Mesh, material: PlateMaterial,
                         geometry=geometry)
 
 
-def _kept_entries(a, keep: np.ndarray, new_index: np.ndarray) -> tuple:
-    """Mask of the stored entries of CSR ``a`` in a kept row and a kept
-    column, their renumbered columns, and the row pointer of the matrix
-    they make.
-
-    Each kept row's length is the sum of its mask entries; rows that
-    store nothing are left out of the sum, where ``np.add.reduceat``
-    would give them the entry at their start.
-    """
-    columns = new_index[a.indices]
-    entries = (columns >= 0) & np.repeat(keep, np.diff(a.indptr))
-    starts = a.indptr[:-1]
-    stored = np.flatnonzero(starts < a.indptr[1:])
-    lengths = np.zeros(len(starts), dtype=a.indptr.dtype)
-    lengths[stored] = np.add.reduceat(entries, starts[stored],
-                                      dtype=lengths.dtype)
-    indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=lengths.dtype)
-    np.cumsum(lengths[keep], out=indptr[1:])
-    return (entries, columns[entries].astype(a.indices.dtype, copy=False),
-            indptr)
-
-
 def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
     """Eliminate constrained DOFs per the mesh's boundary sets.
 
@@ -486,9 +477,8 @@ def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
     The constrained K and M keep the stored entries of K and M that lie
     in a kept row and column (explicit zeros too), in their order, with
     the columns renumbered: the arrays of ``k[kept][:, kept]``, built from
-    one entry mask (``_kept_entries``).  K and M of one pattern, as
-    ``assemble`` builds them, share the mask: computed once per matrix,
-    it gains little over slicing at 64x64 and above.
+    one entry mask over the pattern K and M share, so they share the
+    pattern it leaves.
     """
     if np.any(system.dof_map < 0):
         raise ValidationError("boundary conditions already applied")
@@ -506,18 +496,26 @@ def apply_bcs(system: GlobalSystem, mesh: Mesh) -> GlobalSystem:
     new_index = -np.ones(system.n_dofs, dtype=int)
     new_index[kept] = np.arange(kept.size)
     dof_map = new_index[system.dof_map]
-    k, m = system.k, system.m
-    k_entries = _kept_entries(k, keep, new_index)
-    shared = all(a is b or np.array_equal(a, b) for a, b in
-                 ((k.indptr, m.indptr), (k.indices, m.indices)))
-    m_entries = k_entries if shared else _kept_entries(m, keep, new_index)
+    pattern = system.k
+    columns = new_index[pattern.indices]
+    entries = (columns >= 0) & np.repeat(keep, np.diff(pattern.indptr))
+    # each kept row's length sums its mask entries; rows that store
+    # nothing are left out, where np.add.reduceat would give them the
+    # entry at their start
+    starts = pattern.indptr[:-1]
+    stored = np.flatnonzero(starts < pattern.indptr[1:])
+    lengths = np.zeros(len(starts), dtype=pattern.indptr.dtype)
+    lengths[stored] = np.add.reduceat(entries, starts[stored],
+                                      dtype=lengths.dtype)
+    indptr = np.zeros(kept.size + 1, dtype=lengths.dtype)
+    np.cumsum(lengths[keep], out=indptr[1:])
+    indices = columns[entries].astype(pattern.indices.dtype, copy=False)
     shape = (kept.size, kept.size)
     # with nothing kept, slicing gives scipy's empty array (its default
     # index dtype)
     k, m = (type(a)((a.data[entries], indices, indptr), shape=shape)
             if kept.size else type(a)(shape, dtype=a.dtype)
-            for a, (entries, indices, indptr) in ((k, k_entries),
-                                                  (m, m_entries)))
+            for a in (system.k, system.m))
     return GlobalSystem(k=k, m=m, dof_map=dof_map, scale=system.scale,
                         geometry=system.geometry)
 
@@ -532,15 +530,12 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     modes, take that subset of a dense ``eigh``.  Larger ones whose
     K + sM has a half-bandwidth of at most ``BAND_MAX_KD`` take Lanczos
     on its band Cholesky factor (``_band_pairs``), wider ones shift-invert
-    Lanczos on its sparse LU factor (``_shift_invert_pairs``).  The dense
-    and band paths add s times M into K entry by entry; per entry that is
-    the sum sparse K + sM would give (``toarray`` writes no -0.0, and an
-    entry the sparse sum drops is 0.0 in both), so only the splu path
-    forms a sparse K + sM.  M may be semidefinite (consistent mass without
-    rotary inertia has element rank 3); nu ~ 0 is a mode in its nullspace
-    (infinite frequency) and an error, and so is a mode whose
-    eigen-residual exceeds ``MAX_RESIDUAL``.  Rigid modes come out at
-    omega ~ 0.
+    Lanczos on its sparse LU factor (``_shift_invert_pairs``).  All three
+    take the one K + sM formed here, on the pattern K and M share.  M may
+    be semidefinite (consistent mass without rotary inertia has element
+    rank 3); nu ~ 0 is a mode in its nullspace (infinite frequency) and an
+    error, and so is a mode whose eigen-residual exceeds ``MAX_RESIDUAL``.
+    Rigid modes come out at omega ~ 0.
 
     Each omega^2 is the Rayleigh quotient of its mode in long double.
     The long-double K and M are CSR arrays on long-double copies of the
@@ -564,25 +559,27 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     if not np.any(m.data):
         raise NumericalError("mass matrix is zero")
     scale_k = float(np.linalg.norm(k.data))
+    pencil = type(k)((k.data + s * m.data, k.indices, k.indptr),
+                     shape=k.shape)
     if _solves_densely(n, count):
         import scipy.linalg
 
-        dm = m.toarray()
-        ds = k.toarray()
-        ds += s * dm
         try:
-            nu, v = scipy.linalg.eigh(dm, ds,
+            nu, v = scipy.linalg.eigh(m.toarray(), pencil.toarray(),
                                       subset_by_index=(n - count, n - 1))
         except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
             raise NumericalError(
                 f"K + sM is not positive definite at s = {s:.6e}"
             ) from exc
     else:
-        kd = _half_bandwidth(k, m)
+        kd = _half_bandwidth(pencil)
         if kd <= BAND_MAX_KD:
-            nu, v = _band_pairs(k, m, count, s, kd)
+            nu, v = _band_pairs(pencil, m, count, s, kd)
         else:
-            nu, v = _shift_invert_pairs(k, m, count, s)
+            # K + sM is not bitwise symmetric, so splu takes its CSC, the
+            # only copy that lives on through the factor
+            pencil = pencil.tocsc()
+            nu, v = _shift_invert_pairs(pencil, k, m, count, s)
     if not np.all(np.isfinite(nu)):
         raise NumericalError(f"non-finite eigenvalue in nu = {nu}")
     v = v[:, np.argsort(-nu, kind="stable")]
@@ -605,7 +602,7 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     # double.  On the level-3 cantilever triangle the dense eigenvalue
     # 1/nu - s is up to 4e-10 off it, and the quotient with K phi in
     # double 1.4e-10: a smooth mode barely strains the stiff collapsed-tip
-    # elements.  Both paths then agree to 1e-13.  A double mode may come
+    # elements.  All paths then agree to 1.1e-13.  A double mode may come
     # out one ulp out of order, so the quotients are sorted.
     wide = v.astype(np.longdouble)
     wide_k, wide_m = (type(a)((a.data.astype(np.longdouble), a.indices,
@@ -649,41 +646,39 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
 _BAND_CHUNK = 4096
 
 
-def _half_bandwidth(*matrices) -> int:
-    """Largest |i - j| over the stored entries of CSR matrices."""
-    return max(int(np.abs(np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-                          - a.indices).max(initial=0)) for a in matrices)
+def _half_bandwidth(a) -> int:
+    """Largest |i - j| over the stored entries of CSR ``a``."""
+    return int(np.abs(np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+                      - a.indices).max(initial=0))
 
 
-def _band_pairs(k, m, count: int, s: float, kd: int) -> tuple:
+def _band_pairs(pencil, m, count: int, s: float, kd: int) -> tuple:
     """(nu, modes) of the ``count`` largest nu = 1/(omega^2 + s) of sparse
     (K, M), by Lanczos in standard mode on C = L^-1 M L^-T, L the band
-    Cholesky factor of K + sM = L L^T and kd its half-bandwidth.
+    Cholesky factor of ``pencil`` = K + sM = L L^T and kd its
+    half-bandwidth.
 
     C y = nu y is the pencil M phi = nu (K + sM) phi with phi = L^-T y.
     The lower band of K + sM goes to LAPACK band storage (row i - j of
-    column j holds entry (i, j), each the sum k + s m as in the dense
-    path) and ``dpbtrf`` factors it; each product with C is two
-    triangular band solves (``dtbtrs``) around one product with M.  The
-    start vector is that of ``_shift_invert_pairs``.
+    column j holds entry (i, j)) and ``dpbtrf`` factors it; each product
+    with C is two triangular band solves (``dtbtrs``) around one product
+    with M.  The start vector is that of ``_shift_invert_pairs``.
     """
     import scipy.linalg.lapack
     import scipy.sparse.linalg
 
-    n = k.shape[0]
+    n = pencil.shape[0]
     band = np.zeros((kd + 1) * n)
-    for a, weight in ((k, 1.0), (m, s)):
-        for start in range(0, n, _BAND_CHUNK):
-            stop = min(start + _BAND_CHUNK, n)
-            part = slice(a.indptr[start], a.indptr[stop])
-            rows = np.repeat(np.arange(start, stop),
-                             np.diff(a.indptr[start:stop + 1]))
-            columns = a.indices[part].astype(np.intp)
-            below = rows >= columns
-            # entry (i, j) of the lower band sits at kd * j + i of the
-            # column-major (kd + 1, n) storage
-            np.add.at(band, kd * columns[below] + rows[below],
-                      weight * a.data[part][below])
+    for start in range(0, n, _BAND_CHUNK):
+        stop = min(start + _BAND_CHUNK, n)
+        part = slice(pencil.indptr[start], pencil.indptr[stop])
+        rows = np.repeat(np.arange(start, stop),
+                         np.diff(pencil.indptr[start:stop + 1]))
+        columns = pencil.indices[part].astype(np.intp)
+        below = rows >= columns
+        # entry (i, j) of the lower band sits at kd * j + i of the
+        # column-major (kd + 1, n) storage
+        band[kd * columns[below] + rows[below]] = pencil.data[part][below]
     factor, info = scipy.linalg.lapack.dpbtrf(
         band.reshape((kd + 1, n), order="F"), lower=1, overwrite_ab=1)
     if info > 0:
@@ -705,22 +700,26 @@ def _band_pairs(k, m, count: int, s: float, kd: int) -> tuple:
     return nu, solve(factor, y, uplo="L", trans="T")[0]
 
 
-def _shift_invert_pairs(k, m, count: int, s: float) -> tuple:
+def _shift_invert_pairs(pencil, k, m, count: int, s: float) -> tuple:
     """(nu, modes) of the ``count`` largest nu = 1/(omega^2 + s) of sparse
     (K, M), by Lanczos on (K + sM)^-1 M (ARPACK's shift-invert mode about
     sigma = -s, below every omega^2).
 
-    K + sM is factored once with a symmetric minimum-degree ordering and
-    diagonal pivots.  The start vector is fixed, so runs repeat, and
-    random, so no symmetry class of a symmetric mesh is missing from it.
+    ``pencil`` = K + sM, in CSC, is factored once with a symmetric
+    minimum-degree ordering and diagonal pivots, its entries that cancel
+    exactly dropped in place first: the ordering follows the stored
+    pattern, and the recorded splu results in ``tests/data`` are those of
+    a sparse sum of K and sM, which drops them.  The start vector is
+    fixed, so runs repeat, and random, so no symmetry class of a
+    symmetric mesh is missing from it.
     """
     import scipy.sparse.linalg
 
     n = k.shape[0]
+    pencil.eliminate_zeros()
     try:
-        # K + sM is not bitwise symmetric, so its CSR arrays are not its CSC
         lu = scipy.sparse.linalg.splu(
-            (k + s * m).tocsc(), permc_spec="MMD_AT_PLUS_A",
+            pencil, permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise NumericalError(

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 # For a failing @given test, hypothesis's pytest plugin imports its patch
 # explainer, which imports libcst; libcst raises a DeprecationWarning on
@@ -80,6 +81,17 @@ def element_transform(scheme):
             [-jm[0, 1], jm[0, 0]],
         ]
     return t
+
+
+def csr_on_pattern(stored, *dense):
+    """CSR arrays of the matrices ``dense`` on the one pattern of the
+    entries where ``stored`` is True, explicit zeros too, with int32
+    indices as ``csr_array`` gives a dense matrix."""
+    rows, columns = np.nonzero(stored)
+    indptr = np.searchsorted(rows, np.arange(len(stored) + 1))
+    return [csr_array((a[rows, columns], columns.astype(np.int32),
+                       indptr.astype(np.int32)), shape=stored.shape)
+            for a in dense]
 
 
 def apply_bcs_by_slicing(system, mesh):

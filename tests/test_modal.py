@@ -51,6 +51,7 @@ from conftest import (
     UNIT_SQUARE,
     apply_bcs_by_slicing,
     convex_quads,
+    csr_on_pattern,
     element_transform,
 )
 from oracles import element_mass, element_matrices, element_stiffness
@@ -438,20 +439,38 @@ class TestApplyBcsMatchesSlicing:
         reduced = assert_constrains_as_slicing(system, mesh)
         assert np.count_nonzero(reduced.k.data == 0.0) == 1
 
-    def test_k_and_m_of_different_patterns(self):
-        # int32 indices, and rows of K that store nothing, one of them last
+    def test_int32_indices_and_empty_rows(self):
+        # int32 indices, rows that store nothing, one of them last, and
+        # M's off-diagonal entries stored as 0.0
         mesh = mesh_quad(UNIT_SQUARE, 1, 1)
         mesh.boundary_sets = {"a": BoundarySet("clamped", (0,)),
                               "b": BoundarySet("simply_supported", (2,))}
         rng = np.random.default_rng(28)
         k = rng.standard_normal((12, 12)) * (rng.random((12, 12)) < 0.4)
-        k[[5, 11]] = 0.0
-        system = GlobalSystem(k=csr_array(k),
-                              m=csr_array(np.diag(np.arange(1.0, 13.0))),
-                              dof_map=np.arange(12).reshape(4, 3), scale=1.0)
+        stored = (k != 0.0) | np.eye(12, dtype=bool)
+        stored[[5, 11]] = False
+        k, m = csr_on_pattern(stored, k, np.diag(np.arange(1.0, 13.0)))
+        system = GlobalSystem(k=k, m=m, dof_map=np.arange(12).reshape(4, 3),
+                              scale=1.0)
         assert system.k.indices.dtype == np.int32
-        assert not np.array_equal(system.k.indptr, system.m.indptr)
+        assert np.array_equal(np.diff(system.k.indptr)[[5, 11]], [0, 0])
         assert_constrains_as_slicing(system, mesh)
+
+
+@pytest.mark.parametrize("k,m", [
+    (csr_array(np.eye(2)), csr_array(np.ones((2, 2)))),
+    (csr_array(np.eye(2)), csr_array(np.eye(2)[::-1])),
+    (csr_array(np.eye(2)), csr_array(np.eye(3))),
+    (csr_array(np.eye(2)).tocsc(), csr_array(np.eye(2)).tocsc()),
+    (np.eye(2), np.eye(2)),
+    *[(csr_array((np.ones(3), np.array(indices), np.array([0, 2, 3])),
+                 shape=(2, 2)),) * 2 for indices in ([1, 0, 1], [0, 0, 1])],
+], ids=["different-rows", "different-columns", "different-shapes", "csc",
+        "dense",
+        "unsorted-columns", "duplicate-entries"])
+def test_global_system_needs_k_and_m_on_one_canonical_pattern(k, m):
+    with pytest.raises(ValidationError, match="one canonical pattern"):
+        GlobalSystem(k=k, m=m, dof_map=np.arange(3).reshape(1, 3), scale=1.0)
 
 
 class TestSolveModes:
@@ -518,8 +537,9 @@ class TestSolveModes:
         k = np.array([[2.0, 1.0], [1.0, 2.0]])
         dof_map = np.array([[0, 1, -1]])
         def first_mode():
-            system = GlobalSystem(k=csr_array(k), m=csr_array(np.eye(2)),
-                                  dof_map=dof_map, scale=1.0)
+            system = GlobalSystem(
+                *csr_on_pattern(np.ones((2, 2), dtype=bool), k, np.eye(2)),
+                dof_map=dof_map, scale=1.0)
             return solve_modes(system, 1).modes[:, 0]
 
         plain = first_mode()
@@ -922,6 +942,28 @@ class TestMeshConvergence:
                      for omega, size in ((coarse, 32), (fine, 64))]
         assert constants[1] == pytest.approx(constants[0], rel=3e-6)
         assert fine == pytest.approx(splu, rel=1e-12, abs=0)
+
+    def test_navier_square_error_constant_at_128x128(self, monkeypatch):
+        # omega_1 error times N^2: 0.89443315 at 64x64 (band path) and
+        # 0.89444799 ... 0.89445049 at 128x128 (49,411 DOFs, half-bandwidth
+        # 390: splu), which differ by 1.66e-5 ... 1.93e-5 relative (OpenBLAS
+        # kernels Prescott, Haswell and SkylakeX, 1 and 2 threads); bounded
+        # at about twice.  The only lattice here that takes splu unforced
+        exact = 2.0 * np.pi ** 2
+        real = modal._shift_invert_pairs
+        factored = []
+
+        def recording(pencil, *args):
+            factored.append(pencil.shape[0])
+            return real(pencil, *args)
+
+        monkeypatch.setattr(modal, "_shift_invert_pairs", recording)
+        (coarse, *_), = simply_supported_omega(UNIT_SQUARE, [[64, 64]])
+        (fine, *_), = simply_supported_omega(UNIT_SQUARE, [[128, 128]])
+        assert factored == [49411]
+        constants = [(omega - exact) / exact * size ** 2
+                     for omega, size in ((coarse, 64), (fine, 128))]
+        assert constants[1] == pytest.approx(constants[0], rel=4e-5)
 
     def test_navier_rectangle_independent_of_frame(self):
         # rotated by 30 degrees and moved by (2, -1): measured 1.1e-13

@@ -1,13 +1,15 @@
 """README's "Quick start" code and "Command line" commands run as
-documented."""
+documented, and its solver paragraph states the solver's limits."""
 
 import contextlib
 import io
 import pathlib
+import re
 import shlex
 
 import pytest
 
+from quadplate import modal
 from quadplate.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -33,3 +35,12 @@ def test_readme_quick_start_prints_documented_values():
         exec(block, {})
     lines = [" ".join(line.split()) for line in out.getvalue().splitlines()]
     assert lines[:2] == ["[10. 0.]", "22.0"]
+
+
+@pytest.mark.parametrize("phrase,value", [
+    (r"at most (\d+) DOFs", modal.DENSE_MAX_DOFS),
+    (r"half-bandwidth of at most (\d+)", modal.BAND_MAX_KD)],
+    ids=["dense-max-dofs", "band-max-kd"])
+def test_readme_states_the_solver_limits(phrase, value):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert {int(v) for v in re.findall(phrase, text)} == {value}

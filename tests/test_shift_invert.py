@@ -1,9 +1,12 @@
-"""The sparse eigensolve (shift-invert Lanczos) against the dense ``eigh``
-path, which stays the oracle, and its failures as exit code 3.
+"""The sparse eigensolve paths against the dense ``eigh`` path, which stays
+the oracle, and their failures as exit code 3.
 
-Every test here runs the sparse path on ``splu`` (``splu_path``); the
-band Cholesky path that narrow bands take is tested in
-``test_band_path.py``.
+A system that is not solved densely takes Lanczos in standard mode on the
+band Cholesky factor of K + sM (``modal._band_pairs``) when its
+half-bandwidth is within ``BAND_MAX_KD``, else shift-invert Lanczos on its
+sparse LU factor (``modal._shift_invert_pairs``).  The ``sparse_path``
+fixture sends every such system to splu, or, in the tests parametrized
+over both paths (``BOTH_SPARSE_PATHS``), to the one the test runs on.
 """
 
 import json
@@ -16,8 +19,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
-from scipy.sparse import csr_array
 
 from quadplate import (
     BoundarySet,
@@ -34,8 +37,16 @@ from quadplate import (
 )
 from quadplate.cases import builtin_case_names, case_meshes, load_case
 from quadplate.cli import main
+from quadplate.modal import mode_shape_samples
+from quadplate.quadrature import gauss_rule
 
-from conftest import UNIT_SQUARE
+from conftest import UNIT_SQUARE, csr_on_pattern
+from test_modal import (
+    RULE,
+    assert_same_csr,
+    largest_principal_sine,
+    simply_supported_case,
+)
 
 MAT = PlateMaterial(E=1365.0, nu=0.3, t=0.2, rho=5.0)
 CLAMPED_QUAD = [[0.0, 0.0], [1.0, 0.0], [0.7929, 0.7727], [0.2394, 0.6577]]
@@ -63,35 +74,48 @@ def quad_mesh(vertices, size, clamped_edges):
     return mesh
 
 
-#: The band limit of ``solve_modes``, before ``splu_path`` pins it.
+#: The band limit of ``solve_modes``, before ``sparse_path`` pins it.
 BAND_MAX_KD = modal.BAND_MAX_KD
+
+#: Runs a test once on each sparse path.
+BOTH_SPARSE_PATHS = pytest.mark.parametrize("sparse_path", ["band", "splu"],
+                                            indirect=True)
 
 
 @pytest.fixture(autouse=True)
-def splu_path(monkeypatch):
-    """Sends every system that is not solved densely to ``splu``."""
-    monkeypatch.setattr(modal, "BAND_MAX_KD", -1)
-
-
-@pytest.fixture
-def lanczos(monkeypatch):
-    """Counts ``eigsh`` calls and the ``OPinv`` solves of each."""
+def sparse_path(request, monkeypatch):
+    """Sends every system that is not solved densely to ``splu``, or, with
+    the parameter "band", each of half-bandwidth within ``BAND_MAX_KD`` to
+    the band path, and counts per ``eigsh`` call of that path its operator
+    applications: ``OPinv`` solves on splu, products with C = L^-1 M L^-T
+    on the band path, whose every call must be a standard-mode one.  Calls
+    of the other path run uncounted."""
+    splu = getattr(request, "param", "splu") == "splu"
+    if splu:
+        monkeypatch.setattr(modal, "BAND_MAX_KD", -1)
     real = scipy.sparse.linalg.eigsh
-    solves = []
+    counts = []
 
-    def counting_eigsh(*args, OPinv, **kwargs):
-        solves.append(0)
+    def counted(op):
+        def apply(x):
+            counts[-1] += 1
+            return op.matvec(x)
+        return scipy.sparse.linalg.LinearOperator(op.shape, matvec=apply,
+                                                  dtype=float)
 
-        def solve(x):
-            solves[-1] += 1
-            return OPinv.matvec(x)
-
-        op = scipy.sparse.linalg.LinearOperator(OPinv.shape, matvec=solve,
-                                                dtype=float)
-        return real(*args, OPinv=op, **kwargs)
+    def counting_eigsh(a, count, *args, **kwargs):
+        if ("OPinv" in kwargs) != splu:
+            return real(a, count, *args, **kwargs)
+        counts.append(0)
+        if splu:
+            return real(a, count, *args,
+                        **{**kwargs, "OPinv": counted(kwargs["OPinv"])})
+        assert not args and set(kwargs) == {"which", "v0"} \
+            and kwargs["which"] == "LA"
+        return real(counted(a), count, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
-    return solves
+    return counts
 
 
 def solve_both(monkeypatch, system, count):
@@ -113,9 +137,9 @@ def rayleigh_omega(system, modes):
                    / np.einsum("ij,ij->j", v, m @ v)).astype(float)
 
 
-def assert_sparse_matches_dense(monkeypatch, lanczos, system, count):
+def assert_sparse_matches_dense(monkeypatch, counts, system, count):
     dense, sparse = solve_both(monkeypatch, system, count)
-    assert len(lanczos) == 1
+    assert len(counts) == 1
     np.testing.assert_allclose(sparse.omega, dense.omega, rtol=1e-10)
     assert np.all(sparse.residuals <= 1e-8)
     gram = sparse.modes.T @ (system.m @ sparse.modes)
@@ -126,7 +150,7 @@ def assert_sparse_matches_dense(monkeypatch, lanczos, system, count):
     assert np.array_equal(again.residuals, sparse.residuals)
 
 
-def sparse_paths(monkeypatch):
+def record_paths(monkeypatch):
     """Restores the band limit and records, in order, which sparse pair
     function each ``solve_modes`` call runs."""
     monkeypatch.setattr(modal, "BAND_MAX_KD", BAND_MAX_KD)
@@ -141,12 +165,11 @@ def sparse_paths(monkeypatch):
 
 
 def banded_system(kd, n=402):
-    """A diagonal pencil with one symmetric pair of entries kd apart."""
-    rows = np.r_[np.arange(n), 0, kd]
-    columns = np.r_[np.arange(n), kd, 0]
-    k = csr_array((np.r_[np.arange(1.0, n + 1), 0.5, 0.5], (rows, columns)),
-                  shape=(n, n))
-    m = csr_array((np.ones(n), (np.arange(n), np.arange(n))), shape=(n, n))
+    """A diagonal pencil with one symmetric pair of entries kd apart, which
+    M stores as 0.0."""
+    k = np.diag(np.arange(1.0, n + 1))
+    k[0, kd] = k[kd, 0] = 0.5
+    k, m = csr_on_pattern(k != 0.0, k, np.eye(n))
     return GlobalSystem(k=k, m=m, dof_map=np.arange(n).reshape(-1, 3),
                         scale=1.0)
 
@@ -160,17 +183,17 @@ def test_dispatch_rule(monkeypatch):
         <= modal.DENSE_MAX_DOFS
     # past the dense rule, K + sM of half-bandwidth BAND_MAX_KD takes the
     # band Cholesky path and one more splu
-    taken = sparse_paths(monkeypatch)
+    taken = record_paths(monkeypatch)
     for kd in (BAND_MAX_KD, BAND_MAX_KD + 1):
         system = banded_system(kd)
-        assert modal._half_bandwidth(system.k, system.m) == kd
+        assert modal._half_bandwidth(system.k) == kd
         solve_modes(system, 6)
     assert taken == ["band", "splu"]
     # the 16x16 lattice meshes of modal-medium take the band path
     for vertices, edges in ((CLAMPED_QUAD, [0, 1, 2, 3]),
                             (CANTILEVER_QUAD, [0])):
         system = constrained(quad_mesh(vertices, 16, edges))
-        assert modal._half_bandwidth(system.k, system.m) <= BAND_MAX_KD
+        assert modal._half_bandwidth(system.k) <= BAND_MAX_KD
 
 
 def test_scattered_numbering_takes_splu(monkeypatch):
@@ -187,9 +210,9 @@ def test_scattered_numbering_takes_splu(monkeypatch):
         mesh.boundary_sets[f"edge{e}"] = BoundarySet("clamped", nodes)
     system = constrained(mesh)
     n = system.n_dofs
-    kd = modal._half_bandwidth(system.k, system.m)
+    kd = modal._half_bandwidth(system.k)
     assert n > modal.DENSE_MAX_DOFS and kd > BAND_MAX_KD
-    taken = sparse_paths(monkeypatch)
+    taken = record_paths(monkeypatch)
     sparse = solve_modes(system, 6)
     tracemalloc.start()
     try:
@@ -240,30 +263,42 @@ def test_dense_pencil_is_the_sparse_sum(dense_pencils, name, label, mesh,
                                       min(6, system.n_dofs))
 
 
-def test_dense_pencil_keeps_signed_zeros_of_sparse_sum(dense_pencils):
-    # stored 0.0 and -0.0 in K, M or both, an entry stored in one matrix
-    # only, and a sum that cancels exactly (0.5 + 2 * -0.25), which the
-    # sparse sum drops
-    k = csr_array((np.array([2.0, 0.5, -0.0, 0.5, 3.0, -0.0, -0.0, 1.0]),
-                   np.array([0, 1, 2, 0, 1, 2, 1, 2]), np.array([0, 3, 6, 8])),
-                  shape=(3, 3))
-    m = csr_array((np.array([1.0, -0.25, -0.0, -0.25, 1.0, 0.0, 2.0]),
-                   np.array([0, 1, 2, 0, 1, 1, 2]), np.array([0, 3, 5, 7])),
-                  shape=(3, 3))
+def test_dense_pencil_keeps_signed_zeros_of_sparse_sum(monkeypatch,
+                                                      dense_pencils):
+    # stored 0.0 and -0.0 in K, M or both, and a sum that cancels exactly
+    # (0.5 + 2 * -0.25), which the sparse sum drops; the splu path factors
+    # the arrays of the sparse sum
+    stored = np.array([[1, 1, 1], [1, 1, 1], [0, 1, 1]], dtype=bool)
+    k, m = csr_on_pattern(
+        stored, np.array([[2.0, 0.5, -0.0], [0.5, 3.0, -0.0], [0, -0.0, 1.0]]),
+        np.array([[1.0, -0.25, -0.0], [-0.25, 1.0, 0.0], [0, 0.0, 2.0]]))
     system = GlobalSystem(k=k, m=m, dof_map=np.array([[0, 1, 2]]), scale=2.0)
     shifted = k + 2.0 * m
     assert shifted.nnz < 8 and np.signbit(shifted.toarray()).sum() == 0
     assert_dense_pencil_is_sparse_sum(dense_pencils, system, 2)
+    real = scipy.sparse.linalg.splu
+    factored = []
+
+    def recording_splu(a, **kwargs):
+        factored.append(a)
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: False)
+    solve_modes(system, 2)
+    (got,) = factored
+    assert_same_csr(got, shifted.tocsc())
 
 
+@BOTH_SPARSE_PATHS
 @pytest.mark.parametrize("rotary", [False, True], ids=["plain", "rotary"])
 @pytest.mark.parametrize("name,label,mesh", SOLVABLE_MESHES,
                          ids=[f"{n}-{l}" for n, l, _ in SOLVABLE_MESHES])
-def test_sparse_path_matches_dense_on_builtin_meshes(monkeypatch, lanczos,
-                                                     name, label, mesh,
-                                                     rotary):
+def test_sparse_path_matches_dense_on_builtin_meshes(monkeypatch,
+                                                     sparse_path, name, label,
+                                                     mesh, rotary):
     system = constrained(mesh, rotary)
-    assert_sparse_matches_dense(monkeypatch, lanczos, system,
+    assert_sparse_matches_dense(monkeypatch, sparse_path, system,
                                 min(6, system.n_dofs - 1))
 
 
@@ -284,6 +319,7 @@ def test_dense_omega_is_the_rayleigh_quotient_of_its_mode(monkeypatch):
                                rtol=1e-12)
 
 
+@BOTH_SPARSE_PATHS
 @pytest.mark.parametrize("vertices,edges", [
     (CLAMPED_QUAD, [0, 1, 2, 3]), (CANTILEVER_QUAD, [0]),
     # D4-symmetric: the (2, 2) mode and its kin share no symmetry class
@@ -291,11 +327,11 @@ def test_dense_omega_is_the_rayleigh_quotient_of_its_mode(monkeypatch):
     (UNIT_SQUARE, [0, 1, 2, 3])],
     ids=["clamped-quad-16x16", "cantilever-quad-16x16",
          "clamped-square-16x16"])
-def test_sparse_path_matches_dense_on_16x16(monkeypatch, lanczos, vertices,
-                                            edges):
+def test_sparse_path_matches_dense_on_16x16(monkeypatch, sparse_path,
+                                            vertices, edges):
     system = constrained(quad_mesh(vertices, 16, edges))
     assert not modal._solves_densely(system.n_dofs, 6)
-    assert_sparse_matches_dense(monkeypatch, lanczos, system, 6)
+    assert_sparse_matches_dense(monkeypatch, sparse_path, system, 6)
 
 
 @pytest.mark.parametrize("rotary", [False, True], ids=["plain", "rotary"])
@@ -360,10 +396,11 @@ def test_rayleigh_quotient_bits(build, rotary, sparse, rigid):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_free_square_rigid_modes(monkeypatch, lanczos):
+@BOTH_SPARSE_PATHS
+def test_free_square_rigid_modes(monkeypatch, sparse_path):
     system = constrained(mesh_quad(UNIT_SQUARE, 16, 16))
     dense, sparse = solve_both(monkeypatch, system, 6)
-    assert len(lanczos) == 1
+    assert len(sparse_path) == 1
     for spectrum in (dense, sparse):
         assert np.all(spectrum.omega[:3] ** 2
                       <= 1e-10 * spectrum.omega[3] ** 2)
@@ -377,34 +414,40 @@ def test_free_square_rigid_modes(monkeypatch, lanczos):
     np.testing.assert_allclose(projected, dense.modes[:, :3], atol=1e-8)
 
 
-def test_free_square_double_modes_on_both_paths(monkeypatch, lanczos):
+@BOTH_SPARSE_PATHS
+def test_free_square_double_modes(monkeypatch, sparse_path):
     # 12 modes of the free 12x12 square (507 DOFs): three rigid ones and
-    # the double pairs at 35.059656 and 62.657263; with tol=1e-10 eigsh
-    # returned one copy of the second pair and 79.245949 in place of the
-    # other, each residual within 7.1e-10
+    # the double pairs at 35.059656 and 62.657263, both copies of each; with
+    # tol=1e-10 eigsh on splu returned one copy of the second pair and
+    # 79.245949 in place of the other, each residual within 7.1e-10
     system = constrained(mesh_quad(UNIT_SQUARE, 12, 12))
     assert system.n_dofs == 507
     dense, sparse = solve_both(monkeypatch, system, 12)
-    assert len(lanczos) == 1
+    assert len(sparse_path) == 1
     for spectrum in (dense, sparse):
         assert np.all(spectrum.omega[:3] <= 1e-5 * spectrum.omega[3])
     np.testing.assert_allclose(sparse.omega[3:], dense.omega[3:], rtol=1e-10)
     for pair, value in ((slice(6, 8), 35.059656), (slice(8, 10), 62.657263)):
-        np.testing.assert_allclose(dense.omega[pair], value, rtol=1e-7)
+        for spectrum in (dense, sparse):
+            np.testing.assert_allclose(spectrum.omega[pair], value, rtol=1e-7)
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@BOTH_SPARSE_PATHS
 @pytest.mark.parametrize("size", [2, 4])
-def test_semidefinite_mass_on_both_paths(monkeypatch, size, dense):
+def test_semidefinite_mass(monkeypatch, sparse_path, size):
     # consistent mass without rotary inertia has element rank 3, so M of a
     # free size x size square has 3 size^2 finite modes; one more is an
-    # infinite-frequency mode (on the sparse 2x2 path one without mass)
+    # infinite-frequency mode (nu = 0; on splu at 2x2, one without mass),
+    # which the dense path and each sparse one reject
     system = constrained(mesh_quad(UNIT_SQUARE, size, size))
     finite = 3 * size * size
     assert np.linalg.matrix_rank(system.m.toarray()) == finite
-    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: dense)
-    with pytest.raises(NumericalError, match="semidefinite mass"):
-        solve_modes(system, finite + 1)
+    for dense in (True, False):
+        monkeypatch.setattr(modal, "_solves_densely",
+                            lambda n, k, dense=dense: dense)
+        with pytest.raises(NumericalError, match="semidefinite mass"):
+            solve_modes(system, finite + 1)
+    assert len(sparse_path) == 1
 
 
 @pytest.mark.parametrize("size,count", [(1, 3), (2, 12)])
@@ -420,23 +463,88 @@ def test_inaccurate_modes_raise(monkeypatch, size, count):
     assert spectrum.residuals.max() <= 1e-8
 
 
+@BOTH_SPARSE_PATHS
 @pytest.mark.parametrize("factor", [1e6, 1e-6])
-def test_stiffness_scale_leaves_iterations_unchanged(lanczos, factor):
+def test_stiffness_scale_leaves_iterations_unchanged(sparse_path, factor):
     # the shift follows D / (rho t L^4), so scaling E scales the whole
-    # shifted spectrum and Lanczos takes the same steps
+    # shifted spectrum, K + sM by factor and C = L^-1 M L^-T by 1 / factor:
+    # Lanczos takes the same steps
     mesh = quad_mesh(CLAMPED_QUAD, 12, [0, 1, 2, 3])
     scaled_material = PlateMaterial(E=MAT.E * factor, nu=MAT.nu, t=MAT.t,
                                     rho=MAT.rho)
     base = solve_modes(constrained(mesh), 6)
     scaled = solve_modes(constrained(mesh, material=scaled_material), 6)
-    assert len(lanczos) == 2 and lanczos[0] == lanczos[1]
+    assert len(sparse_path) == 2 and sparse_path[0] == sparse_path[1]
     np.testing.assert_allclose(scaled.omega, np.sqrt(factor) * base.omega,
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "band"])
+def test_indefinite_pencil_on_both_paths(monkeypatch, dense):
+    # a shift past -omega_1^2 leaves K + sM indefinite: dpbtrf stops at a
+    # non-positive pivot, with the dense path's message
+    monkeypatch.setattr(modal, "BAND_MAX_KD", BAND_MAX_KD)
+    system = constrained(quad_mesh(CLAMPED_QUAD, 12, [0, 1, 2, 3]))
+    shifted = GlobalSystem(k=system.k, m=system.m, dof_map=system.dof_map,
+                           scale=-2.0 * solve_modes(system, 1).omega[0] ** 2)
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: dense)
+    with pytest.raises(NumericalError,
+                       match="K \\+ sM is not positive definite at s = -"):
+        solve_modes(shifted, 6)
+
+
+@pytest.mark.parametrize("name,source,key,size,bound", [
+    ("clamped-quad", "quad", "meshes", [16, 16], 5e-13),
+    ("cantilever-isosceles", "triangle", "levels", 7, 3e-8)],
+    ids=["clamped-quad-16x16", "cantilever-isosceles-level-7"])
+@pytest.mark.parametrize("rotary", [False, True], ids=["default", "rotary"])
+def test_mode_shapes_match_splu_path(monkeypatch, name, source, key, size,
+                                     bound, rotary):
+    # the four modes of the recorded shape digests: largest difference
+    # over the largest sample, measured at most 2.5e-13 (16x16) and
+    # 1.33e-8 (level 7) over OpenBLAS kernels Prescott to SkylakeX and
+    # 1, 2 and 4 threads; bounded at about twice.  The collapsed-tip
+    # level-7 mesh fixes its mode vectors only to about 1e-8: the true
+    # relative residual |K phi - omega^2 M phi| / |K phi| of mode 1 is
+    # 4e-7 on the band path, 1.2e-6 on splu and 5.4e-7 dense
+    case = load_case(name)
+    case.geometry[source][key] = [size]
+    (_, mesh), = case_meshes(case)
+    system = apply_bcs(assemble(mesh, case.material, gauss_rule(3), rotary),
+                       mesh)
+    monkeypatch.setattr(modal, "_solves_densely", lambda n, k: False)
+    samples = []
+    for limit in (BAND_MAX_KD, -1):
+        monkeypatch.setattr(modal, "BAND_MAX_KD", limit)
+        modes = solve_modes(system, 4).modes
+        samples.append(mode_shape_samples(mesh, system, modes))
+    got, want = samples
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+@pytest.mark.parametrize("sparse_path", ["band"], indirect=True)
+def test_navier_square_pair_subspaces(monkeypatch, sparse_path):
+    # the square's double pairs, modes 2-3 and 5-6, span the dense pairs'
+    # subspaces to a largest principal angle of 5.6e-14 ... 1.32e-13
+    # (OpenBLAS kernels Prescott to SkylakeX, 1, 2 and 4 threads);
+    # bounded at about twice the largest
+    case = simply_supported_case(UNIT_SQUARE, [[16, 16]])
+    (_, mesh), = case_meshes(case)
+    reduced = apply_bcs(assemble(mesh, case.material, RULE), mesh)
+    dense, sparse = solve_both(monkeypatch, reduced, 6)
+    assert len(sparse_path) == 1
+    np.testing.assert_allclose(dense.omega, sparse.omega, rtol=1e-10,
+                               atol=0)
+    for pair in ([1, 2], [4, 5]):
+        assert largest_principal_sine(
+            dense.modes[:, pair], sparse.modes[:, pair], reduced.m) \
+            <= 2.7e-13, pair
+
+
 @pytest.fixture
 def sparse_case(tmp_path):
-    """A clamped skew quad on 12x12 elements (363 DOFs, sparse path)."""
+    """A clamped skew quad on 12x12 elements (363 DOFs, half-bandwidth
+    38: the band path unless ``sparse_path`` sends it to splu)."""
     doc = {
         "material": {"E": 1365.0, "nu": 0.3, "t": 0.2, "rho": 5.0},
         "geometry": {"quad": {"vertices": CLAMPED_QUAD, "meshes": [[12, 12]],
@@ -456,23 +564,45 @@ def singular_factor(*args, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
 
+def not_positive_definite(ab, **kwargs):
+    return ab, 7
+
+
 def fake_eigenvalues(values):
-    def eigsh(k, count, m, sigma, **kwargs):
-        return np.array(values, dtype=float), np.ones((k.shape[0], count))
+    """An ``eigsh`` that returns ``values``: omega^2 on splu, nu on the band
+    path."""
+    def eigsh(a, count, *args, **kwargs):
+        return np.array(values, dtype=float), np.ones((a.shape[0], count))
     return eigsh
 
 
-@pytest.mark.parametrize("target,replacement,message", [
-    ("eigsh", no_convergence, "shift-invert Lanczos failed"),
-    ("splu", singular_factor, "K - sigma M is singular"),
-    ("eigsh", fake_eigenvalues([1.0, np.nan, 3.0, 4.0, 5.0, 6.0]),
+@pytest.mark.parametrize("sparse_path,module,target,replacement,message", [
+    ("band", scipy.linalg.lapack, "dpbtrf", not_positive_definite,
+     "K + sM is not positive definite"),
+    ("band", scipy.sparse.linalg, "eigsh", no_convergence,
+     "band Lanczos failed"),
+    ("band", scipy.sparse.linalg, "eigsh",
+     fake_eigenvalues([1.0, np.nan, 3.0, 4.0, 5.0, 6.0]),
      "non-finite eigenvalue"),
-    ("eigsh", fake_eigenvalues([1.0, 2.0, 3.0, 4.0, 5.0, 1e20]),
-     "infinite-frequency"),
-], ids=["no-convergence", "singular-factor", "non-finite", "infinite-mode"])
-def test_sparse_failure_exit_three(monkeypatch, capsys, sparse_case, target,
-                                   replacement, message):
-    monkeypatch.setattr(scipy.sparse.linalg, target, replacement)
+    ("band", scipy.sparse.linalg, "eigsh",
+     fake_eigenvalues([1.0, 2.0, 3.0, 4.0, 5.0, 0.0]), "infinite-frequency"),
+    ("splu", scipy.sparse.linalg, "eigsh", no_convergence,
+     "shift-invert Lanczos failed"),
+    ("splu", scipy.sparse.linalg, "splu", singular_factor,
+     "K - sigma M is singular"),
+    ("splu", scipy.sparse.linalg, "eigsh",
+     fake_eigenvalues([1.0, np.nan, 3.0, 4.0, 5.0, 6.0]),
+     "non-finite eigenvalue"),
+    ("splu", scipy.sparse.linalg, "eigsh",
+     fake_eigenvalues([1.0, 2.0, 3.0, 4.0, 5.0, 1e20]), "infinite-frequency"),
+], indirect=["sparse_path"], ids=[
+    "band-not-positive-definite", "band-no-convergence", "band-non-finite",
+    "band-infinite-mode", "splu-no-convergence", "splu-singular-factor",
+    "splu-non-finite", "splu-infinite-mode"])
+def test_sparse_failure_exit_three(monkeypatch, capsys, sparse_case,
+                                   sparse_path, module, target, replacement,
+                                   message):
+    monkeypatch.setattr(module, target, replacement)
     assert main(["modal", "--case", sparse_case]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
