@@ -784,7 +784,7 @@ def run_modal(case: CaseFile) -> Report:
                 "param_per_pi2": float(per[mode]),
             })
         if analysis["mode_shapes"]:
-            samples = mode_shape_samples(mesh, reduced, spectrum.modes)
+            samples = mode_shape_samples(reduced, spectrum.modes)
             shape_entries += [
                 {"mesh": label, "mode": mode + 1, "points": points}
                 for mode, points in enumerate(samples)

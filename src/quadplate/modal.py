@@ -13,10 +13,10 @@ frames depend only on its four bilinear coefficients.  One pass,
 ``_element_geometry``, derives them for every element of a mesh, after
 accepting each element by the signs of det J at its four corners
 (``mapping.corner_jacobians``, the rule that the single-quad verbs apply
-as well).  ``assemble`` runs it once per mesh and keeps its arrays on the
-``GlobalSystem`` it returns (``apply_bcs`` carries them over), and
-``mode_shape_samples`` samples from those; only a hand-built system makes
-the sampler derive them again from the mesh.
+as well).  ``assemble`` runs it once per mesh and keeps its arrays, with
+the element connectivity, on the ``GlobalSystem`` it returns
+(``apply_bcs`` carries them over); ``mode_shape_samples`` samples from
+the system alone.
 ``assemble`` integrates the elements in chunks of ``_ASSEMBLY_CHUNK``
 (``batch_element_matrices``), transforms each chunk (``_transforms``) and
 sums it by node-pair blocks, 9 slots per unique node pair, whose slots
@@ -30,18 +30,18 @@ K and M share one canonical CSR pattern.  ``apply_bcs`` keeps the
 entries in kept rows and columns through one mask over it (the tests
 slice with scipy as its oracle).  ``solve_modes`` forms K + sM once, on
 that pattern, and factors it: densely for small systems, else for
-Lanczos, by band Cholesky where it is narrow-banded as numbered, as on
-lattice meshes (``_band_pairs``), or by sparse LU
-(``_shift_invert_pairs``).  It takes each omega^2 as a long-double
-Rayleigh quotient on long-double copies of the data arrays alone, which
-share K's and M's index arrays, one matrix-vector product per mode.
+Lanczos (one seeded ``eigsh``, ``_lanczos``), by band Cholesky where it
+is narrow-banded as numbered, as on lattice meshes (``_band_pairs``), or
+by sparse LU (``_shift_invert_pairs``).  It takes each omega^2 as a
+long-double Rayleigh quotient on long-double copies of the data arrays
+alone, which share K's and M's index arrays, one matrix-vector product
+per mode.
 
 scipy is imported inside the functions that use it (``scipy.sparse`` in
 ``assemble``, ``scipy.linalg`` in the dense branch of ``solve_modes``,
-``scipy.linalg.lapack`` and ``scipy.sparse.linalg`` in ``_band_pairs``,
-``scipy.sparse.linalg`` in ``_shift_invert_pairs``), so importing the
-package and the single-quad verbs (``sectprops``, ``mapcheck``) load no
-scipy module at all.
+``scipy.linalg.lapack`` in ``_band_pairs``, ``scipy.sparse.linalg`` in
+both sparse paths and ``_lanczos``), so importing the package and the
+single-quad verbs (``sectprops``, ``mapcheck``) load no scipy module.
 """
 
 from __future__ import annotations
@@ -123,15 +123,15 @@ class Mesh:
         return self.elements.shape[0]
 
 
-#: Systems of at most this many DOFs are solved densely (``eigh``).  Six
+#: Systems of at most this many DOFs are solved densely (``eigh``): the
+#: largest built-in mesh, so every built-in output is a dense one.  Six
 #: modes of the clamped skew quad on a 1-vCPU Xeon VM, BLAS on one
 #: thread, medians of 15 runs: dense 3.6-4.2 and splu 7.2-10.7 ms at 147
 #: DOFs, 7.7-10.2 and 8.7-12.7 ms at 243, 20-21.5 and 12.7-13.6 ms at
-#: 363; every built-in mesh has at most 216.  The band path, timed later
-#: on a 2-vCPU VM (medians of 11, dense / band / splu), is faster than
-#: dense from 243 DOFs: 3.5/3.3/6.1 ms at 147, 7.0/3.0/6.7 at 243 and
-#: 21/5.8/12 at 363.
-DENSE_MAX_DOFS = 300
+#: 363.  The band path, timed later on a 2-vCPU VM (medians of 11, dense
+#: / band / splu), is faster than dense from 243 DOFs: 3.5/3.3/6.1 ms at
+#: 147, 7.0/3.0/6.7 at 243 and 21/5.8/12 at 363.
+DENSE_MAX_DOFS = 216
 
 #: Larger systems whose K + sM has at most this half-bandwidth kd (the
 #: largest |i - j| of a stored entry, as numbered) take the band Cholesky
@@ -156,7 +156,7 @@ MAX_RESIDUAL = 1e-6
 
 def _solves_densely(n: int, count: int) -> bool:
     """Whether ``solve_modes`` takes the dense path for ``count`` modes of
-    ``n`` DOFs: small systems, and any asked for more than a tenth of
+    ``n`` DOFs: small systems, and any asked for more than a fifth of
     their modes.
 
     Lanczos slows with the count (its basis holds about 2 * count
@@ -173,11 +173,9 @@ def _solves_densely(n: int, count: int) -> bool:
 
     These systems take the band path, which is the fastest up to 0.2 n at
     all three sizes; dense overtakes it between 0.2 n and 0.25 n at 675
-    and 816.  So the count rule sends counts from 0.1 n to 0.2 n to the
-    slower path.  It stays as it was: every benchmark workload asks for
-    six modes, so none reaches it.
+    and 816.  So counts up to 0.2 n stay sparse.
     """
-    return n <= DENSE_MAX_DOFS or count > n // 10
+    return n <= DENSE_MAX_DOFS or count > n // 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,10 +186,10 @@ class GlobalSystem:
     (u, phi1, phi2), with -1 for eliminated DOFs.  ``scale`` is the
     plate's omega^2 scale D / (rho t L^4), L the diagonal of the node
     bounding box; every eigensolve shifts K by scale * M.  ``geometry`` is
-    what ``_element_geometry`` derived for the assembled mesh (bilinear
-    coefficients, subarea fractions, corner rotation blocks, collapsed
-    mask; one row per element), from which ``mode_shape_samples``
-    samples; a hand-built system leaves it None.
+    what ``_element_geometry`` derived for the assembled mesh (connectivity,
+    bilinear coefficients, subarea fractions, corner rotation blocks,
+    collapsed mask; one row per element), all that ``mode_shape_samples``
+    reads besides ``dof_map``; a hand-built system leaves it None.
 
     K and M are CSR of one shape on one canonical pattern, equal
     ``indptr`` and ``indices`` with sorted unique columns per row.
@@ -283,9 +281,9 @@ _CORNER_ROTATIONS = 3 * np.arange(4)[:, None] + np.array([1, 2])
 
 
 def _element_geometry(mesh: Mesh) -> tuple:
-    """Bilinear coefficients (m, 4, 2), subarea fractions (m, 4), corner
-    rotation blocks (m, 4, 2, 2) and collapsed-edge mask (m,) of every
-    element, once each is accepted by ``corner_jacobians``.
+    """Connectivity (m, 4), bilinear coefficients (m, 4, 2), subarea
+    fractions (m, 4), corner rotation blocks (m, 4, 2, 2) and collapsed
+    mask (m,) of every element, once each is accepted by ``corner_jacobians``.
 
     Block p maps corner p's Cartesian rotations to natural ones,
     phi1_nat = J22 phi1_c - J21 phi2_c and phi2_nat = -J12 phi1_c +
@@ -303,7 +301,7 @@ def _element_geometry(mesh: Mesh) -> tuple:
         np.stack([-cjac[..., 0, 1], cjac[..., 0, 0]], axis=-1),
     ], axis=-2)
     blocks[flat] = np.eye(2)
-    return coeffs, fractions, blocks, flat.any(axis=1)
+    return mesh.elements, coeffs, fractions, blocks, flat.any(axis=1)
 
 
 def _transforms(blocks: np.ndarray) -> np.ndarray:
@@ -430,7 +428,7 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     _validate_mesh(mesh)
     scale = _omega_scale(material, mesh.nodes)
     geometry = _element_geometry(mesh)
-    coeffs, fractions, blocks, collapsed = geometry
+    _, coeffs, fractions, blocks, collapsed = geometry
     ndof = 3 * mesh.n_nodes
     pattern = _CsrPattern.of(mesh.elements, mesh.n_nodes)
     values = np.zeros((2, pattern.indices.size))
@@ -526,7 +524,7 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     Every path solves M phi = nu (K + sM) phi with s = ``system.scale``:
     K + sM is positive definite even for a free plate, and the ``count``
     largest nu = 1/(omega^2 + s) are the smallest omega^2.  Systems of at
-    most ``DENSE_MAX_DOFS`` DOFs, or asked for more than a tenth of their
+    most ``DENSE_MAX_DOFS`` DOFs, or asked for more than a fifth of their
     modes, take that subset of a dense ``eigh``.  Larger ones whose
     K + sM has a half-bandwidth of at most ``BAND_MAX_KD`` take Lanczos
     on its band Cholesky factor (``_band_pairs``), wider ones shift-invert
@@ -662,7 +660,7 @@ def _band_pairs(pencil, m, count: int, s: float, kd: int) -> tuple:
     The lower band of K + sM goes to LAPACK band storage (row i - j of
     column j holds entry (i, j)) and ``dpbtrf`` factors it; each product
     with C is two triangular band solves (``dtbtrs``) around one product
-    with M.  The start vector is that of ``_shift_invert_pairs``.
+    with M.
     """
     import scipy.linalg.lapack
     import scipy.sparse.linalg
@@ -691,12 +689,7 @@ def _band_pairs(pencil, m, count: int, s: float, kd: int) -> tuple:
 
     c = scipy.sparse.linalg.LinearOperator((n, n), matvec=product,
                                            dtype=float)
-    try:
-        nu, y = scipy.sparse.linalg.eigsh(
-            c, count, which="LA",
-            v0=np.random.default_rng(0).standard_normal(n))
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise NumericalError(f"band Lanczos failed: {exc}") from exc
+    nu, y = _lanczos("band", c, count, which="LA")
     return nu, solve(factor, y, uplo="L", trans="T")[0]
 
 
@@ -709,9 +702,7 @@ def _shift_invert_pairs(pencil, k, m, count: int, s: float) -> tuple:
     minimum-degree ordering and diagonal pivots, its entries that cancel
     exactly dropped in place first: the ordering follows the stored
     pattern, and the recorded splu results in ``tests/data`` are those of
-    a sparse sum of K and sM, which drops them.  The start vector is
-    fixed, so runs repeat, and random, so no symmetry class of a
-    symmetric mesh is missing from it.
+    a sparse sum of K and sM, which drops them.
     """
     import scipy.sparse.linalg
 
@@ -731,18 +722,28 @@ def _shift_invert_pairs(pencil, k, m, count: int, s: float) -> tuple:
     # each M x through matmat on an (n, 1) column
     mass = scipy.sparse.linalg.LinearOperator((n, n), matvec=m.__matmul__,
                                               dtype=float)
+    omega_sq, v = _lanczos("shift-invert", k, count, mass, sigma=-s,
+                           OPinv=opinv)
+    return 1.0 / (omega_sq + s), v
+
+
+def _lanczos(kind: str, a, count: int, *args, **kwargs) -> tuple:
+    """``count`` eigenpairs of ``a`` by ``eigsh``, ARPACK's failure raised
+    as a ``NumericalError`` naming ``kind``.  The start vector is fixed, so
+    runs repeat, and random, so no symmetry class of a symmetric mesh is
+    missing from it."""
+    import scipy.sparse.linalg
+
+    start = np.random.default_rng(0).standard_normal(a.shape[0])
     # eigsh keeps its default tolerance (machine precision): asked for 12
     # modes of the free 12x12 unit square (507 DOFs) with tol=1e-10, it
     # returned one copy of the double omega 62.657263 and the next mode,
     # 79.245949, in place of the other, every residual within 7.1e-10, so
     # the residual check cannot see such a missed mode
     try:
-        omega_sq, v = scipy.sparse.linalg.eigsh(
-            k, count, mass, sigma=-s, OPinv=opinv,
-            v0=np.random.default_rng(0).standard_normal(n))
+        return scipy.sparse.linalg.eigsh(a, count, *args, v0=start, **kwargs)
     except scipy.sparse.linalg.ArpackError as exc:
-        raise NumericalError(f"shift-invert Lanczos failed: {exc}") from exc
-    return 1.0 / (omega_sq + s), v
+        raise NumericalError(f"{kind} Lanczos failed: {exc}") from exc
 
 
 def frequency_parameter(omega, a: float, material: PlateMaterial,
@@ -875,8 +876,7 @@ _SAMPLE_POINTS = fixed_points(lattice_points(np.linspace(-1.0, 1.0, 5),
                                              np.linspace(-1.0, 1.0, 5)))
 
 
-def mode_shape_samples(mesh: Mesh, system: GlobalSystem,
-                       modes: np.ndarray) -> np.ndarray:
+def mode_shape_samples(system: GlobalSystem, modes: np.ndarray) -> np.ndarray:
     """Sample mode deflections on a per-element natural grid.
 
     ``modes`` holds one constrained mode vector per column.  Returns a
@@ -886,19 +886,14 @@ def mode_shape_samples(mesh: Mesh, system: GlobalSystem,
     row.  ``Report.to_plot`` prints these arrays with every number
     byte-identical to ``'%.6e'``; ``Report.to_dict`` lists them.
 
-    The element geometry is the one ``assemble`` kept on the system, which
-    must have one row per element of ``mesh``; a system without it (built
-    by hand) has it derived from the mesh here, with the same bits.
+    The elements and their geometry are the ones ``assemble`` kept on the
+    system; a system without them (built by hand) raises
+    ``ValidationError``.
     """
-    geometry = system.geometry
-    if geometry is None:
-        geometry = _element_geometry(mesh)
-    elif len(geometry[0]) != mesh.n_elements:
-        raise ValidationError(
-            f"the system's element geometry has {len(geometry[0])} rows "
-            f"for a mesh of {mesh.n_elements} elements")
-    coeffs, fractions, blocks, _ = geometry
-    full = np.zeros((modes.shape[1], 3 * mesh.n_nodes))  # one row per mode
+    if system.geometry is None:
+        raise ValidationError("the system carries no element geometry")
+    elements, coeffs, fractions, blocks, _ = system.geometry
+    full = np.zeros((modes.shape[1], system.dof_map.size))  # one row per mode
     kept = system.dof_map.ravel()
     full[:, kept >= 0] = modes[kept[kept >= 0]].T
     t = _transforms(blocks)
@@ -908,7 +903,7 @@ def mode_shape_samples(mesh: Mesh, system: GlobalSystem,
     samples = np.empty((len(full), len(xy), 3))
     samples[:, :, :2] = xy
     for sample, vector in zip(samples, full):
-        local = t @ vector.reshape(-1, 3)[mesh.elements].reshape(-1, 12, 1)
+        local = t @ vector.reshape(-1, 3)[elements].reshape(-1, 12, 1)
         # one (1, 12) @ (12, 1) product per sample: the rounding of the
         # scalar row-by-vector dot
         sample[:, 2] = (rows[:, :, None, :] @ local[:, None]).ravel()

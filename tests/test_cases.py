@@ -605,12 +605,12 @@ class TestModalReports:
             rule = gauss_rule(3)
             reduced = apply_bcs(assemble(mesh, case.material, rule), mesh)
             modes = solve_modes(reduced, 3).modes
-            samples = mode_shape_samples(mesh, reduced, modes)
+            samples = mode_shape_samples(reduced, modes)
             assert samples.shape == (3, n_elements * 25, 3)
             for j, entry in enumerate(report.tables["mode_shapes"]):
                 assert np.array_equal(entry["points"].view(np.uint64),
                                       samples[j].view(np.uint64))
-                alone = mode_shape_samples(mesh, reduced, modes[:, [j]])[0]
+                alone = mode_shape_samples(reduced, modes[:, [j]])[0]
                 assert np.array_equal(alone.view(np.uint64),
                                       samples[j].view(np.uint64))
                 # every mode samples at the same coordinates
@@ -659,33 +659,21 @@ class TestModalReports:
         assert len(calls) == len(meshes)
         assert len({id(mesh) for mesh in calls}) == len(meshes)
 
-    @pytest.mark.parametrize("name", ["clamped-quad",
-                                      "cantilever-isosceles"])
-    def test_carried_geometry_samples_as_derived(self, name):
-        case = load_case(name)
-        _, mesh = case_meshes(case)[-1]
-        system = assemble(mesh, case.material, gauss_rule(3))
+    def test_system_without_geometry_rejected(self):
+        # apply_bcs carries assembly's elements and geometry; a hand-built
+        # system has none to sample
+        case = load_case("clamped-quad")
+        (_, mesh), *_ = case_meshes(case)
+        system = assemble(mesh, case.material)
         reduced = apply_bcs(system, mesh)
         assert reduced.geometry is system.geometry
-        modes = solve_modes(reduced, 4).modes
-        carried = mode_shape_samples(mesh, reduced, modes)
-        # a hand-built system carries no geometry; the sampler derives it
-        # from the mesh
+        assert reduced.geometry[0] is mesh.elements
         hand_built = GlobalSystem(k=reduced.k, m=reduced.m,
                                   dof_map=reduced.dof_map,
                                   scale=reduced.scale)
-        assert hand_built.geometry is None
-        derived = mode_shape_samples(mesh, hand_built, modes)
-        assert np.array_equal(carried.view(np.uint64),
-                              derived.view(np.uint64))
-
-    def test_geometry_of_another_mesh_rejected(self):
-        case = load_case("clamped-quad")
-        (_, small), *_, (_, large) = case_meshes(case)
-        reduced = apply_bcs(assemble(small, case.material), small)
-        modes = solve_modes(reduced, 1).modes
+        modes = solve_modes(hand_built, 1).modes
         with pytest.raises(ValidationError, match="element geometry"):
-            mode_shape_samples(large, reduced, modes)
+            mode_shape_samples(hand_built, modes)
 
     @pytest.mark.parametrize("rotary", [False, True],
                              ids=["default", "rotary"])

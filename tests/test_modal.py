@@ -114,7 +114,7 @@ for name, source, key, sizes in (
                     reduced = apply_bcs(system, mesh)
                     modes = solve_modes(reduced, 4).modes
                     tag["shapes"] = sha(json.dumps(
-                        mode_shape_samples(mesh, reduced, modes).tolist())
+                        mode_shape_samples(reduced, modes).tolist())
                         .encode())
 print(json.dumps(digests, indent=1, sort_keys=True))
 """
@@ -247,7 +247,7 @@ class TestAssemble:
             QuadGeometry(TIP, allow_collapsed=True)]
         mesh = Mesh(nodes=np.vstack([q.vertices for q in quads]),
                     elements=np.arange(4 * len(quads)).reshape(-1, 4))
-        coeffs, fractions, blocks, _ = _element_geometry(mesh)
+        _, coeffs, fractions, blocks, _ = _element_geometry(mesh)
         jac, det = bilinear_jacobians(coeffs, rule.tensor_points)
         t = _transforms(blocks)
         for rotary in (False, True):

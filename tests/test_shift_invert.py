@@ -35,7 +35,12 @@ from quadplate import (
     nodes_on_segment,
     solve_modes,
 )
-from quadplate.cases import builtin_case_names, case_meshes, load_case
+from quadplate.cases import (
+    builtin_case_names,
+    case_meshes,
+    load_case,
+    run_modal,
+)
 from quadplate.cli import main
 from quadplate.modal import mode_shape_samples
 from quadplate.quadrature import gauss_rule
@@ -177,10 +182,8 @@ def banded_system(kd, n=402):
 def test_dispatch_rule(monkeypatch):
     assert modal._solves_densely(modal.DENSE_MAX_DOFS, 6)
     assert not modal._solves_densely(modal.DENSE_MAX_DOFS + 1, 6)
-    assert modal._solves_densely(400, 41)
-    assert not modal._solves_densely(400, 40)
-    assert max(constrained(mesh).n_dofs for _, _, mesh in BUILTIN_MESHES) \
-        <= modal.DENSE_MAX_DOFS
+    assert modal._solves_densely(400, 81)
+    assert not modal._solves_densely(400, 80)
     # past the dense rule, K + sM of half-bandwidth BAND_MAX_KD takes the
     # band Cholesky path and one more splu
     taken = record_paths(monkeypatch)
@@ -194,6 +197,18 @@ def test_dispatch_rule(monkeypatch):
                             (CANTILEVER_QUAD, [0])):
         system = constrained(quad_mesh(vertices, 16, edges))
         assert modal._half_bandwidth(system.k) <= BAND_MAX_KD
+
+
+@pytest.mark.parametrize("rotary", [False, True], ids=["default", "rotary"])
+def test_builtin_meshes_solve_densely(monkeypatch, rotary):
+    # the dense limit is the largest built-in mesh, so every built-in
+    # output comes from the dense path
+    assert max(constrained(mesh).n_dofs for _, _, mesh in BUILTIN_MESHES) \
+        == modal.DENSE_MAX_DOFS
+    taken = record_paths(monkeypatch)
+    for name in MODAL_BUILTINS:
+        run_modal(load_case(name, overrides={"rotary": rotary}))
+    assert taken == []
 
 
 def test_scattered_numbering_takes_splu(monkeypatch):
@@ -517,7 +532,7 @@ def test_mode_shapes_match_splu_path(monkeypatch, name, source, key, size,
     for limit in (BAND_MAX_KD, -1):
         monkeypatch.setattr(modal, "BAND_MAX_KD", limit)
         modes = solve_modes(system, 4).modes
-        samples.append(mode_shape_samples(mesh, system, modes))
+        samples.append(mode_shape_samples(system, modes))
     got, want = samples
     assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
