@@ -19,9 +19,9 @@ the element connectivity, on the ``GlobalSystem`` it returns
 the system alone.
 ``assemble`` integrates the elements in chunks of ``_ASSEMBLY_CHUNK``
 (``batch_element_matrices``), transforms each chunk (``_transforms``) and
-sums it by node-pair blocks, 9 slots per unique node pair, whose slots
-are plain arithmetic on the element node pairs (``_CsrPattern``); one
-permutation then puts each matrix's sums in CSR order.  The scalar
+sums it into the 3x3 blocks of the unique node pairs, 9 slots per pair
+(``_BlockPattern``); scipy's BSR-to-CSR conversion then lays each
+matrix's block sums out in CSR, copying them.  The scalar
 element and per-element transformation of the tests (``tests/oracles.py``
 and ``tests/conftest.py``) are the reference implementation, which the
 batch matches to 1e-12 relative.
@@ -132,6 +132,12 @@ class Mesh:
 #: / band / splu), is faster than dense from 243 DOFs: 3.5/3.3/6.1 ms at
 #: 147, 7.0/3.0/6.7 at 243 and 21/5.8/12 at 363.
 DENSE_MAX_DOFS = 216
+
+#: Larger systems asked for more than a fifth of their modes, which go
+#: dense at any size, raise ``ValidationError``.  Dense ``solve_modes`` of
+#: n // 5 + 1 modes, clamped skew quad, one BLAS thread, 1-vCPU Xeon VM:
+#: 1.1 s and +93 MB peak RSS at 1587 DOFs, 5.5 s and +284 MB at 2883.
+DENSE_COUNT_MAX_DOFS = 3000
 
 #: Larger systems whose K + sM has at most this half-bandwidth kd (the
 #: largest |i - j| of a stored entry, as numbered) take the band Cholesky
@@ -320,47 +326,27 @@ _BLOCK_OFFSETS = 3 * np.arange(3)[:, None, None] + np.arange(3)
 
 
 @dataclass(frozen=True, eq=False)
-class _CsrPattern:
-    """CSR layout of the global matrices, the sorted unique (row, column)
-    entries of all element DOF blocks, and the block slot of each element
-    entry.
+class _BlockPattern:
+    """BSR layout of the global matrices in 3x3 node-pair blocks.
 
-    It is built from the 16 node pairs of each element: node pair (a, b)
-    stands for the DOF block (3a + i, 3b + j), so sorting the node pairs
-    sorts the DOF entries.  ``pairs`` (m, 4, 4) indexes each element's
-    unique node pairs u.  Entry (i, j) of pair u has block slot
-    9u + 3i + j, and ``order`` maps each block slot to its CSR position:
-    the blocks of one node row lie side by side in its three DOF rows, so
-    a slot's position is ``base[u] + i * stride[u] + j``, with the pair's
-    first position ``base`` and its row's length ``stride``.
+    Node pair (a, b) stands for the DOF block (3a + i, 3b + j).  The
+    sorted unique node pairs of all elements give the block row pointer
+    ``indptr`` and block columns ``indices``; ``pairs`` (m, 4, 4) indexes
+    each element's pairs u, and entry (i, j) of pair u has block slot
+    9u + 3i + j in the (u, 3, 3) block data.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     pairs: np.ndarray
-    order: np.ndarray
 
     @classmethod
-    def of(cls, elements: np.ndarray, n_nodes: int) -> "_CsrPattern":
+    def of(cls, elements: np.ndarray, n_nodes: int) -> "_BlockPattern":
         keys = (elements[:, :, None] * n_nodes + elements[:, None, :]).ravel()
         unique, pairs = np.unique(keys, return_inverse=True)
         rows, cols = np.divmod(unique, n_nodes)
-        start = np.searchsorted(rows, np.arange(n_nodes + 1))
-        degree = np.diff(start)
-        # node row a fills CSR positions from 9 * start[a], 3 * degree[a]
-        # per DOF row
-        base = 9 * start[rows] + 3 * (np.arange(unique.size) - start[rows])
-        stride = 3 * degree[rows]
-        block = np.arange(3)
-        order = (base[:, None, None] + stride[:, None, None] * block[:, None]
-                 + block).ravel()
-        indptr = np.append(
-            (9 * start[:-1, None] + 3 * degree[:, None] * block).ravel(),
-            9 * unique.size)
-        indices = np.empty(9 * unique.size, dtype=cols.dtype)
-        indices[order] = (3 * cols[:, None] + np.tile(block, 3)).ravel()
-        return cls(indptr, indices, pairs.reshape(elements.shape + (4,)),
-                   order)
+        return cls(np.searchsorted(rows, np.arange(n_nodes + 1)), cols,
+                   pairs.reshape(elements.shape + (4,)))
 
     def slots(self, part: slice = slice(None)) -> np.ndarray:
         """(c, 144) block slots of elements ``part``, each in the row-major
@@ -410,12 +396,12 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     are integrated together on their bilinear coefficients
     (``batch_element_matrices``), transformed to the global frame
     (``_transforms``) and summed by ``np.bincount`` into the block slots
-    of ``_CsrPattern``, in element order within a chunk; a chunk of
+    of ``_BlockPattern``, in element order within a chunk; a chunk of
     lattice elements touches a narrow band of node pairs, so each sum
-    covers that band only.  Each matrix's block sums then go to their CSR
-    positions through ``order``, one permutation: every CSR entry is the
-    sum of the same contributions in the same order as a sum straight into
-    CSR slots, to the bit.
+    covers that band only.  scipy's BSR-to-CSR conversion then copies
+    each matrix's block sums to CSR without arithmetic, so every entry is
+    the sum of the same contributions in the same order as a sum straight
+    into CSR slots, to the bit; M takes K's ``indices`` and ``indptr``.
     The system also carries the plate's omega^2 scale (``_omega_scale``,
     which first rejects magnitudes beyond the double range), from which
     ``solve_modes`` takes its shift, and the element geometry, from which
@@ -430,8 +416,8 @@ def assemble(mesh: Mesh, material: PlateMaterial,
     geometry = _element_geometry(mesh)
     _, coeffs, fractions, blocks, collapsed = geometry
     ndof = 3 * mesh.n_nodes
-    pattern = _CsrPattern.of(mesh.elements, mesh.n_nodes)
-    values = np.zeros((2, pattern.indices.size))
+    pattern = _BlockPattern.of(mesh.elements, mesh.n_nodes)
+    values = np.zeros((2, 9 * pattern.indices.size))
     for start in range(0, mesh.n_elements, _ASSEMBLY_CHUNK):
         part = slice(start, start + _ASSEMBLY_CHUNK)
         jac, det = bilinear_jacobians(coeffs[part], rule.tensor_points)
@@ -456,10 +442,10 @@ def assemble(mesh: Mesh, material: PlateMaterial,
         for total, a in zip(values, (k, m)):
             total[low:low + size] += np.bincount(
                 slots, (np.swapaxes(t, 1, 2) @ a @ t).ravel(), size)
-    data = np.empty_like(values)
-    data[:, pattern.order] = values
-    k, m = (scipy.sparse.csr_array((total, pattern.indices, pattern.indptr),
-                                   shape=(ndof, ndof)) for total in data)
+    k, m = (scipy.sparse.bsr_array(
+        (total.reshape(-1, 3, 3), pattern.indices, pattern.indptr),
+        shape=(ndof, ndof)).tocsr() for total in values)
+    m = scipy.sparse.csr_array((m.data, k.indices, k.indptr), shape=k.shape)
     dof_map = np.arange(ndof).reshape(mesh.n_nodes, 3)
     return GlobalSystem(k=k, m=m, dof_map=dof_map, scale=scale,
                         geometry=geometry)
@@ -525,10 +511,11 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
     K + sM is positive definite even for a free plate, and the ``count``
     largest nu = 1/(omega^2 + s) are the smallest omega^2.  Systems of at
     most ``DENSE_MAX_DOFS`` DOFs, or asked for more than a fifth of their
-    modes, take that subset of a dense ``eigh``.  Larger ones whose
-    K + sM has a half-bandwidth of at most ``BAND_MAX_KD`` take Lanczos
-    on its band Cholesky factor (``_band_pairs``), wider ones shift-invert
-    Lanczos on its sparse LU factor (``_shift_invert_pairs``).  All three
+    modes (up to ``DENSE_COUNT_MAX_DOFS``, else ``ValidationError``),
+    take that subset of a dense ``eigh``.  Larger ones whose K + sM has a
+    half-bandwidth of at most ``BAND_MAX_KD`` take Lanczos on its band
+    Cholesky factor (``_band_pairs``), wider ones shift-invert Lanczos on
+    its sparse LU factor (``_shift_invert_pairs``).  All three
     take the one K + sM formed here, on the pattern K and M share.  M may
     be semidefinite (consistent mass without rotary inertia has element
     rank 3); nu ~ 0 is a mode in its nullspace (infinite frequency) and an
@@ -549,6 +536,10 @@ def solve_modes(system: GlobalSystem, count: int) -> ModalSpectrum:
         raise ValidationError(f"requested {count} modes from {n} DOFs")
     if count < 0:
         raise ValidationError("mode count must be non-negative")
+    if n > DENSE_COUNT_MAX_DOFS and count > n // 5:
+        raise ValidationError(f"requested {count} modes from {n} DOFs: above "
+                              f"{DENSE_COUNT_MAX_DOFS} DOFs at most a fifth, "
+                              f"{n // 5}, are solved")
     if count == 0:
         return ModalSpectrum(
             omega=np.empty(0), modes=np.empty((n, 0)), residuals=np.empty(0)

@@ -78,9 +78,8 @@ _GAUSS_TABLE = {
 class GaussRule:
     """A one-dimensional Gauss-Legendre rule on [-1, 1], with the points
     (n*n, 2) and weights (n*n,) of its two-dimensional tensor rule in
-    ``lattice_points`` order (t1 outer), all read-only.  The tensor
-    points are a ``fixed_points`` set: build one rule per order, as
-    ``gauss_rule`` does."""
+    ``lattice_points`` order (t1 outer), all read-only.  Only the rules
+    of ``gauss_rule`` declare their tensor points ``fixed_points``."""
 
     order: int
     nodes: np.ndarray
@@ -89,16 +88,22 @@ class GaussRule:
     tensor_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        points = fixed_points(lattice_points(self.nodes, self.nodes))
+        points = lattice_points(self.nodes, self.nodes).astype(float)
         weights = np.outer(self.weights, self.weights).ravel()
-        for table in (self.nodes, self.weights, weights):
+        for table in (self.nodes, self.weights, points, weights):
             table.setflags(write=False)
         object.__setattr__(self, "tensor_points", points)
         object.__setattr__(self, "tensor_weights", weights)
 
 
-#: One rule per order, built at import.
-_RULES = {order: GaussRule(order, np.array(nodes), np.array(weights))
+def _declared_rule(order: int, nodes, weights) -> GaussRule:
+    rule = GaussRule(order, np.array(nodes), np.array(weights))
+    object.__setattr__(rule, "tensor_points", fixed_points(rule.tensor_points))
+    return rule
+
+
+#: One rule per order, built at import, its tensor points declared fixed.
+_RULES = {order: _declared_rule(order, nodes, weights)
           for order, (nodes, weights) in _GAUSS_TABLE.items()}
 
 

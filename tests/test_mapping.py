@@ -40,7 +40,8 @@ from quadplate.mapping import (
 )
 from quadplate.cases import (case_meshes, load_case, run_mapcheck, run_modal,
                              run_sectprops)
-from quadplate.quadrature import gauss_rule, polygon_section_properties
+from quadplate.quadrature import (GaussRule, gauss_rule,
+                                  polygon_section_properties)
 
 from conftest import (SECTION_QUAD, convex_quads, corner_jacobians_by_mask,
                       fd_jacobian)
@@ -853,6 +854,26 @@ class TestFixedPointTables:
         sets, tables = len(quadplate.mapping._FIXED_TABLES), _table_count()
         single_quads(range(1, 51))
         run_modal(modal_case)
+        assert len(quadplate.mapping._FIXED_TABLES) == sets
+        assert _table_count() == tables
+
+    def test_built_rules_stay_out_of_the_registry(self):
+        # only the rules gauss_rule serves are declared; a rule built by a
+        # caller has read-only points of the same values, untabulated
+        shared = [gauss_rule(order) for order in range(1, 7)]
+        for rule in shared:
+            monomial_values(PASCAL_MONOMIALS, rule.tensor_points)
+        sets, tables = len(quadplate.mapping._FIXED_TABLES), _table_count()
+        for rule in shared:
+            points = GaussRule(rule.order, rule.nodes.copy(),
+                               rule.weights.copy()).tensor_points
+            assert not points.flags.writeable
+            assert points.flags.c_contiguous and points.dtype == float
+            assert np.array_equal(points.view(np.uint64),
+                                  rule.tensor_points.view(np.uint64))
+            assert monomial_values(PASCAL_MONOMIALS, points).flags.writeable
+            assert monomial_values(PASCAL_MONOMIALS, rule.tensor_points) \
+                is monomial_values(PASCAL_MONOMIALS, rule.tensor_points)
         assert len(quadplate.mapping._FIXED_TABLES) == sets
         assert _table_count() == tables
 

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.sparse import csr_array
+from scipy.sparse import bsr_array, csr_array
 
 from quadplate import (
     BoundarySet,
@@ -42,7 +42,7 @@ from quadplate.cases import (
     run_modal,
 )
 from quadplate.mapping import bilinear_jacobians
-from quadplate.modal import _CsrPattern, _element_geometry, _transforms
+from quadplate.modal import _BlockPattern, _element_geometry, _transforms
 from quadplate.plate_element import batch_element_matrices
 
 from conftest import (
@@ -215,20 +215,54 @@ class TestAssemble:
     @pytest.mark.parametrize("mesh", PATTERN_MESHES, ids=PATTERN_IDS)
     def test_node_pattern_matches_dof_pattern(self, mesh):
         # the CSR layout from the sorted unique DOF entries of every
-        # element, and each element entry's slot in it: its block slot
-        # taken through ``order``, which fills every CSR slot exactly once
+        # element, and each element entry's slot in it: a BSR array whose
+        # data are the block slot numbers, converted to CSR, holds at each
+        # entry's CSR slot that entry's block slot
         ndof = 3 * mesh.n_nodes
         dofs = (3 * mesh.elements[:, :, None] + np.arange(3)).reshape(-1, 12)
         index = (dofs[:, :, None] * ndof + dofs[:, None, :]).ravel()
         flat, slot = np.unique(index, return_inverse=True)
         rows, cols = np.divmod(flat, ndof)
-        pattern = _CsrPattern.of(mesh.elements, mesh.n_nodes)
-        assert np.array_equal(pattern.indptr,
+        pattern = _BlockPattern.of(mesh.elements, mesh.n_nodes)
+        numbers = bsr_array(
+            (np.arange(flat.size, dtype=float).reshape(-1, 3, 3),
+             pattern.indices, pattern.indptr), shape=(ndof, ndof)).tocsr()
+        assert np.array_equal(numbers.indptr,
                               np.searchsorted(rows, np.arange(ndof + 1)))
-        assert np.array_equal(pattern.indices, cols)
-        assert np.array_equal(np.sort(pattern.order), np.arange(flat.size))
-        assert np.array_equal(pattern.order[pattern.slots()].ravel(),
-                              slot.ravel())
+        assert np.array_equal(numbers.indices, cols)
+        assert np.array_equal(np.sort(numbers.data), np.arange(flat.size))
+        assert np.array_equal(numbers.data[slot.ravel()],
+                              pattern.slots().ravel())
+        system = assemble(mesh, MAT, rule=RULE)
+        assert np.shares_memory(system.k.indices, system.m.indices)
+        assert np.shares_memory(system.k.indptr, system.m.indptr)
+
+    @pytest.mark.parametrize("chunk", [modal._ASSEMBLY_CHUNK, 5])
+    @pytest.mark.parametrize("mesh", [
+        mesh_quad([[0, 0], [1, 0], [0.7929, 0.7727], [0.2394, 0.6577]], 9, 7),
+        mesh_triangle([[0, 0], [1, 0.25], [0, 0.5]], 3),
+    ], ids=["clamped-quad-9x7", "cantilever-isosceles-level-3"])
+    def test_renumbered_nodes_assemble_to_the_same_bits(self, monkeypatch,
+                                                        mesh, chunk):
+        # every entry sums the same contributions in the same element
+        # order under any node numbering; the triangle's collapsed tips
+        # take the long-double kernel
+        monkeypatch.setattr(modal, "_ASSEMBLY_CHUNK", chunk)
+        order = np.random.default_rng(chunk).permutation(mesh.n_nodes)
+        renumbered = Mesh(nodes=mesh.nodes[order],
+                          elements=np.argsort(order)[mesh.elements])
+        want = assemble(mesh, MAT, rule=RULE, rotary=True)
+        got = assemble(renumbered, MAT, rule=RULE, rotary=True)
+        # DOF 3 * order[a] + i of the mesh is DOF 3 * a + i renumbered
+        back = np.argsort((3 * order[:, None] + np.arange(3)).ravel())
+        for a, b in ((got.k, want.k), (got.m, want.m)):
+            a = a[back][:, back]
+            a.sort_indices()
+            assert a.nnz == b.nnz
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data.view(np.uint64),
+                                  b.data.view(np.uint64))
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     @pytest.mark.parametrize("mesh", PATTERN_MESHES, ids=PATTERN_IDS)

@@ -39,8 +39,9 @@ def test_readme_quick_start_prints_documented_values():
 
 @pytest.mark.parametrize("phrase,value", [
     (r"at most (\d+) DOFs", modal.DENSE_MAX_DOFS),
-    (r"half-bandwidth of at most (\d+)", modal.BAND_MAX_KD)],
-    ids=["dense-max-dofs", "band-max-kd"])
+    (r"half-bandwidth of at most (\d+)", modal.BAND_MAX_KD),
+    (r"any of up to (\d+) DOFs", modal.DENSE_COUNT_MAX_DOFS)],
+    ids=["dense-max-dofs", "band-max-kd", "dense-count-max-dofs"])
 def test_readme_states_the_solver_limits(phrase, value):
     text = " ".join(README.read_text(encoding="utf-8").split())
     assert {int(v) for v in re.findall(phrase, text)} == {value}

@@ -28,6 +28,7 @@ from quadplate import (
     Mesh,
     NumericalError,
     PlateMaterial,
+    ValidationError,
     apply_bcs,
     assemble,
     mesh_quad,
@@ -197,6 +198,29 @@ def test_dispatch_rule(monkeypatch):
                             (CANTILEVER_QUAD, [0])):
         system = constrained(quad_mesh(vertices, 16, edges))
         assert modal._half_bandwidth(system.k) <= BAND_MAX_KD
+
+
+def test_dense_count_ceiling(monkeypatch, capsys, sparse_case):
+    # more than a fifth of the modes of a system past the ceiling is
+    # refused before any dense array exists; the ceiling is lowered so
+    # that the 363-DOF case lies past it
+    monkeypatch.setattr(modal, "DENSE_COUNT_MAX_DOFS", 362)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense array built")
+
+    monkeypatch.setattr(scipy.sparse.csr_array, "toarray", dense)
+    system = constrained(quad_mesh(CLAMPED_QUAD, 12, [0, 1, 2, 3]))
+    assert system.n_dofs == 363
+    message = "requested 73 modes from 363 DOFs: above 362 DOFs at most " \
+        "a fifth, 72, are solved"
+    with pytest.raises(ValidationError, match=message):
+        solve_modes(system, 73)
+    assert main(["modal", "--case", sparse_case, "--modes", "73"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"quadplate: invalid input: {message}\n"
+    assert len(solve_modes(system, 72).omega) == 72
 
 
 @pytest.mark.parametrize("rotary", [False, True], ids=["default", "rotary"])
