@@ -9,7 +9,6 @@ which the flexural rigidity D and rho*t*a^4 both equal one.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
@@ -20,6 +19,8 @@ import numpy as np
 
 from .errors import InvalidCaseError
 from .mapping import (
+    _BILINEAR_SHAPES,
+    _SERENDIPITY_SHAPES,
     QuadGeometry,
     SCHEME_KINDS,
     bilinear_coefficients,
@@ -234,27 +235,48 @@ def parse_case(raw: dict, overrides: dict | None = None) -> CaseFile:
             "reference_length must be positive and finite, "
             f"got {reference_length}"
         )
-    # The copy (8-17 us of a single-quad case) is also the nesting guard:
-    # a block nested beyond the recursion limit fails here, with exit 2
-    # (``test_deeply_nested_geometry_exit_two`` fails without it).
-    try:
-        geometry = copy.deepcopy(geometry)
-    except RecursionError:
-        raise InvalidCaseError("geometry block is nested too deeply") from None
-
+    # The copy is also the nesting guard: a block whose containers nest
+    # deeper than ``_GEOMETRY_DEPTH`` fails here, with exit 2, however the
+    # interpreter's recursion limit is set.
     return CaseFile(
         name=str(raw.get("name", "case")),
         material=material,
-        geometry=geometry,
+        geometry=_copy_geometry(geometry),
         analysis=analysis,
         reference_length=reference_length,
     )
 
 
+#: How deep the containers of a geometry block may nest.  The deepest
+#: valid block, an explicit mesh with boundary sets, is five deep: the
+#: geometry, ``mesh``, ``boundary_sets``, one set and its ``nodes``.  The
+#: bound is explicit so that the guard does not depend on the depth at
+#: which the interpreter runs out of stack.
+_GEOMETRY_DEPTH = 5
+_CONTAINERS = (dict, list, tuple)
+
+
+def _copy_geometry(value, depth: int = _GEOMETRY_DEPTH):
+    """A copy of the geometry block ``value`` in which every dict, list
+    and tuple is new and every other value shared (a case's values are
+    JSON scalars); containers nested more than ``depth`` deep raise
+    ``InvalidCaseError``."""
+    if depth == 0:
+        raise InvalidCaseError("geometry block is nested too deeply")
+    depth -= 1
+    if isinstance(value, dict):
+        return {key: _copy_geometry(item, depth)
+                if isinstance(item, _CONTAINERS) else item
+                for key, item in value.items()}
+    items = [_copy_geometry(item, depth)
+             if isinstance(item, _CONTAINERS) else item for item in value]
+    return items if isinstance(value, list) else tuple(items)
+
+
 def _known_keys(block: dict, known, what: str):
-    unknown = sorted(set(block) - set(known))
+    unknown = block.keys() - known
     if unknown:
-        raise InvalidCaseError(f"unknown {what} keys {unknown}")
+        raise InvalidCaseError(f"unknown {what} keys {sorted(unknown)}")
 
 
 def _integer(value, what: str) -> int:
@@ -486,8 +508,10 @@ def _json_text(value, indent: str = "\n") -> str:
     other key or value raises ``TypeError``.  ``indent`` is the newline
     and indentation that precede the lines of ``value``'s level.
 
-    List and dict items that are finite floats of exactly that type, most
-    of a report, are written inline, without a call of their own.
+    List and dict items that are finite floats, strings or integers of
+    exactly that type, every leaf of a report but its bools and ``None``,
+    are written inline, without a call of their own; bools, ``None``,
+    subclasses and non-finite floats take the tests above.
     """
     if isinstance(value, str):
         return _json_string(value)
@@ -512,7 +536,9 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         items = [float.__repr__(item) if type(item) is float
-                 and _isfinite(item) else _json_text(item, inner)
+                 and _isfinite(item) else _json_string(item)
+                 if type(item) is str else int.__repr__(item)
+                 if type(item) is int else _json_text(item, inner)
                  for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
@@ -523,7 +549,9 @@ def _json_text(value, indent: str = "\n") -> str:
             item = value[key]
             items.append(_json_string(key) + ": " + (
                 float.__repr__(item) if type(item) is float
-                and _isfinite(item) else _json_text(item, inner)))
+                and _isfinite(item) else _json_string(item)
+                if type(item) is str else int.__repr__(item)
+                if type(item) is int else _json_text(item, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(value).__name__} "
                     "is not JSON serializable")
@@ -695,6 +723,24 @@ _MAPCHECK_GRID = fixed_points(lattice_points(np.linspace(-1.0, 1.0, 9),
                                              np.linspace(-1.0, 1.0, 9)))
 
 
+def _shape_residuals(shapes) -> tuple:
+    """The largest partition-of-unity and Kronecker residuals of a shape
+    function set: its coefficients summed over the nodes against the
+    constant monomial, and its functions at its own nodes against the
+    identity."""
+    coeffs = shapes.coeffs
+    unity = coeffs.sum(axis=0)
+    unity[0] -= 1.0
+    kron = shapes.evaluate(shapes.nodes) - np.eye(coeffs.shape[0])
+    return float(np.abs(unity).max()), float(np.abs(kron).max())
+
+
+#: ``_shape_residuals`` of the two shape sets that never change, the
+#: bilinear one (also pascal6's fallback) and the serendipity one.
+_FIXED_RESIDUALS = {shapes: _shape_residuals(shapes)
+                    for shapes in (_BILINEAR_SHAPES, _SERENDIPITY_SHAPES)}
+
+
 def run_mapcheck(case: CaseFile) -> Report:
     """Pole data, shape-function residuals and scheme-vs-bilinear map
     deviation for a single quad (regular, see ``_single_quad``)."""
@@ -706,17 +752,15 @@ def run_mapcheck(case: CaseFile) -> Report:
 
     schemes = {}
     for kind, scheme in built.items():
-        coeffs = scheme.shapes.coeffs
-        unity = coeffs.sum(axis=0)
-        unity[0] -= 1.0
-        kron = scheme.shapes.evaluate(scheme.shapes.nodes) \
-            - np.eye(coeffs.shape[0])
+        residuals = _FIXED_RESIDUALS.get(scheme.shapes)
+        if residuals is None:
+            residuals = _shape_residuals(scheme.shapes)
         # the bilinear map is the reference itself
         deviation = 0.0 if scheme is bilinear else float(distance(
             scheme.params.point(_MAPCHECK_GRID), reference).max())
         entry = {
-            "partition_of_unity_residual": float(np.abs(unity).max()),
-            "kronecker_residual": float(np.abs(kron).max()),
+            "partition_of_unity_residual": residuals[0],
+            "kronecker_residual": residuals[1],
             "max_map_deviation": deviation,
             "max_map_deviation_relative": deviation / quad.diameter,
             "fallback": scheme.fallback,

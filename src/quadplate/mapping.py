@@ -69,20 +69,31 @@ def _tables_of(theta):
 
 
 def _tabulated(evaluate):
-    """``evaluate(exponents, theta)``, its result for a ``fixed_points``
-    array computed on the first call and returned read-only after it."""
+    """``evaluate(exponents, theta)``, with ``exponents`` passed on as a
+    tuple of (e1, e2) tuples; its result for a ``fixed_points`` array
+    computed on the first call and returned read-only after it."""
     @functools.wraps(evaluate)
     def lookup(exponents, theta):
+        exponents = tuple(map(tuple, exponents))
         tables = _tables_of(theta)
         if tables is None:
             return evaluate(exponents, theta)
-        key = (evaluate, tuple(map(tuple, exponents)))
+        key = (evaluate, exponents)
         table = tables.get(key)
         if table is None:
             table = tables[key] = evaluate(exponents, theta)
             table.setflags(write=False)
         return table
     return lookup
+
+
+@functools.cache
+def _basis(exponents: tuple) -> tuple:
+    """The exponent array (n_terms, 2), read-only, and the largest
+    exponent of the basis ``exponents``, built once per basis."""
+    e = np.array(exponents, dtype=int).reshape(-1, 2)
+    e.setflags(write=False)
+    return e, int(e.max(initial=0))
 
 
 #: Natural coordinates of the four corner nodes, counterclockwise.
@@ -133,8 +144,8 @@ def monomial_values(exponents, theta) -> np.ndarray:
     the subarea fractions) the table is computed once and shared,
     read-only."""
     t = np.asarray(theta, dtype=float)
-    e = np.array(exponents, dtype=int).reshape(-1, 2)
-    powers = _powers(t, int(e.max(initial=0)))
+    e, top = _basis(exponents)
+    powers = _powers(t, top)
     out = np.empty(t.shape[:-1] + (len(e),))
     return np.multiply(powers[..., e[:, 0], 0], powers[..., e[:, 1], 1],
                        out=out)
@@ -148,8 +159,8 @@ def monomial_gradients(exponents, theta) -> np.ndarray:
     Computed once and shared, read-only, for the declared fixed sets that
     ``monomial_values`` names."""
     t = np.asarray(theta, dtype=float)
-    e = np.array(exponents, dtype=int).reshape(-1, 2)
-    powers = _powers(t, int(e.max(initial=0)))
+    e, top = _basis(exponents)
+    powers = _powers(t, top)
     out = np.zeros(t.shape[:-1] + (len(e), 2))
     for axis in (0, 1):
         q = np.flatnonzero(e[:, axis])
@@ -428,8 +439,9 @@ def bilinear_jacobians(coeffs: np.ndarray, points) -> tuple:
     the natural points; returns ``(matrix, det)`` of shapes (m, n, 2, 2)
     and (m, n), ``matrix[e, k, a, i]`` being d x_i / d theta_a.
     """
-    matrix = GeneralizedParams(BILINEAR_MONOMIALS, coeffs[:, None]) \
-        .gradient(points)
+    # ``GeneralizedParams.gradient``'s product, without the read-only copy
+    matrix = monomial_gradients(BILINEAR_MONOMIALS, points) \
+        .swapaxes(-1, -2) @ coeffs[:, None]
     return matrix, det2(matrix)
 
 
@@ -480,43 +492,19 @@ def compute_poles_cartesian(quad: QuadGeometry) -> PoleSet:
                    parallel_flags=(p5_xy is None, p6_xy is None))
 
 
-def _line_intersection(a, b, c, d):
-    """Intersection point = a + t (b - a) = c + s (d - c) of the lines
-    through (a, b) and (c, d) as ``(point, t, s)``; ``None`` if parallel.
-
-    t and s are correctly rounded: the determinants are exact in integer
-    multiples of the finest power-of-two unit among the coordinates (in
-    doubles, t of a pole 1e5 diameters out is 1e-11 off, relative)."""
-    u = b - a
-    w = d - c
-    (ux, uy), (wx, wy) = u.tolist(), w.tolist()
-    # np.linalg.norm of a vector is sqrt(x.dot(x)), bit for bit.  The
-    # norms stay on numpy's dot, as in ``distance``: OpenBLAS ddot
-    # differs from x*x + y*y in the last bit on about 16% of random
-    # 2-vectors.
-    if abs(ux * wy - uy * wx) <= \
-            1e-12 * math.sqrt(u.dot(u)) * math.sqrt(w.dot(w)):
-        return None
-    coords = [*a.tolist(), *b.tolist(), *c.tolist(), *d.tolist()]
-    ratios = [x.as_integer_ratio() for x in coords]
-    unit = max(den for _, den in ratios)
-    ax, ay, bx, by, cx, cy, dx, dy = (n * (unit // den) for n, den in ratios)
-    iux, iuy, iwx, iwy = bx - ax, by - ay, dx - cx, dy - cy
-    rx, ry = cx - ax, cy - ay
-    cross = iux * iwy - iuy * iwx
-    t = (rx * iwy - ry * iwx) / cross
-    s = (rx * iuy - ry * iux) / cross
-    # ``a + t * u`` in Python floats, the bits of numpy's; past the
-    # parallel test |t u| < 1e12 |c - a|, far from overflow
-    point = np.array([coords[0] + t * ux, coords[1] + t * uy])
-    point.setflags(write=False)
-    return point, t, s
-
-
 def _pole_lines(quad: QuadGeometry) -> tuple:
     """``(point, roots)`` of p5, where the lines of edges (1)(2) and (3)(4)
     meet, and of p6, where the lines of (2)(3) and (4)(1) meet; ``None``
-    for a parallel pair.
+    for a parallel pair, whose edge vectors u and w have
+    |u x w| <= 1e-12 |u| |w|.
+
+    The lines are a + t u and c + s w, a and c the first vertices of the
+    two edges.  t and s are correctly rounded: the determinants are exact
+    in integer multiples of the finest power-of-two unit among the
+    coordinates (in doubles, t of a pole 1e5 diameters out is 1e-11 off,
+    relative).  The point is a + t u in Python floats, the bits of
+    numpy's; past the parallel test |t u| < 1e12 |c - a|, far from
+    overflow.
 
     ``roots`` (2, 2) are the pole's natural coordinates under the bilinear
     map (which the pascal6 transformation equals for straight edges).
@@ -526,15 +514,36 @@ def _pole_lines(quad: QuadGeometry) -> tuple:
     the roots (1, 2t - 1) and (-1, 1 - 2s).
     """
     v = quad.vertices
-    p5 = _line_intersection(v[0], v[1], v[2], v[3])
-    p6 = _line_intersection(v[1], v[2], v[3], v[0])
-    if p5 is not None:
-        point, t, s = p5
-        p5 = point, np.array([[2.0 * t - 1.0, -1.0], [1.0 - 2.0 * s, 1.0]])
-    if p6 is not None:
-        point, t, s = p6
-        p6 = point, np.array([[1.0, 2.0 * t - 1.0], [-1.0, 1.0 - 2.0 * s]])
-    return p5, p6
+    following = v[NEXT_CORNER]
+    coords = v.tolist()
+    edges = (following - v).tolist()  # edge k runs from vertex k to k + 1
+    # |u| and |w| on numpy's dot, as in ``distance``: OpenBLAS ddot
+    # differs from x*x + y*y in the last bit on about 16% of random
+    # 2-vectors
+    lengths = distance(following, v).tolist()
+    ratios = [[x.as_integer_ratio() for x in row] for row in coords]
+    unit = max(den for row in ratios for _, den in row)
+    exact = [[n * (unit // den) for n, den in row] for row in ratios]
+    lines = []
+    for p in (0, 1):  # p5 from edges 0 and 2, p6 from edges 1 and 3
+        q = p + 2
+        (ux, uy), (wx, wy) = edges[p], edges[q]
+        if abs(ux * wy - uy * wx) <= 1e-12 * lengths[p] * lengths[q]:
+            lines.append(None)
+            continue
+        (ax, ay), (bx, by) = exact[p], exact[p + 1]
+        (cx, cy), (dx, dy) = exact[q], exact[(q + 1) % 4]
+        iux, iuy, iwx, iwy = bx - ax, by - ay, dx - cx, dy - cy
+        rx, ry = cx - ax, cy - ay
+        cross = iux * iwy - iuy * iwx
+        t = (rx * iwy - ry * iwx) / cross
+        s = (rx * iuy - ry * iux) / cross
+        point = np.array([coords[p][0] + t * ux, coords[p][1] + t * uy])
+        point.setflags(write=False)
+        roots = ([[2.0 * t - 1.0, -1.0], [1.0 - 2.0 * s, 1.0]] if p == 0 else
+                 [[1.0, 2.0 * t - 1.0], [-1.0, 1.0 - 2.0 * s]])
+        lines.append((point, np.array(roots)))
+    return tuple(lines)
 
 
 def _nearest_roots(roots: np.ndarray, guess=None) -> np.ndarray:
@@ -542,15 +551,18 @@ def _nearest_roots(roots: np.ndarray, guess=None) -> np.ndarray:
     nearest ``guess``, by default the element center; shape (p, 2).
 
     Raises ``ValidationError`` for a guess that is not finite or whose
-    distances to a pole's roots overflow.
+    distances to a pole's roots overflow.  The roots are finite, so a gap
+    is nan only where the guess is, and then both gaps of a pole are.
     """
     guess = np.zeros(2) if guess is None else np.asarray(guess, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = distance(roots, guess)
-    if not np.isfinite(gaps).any(axis=1).all():
+        gaps = distance(roots, guess).tolist()
+    if not all(math.isfinite(g0) or math.isfinite(g1) for g0, g1 in gaps):
         raise ValidationError(f"pole guess {guess.tolist()} is not finite "
                               "or beyond the floating-point range")
-    return roots[np.arange(len(roots)), np.argmin(gaps, axis=1)]
+    # the first of equal gaps, as np.argmin picks it
+    return np.array([pair[g1 < g0]
+                     for pair, (g0, g1) in zip(roots.tolist(), gaps)])
 
 
 def solve_pole_natural(quad: QuadGeometry, pole_xy, guess=None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import enum
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadplate.cases
+import quadplate.mapping
 import quadplate.modal
 from quadplate import GlobalSystem, InvalidCaseError, ValidationError
 from quadplate.cases import (
@@ -27,6 +29,7 @@ from quadplate.cases import (
     case_meshes,
     emit,
     load_case,
+    parse_case,
     run_mapcheck,
     run_modal,
     run_sectprops,
@@ -172,6 +175,68 @@ class TestCaseLoading:
         assert first.geometry == again.geometry
 
 
+def _nested_geometry(depth: int) -> dict:
+    """A quad geometry block whose containers nest ``depth`` deep, the
+    block itself counted: its vertices are lists nested depth - 2 deep."""
+    vertices = []
+    for _ in range(depth - 3):
+        vertices = [vertices]
+    return {"quad": {"vertices": vertices}}
+
+
+class TestCaseCopy:
+    """``parse_case`` keeps its own copy of the geometry block, and rejects
+    a block nested deeper than any valid one."""
+
+    MATERIAL = {"E": 1.0, "nu": 0.3, "t": 1.0, "rho": 1.0}
+
+    def test_caller_mutation_leaves_the_case_unchanged(self):
+        geometry = {"quad": {"vertices": ([0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                          [0.0, 1.0]),
+                             "meshes": [[2, 2]], "clamped_edges": [0]}}
+        before = copy.deepcopy(geometry)
+        case = parse_case({"material": self.MATERIAL, "geometry": geometry})
+        geometry["quad"]["vertices"][0][0] = 9.0  # a list inside a tuple
+        geometry["quad"]["meshes"][0][1] = 7  # a nested list
+        geometry["quad"]["clamped_edges"].append(1)
+        geometry["quad"]["ss_edges"] = [2]
+        assert case.geometry == before
+        assert type(case.geometry["quad"]["vertices"]) is tuple
+
+    def test_depth_bound(self):
+        bound = quadplate.cases._GEOMETRY_DEPTH
+        assert bound == 5
+        parse_case({"material": self.MATERIAL,
+                    "geometry": _nested_geometry(bound)})
+        with pytest.raises(InvalidCaseError,
+                           match="geometry block is nested too deeply"):
+            parse_case({"material": self.MATERIAL,
+                        "geometry": _nested_geometry(bound + 1)})
+
+    def test_deepest_valid_block_is_at_the_bound(self):
+        # geometry, mesh, boundary_sets, one set and its nodes
+        mesh = {"nodes": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                "elements": [[0, 1, 2, 3]],
+                "boundary_sets": {"edge": {"condition": "clamped",
+                                           "nodes": [0, 1]}}}
+        case = parse_case({"material": self.MATERIAL,
+                           "geometry": {"mesh": mesh}})
+        [(_, built)] = case_meshes(case)
+        assert built.boundary_sets["edge"].nodes == (0, 1)
+        mesh["boundary_sets"]["edge"]["nodes"] = [[0], 1]
+        with pytest.raises(InvalidCaseError, match="nested too deeply"):
+            parse_case({"material": self.MATERIAL,
+                        "geometry": {"mesh": mesh}})
+
+    def test_very_deep_block_raises_invalid_case(self):
+        vertices = []
+        for _ in range(10_000):
+            vertices = [vertices]
+        with pytest.raises(InvalidCaseError, match="nested too deeply"):
+            parse_case({"material": self.MATERIAL,
+                        "geometry": {"quad": {"vertices": vertices}}})
+
+
 class TestSectprops:
     def test_paper_quad_all_schemes(self):
         report = run_sectprops(load_case("paper-quad"))
@@ -250,6 +315,44 @@ class TestMapcheck:
         poles = report.tables["poles"]
         assert poles["parallel_flags"] == [True, False]
         assert report.tables["schemes"]["pascal6"]["fallback"] is True
+
+    def test_fixed_residuals_are_a_fresh_computation(self):
+        fixed = quadplate.cases._FIXED_RESIDUALS
+        shape_sets = (quadplate.mapping._BILINEAR_SHAPES,
+                      quadplate.mapping._SERENDIPITY_SHAPES)
+        assert set(fixed) == set(shape_sets)
+        for shapes in shape_sets:
+            unity = shapes.coeffs.sum(axis=0)
+            unity[0] -= 1.0
+            # on a copy of the nodes, outside the shared monomial tables
+            kron = shapes.evaluate(np.array(shapes.nodes)) \
+                - np.eye(shapes.coeffs.shape[0])
+            assert fixed[shapes] == (float(np.abs(unity).max()),
+                                     float(np.abs(kron).max()))
+
+    @pytest.mark.parametrize("vertices", [
+        [[0, 0], [4, 0], [3, 1], [1, 1]], [[0, 0], [2, 0], [3, 1], [1, 1]]],
+        ids=["trapezoid", "parallelogram"])
+    def test_fallback_reports_the_bilinear_residuals(self, vertices):
+        # pascal6 falls back to the bilinear shape set: 0.0 and 0.0, as
+        # recorded before the fixed sets' residuals became constants
+        case = parse_case({"material": TestCaseCopy.MATERIAL,
+                           "geometry": {"quad": {"vertices": vertices}}})
+        with pytest.warns(UserWarning, match="falls back"):
+            schemes = run_mapcheck(case).tables["schemes"]
+        assert schemes["pascal6"]["fallback"] is True
+        for entry in schemes.values():
+            assert entry["partition_of_unity_residual"] == 0.0
+            assert entry["kronecker_residual"] == 0.0
+
+    def test_pascal6_residuals_stay_per_quad(self):
+        # recorded before the fixed sets' residuals became constants
+        case = parse_case({"material": TestCaseCopy.MATERIAL,
+                           "geometry": {"quad": {"vertices": [
+                               [0, 0], [2, 0], [2.5, 1], [0.5, 1.2]]}}})
+        pascal = run_mapcheck(case).tables["schemes"]["pascal6"]
+        assert pascal["partition_of_unity_residual"] == 3.5058107486276136e-17
+        assert pascal["kronecker_residual"] == 1.7763568394002505e-15
 
     def test_parallelogram_reports_both_flags(self):
         case = load_case("paper-quad")
@@ -386,16 +489,30 @@ class TestPlotNumbers:
             "%.6e" % v + separator for v in values.tolist())
 
 
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2 ** 70
+
+
+class _Text(str):
+    pass
+
+
 #: JSON documents with the values that print in more than one way: signed
 #: zeros, subnormals, the ends of the double range, nan and inf, integers
 #: beyond 64 bits, bools, tuples, empty containers at every depth, and
-#: strings (keys too) with non-ASCII and control characters.
+#: strings (keys too) with non-ASCII and control characters.  Subclasses
+#: of int and str, and bools and None as list items and dict values, take
+#: the writer's recursive path beside the exact types it writes inline.
 _JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(-2 ** 200, 2 ** 200),
     st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.8e308,
                                   -1.8e308, math.nan, math.inf, -math.inf]),
     st.text(), st.sampled_from(["", "\x00\t\n\x1f\x7f", "é ü",
                                 "\u2028\U0001f600", '"\\/']),
+    st.sampled_from(list(_Level)), st.text().map(_Text),
+    st.just([True, None, 1, False, "a", 0.5]),
+    st.just({"t": True, "n": None, "i": 0, "f": False, "s": "", "x": 1.0}),
     st.just([]), st.just(()), st.just({}))
 _JSON_DOCUMENTS = st.recursive(
     _JSON_LEAVES,

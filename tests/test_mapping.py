@@ -621,16 +621,29 @@ class TestIndexShiftsAndNorms:
 
     def test_poles_match_numpy_forms(self):
         # the pole point in Python floats and both poles' roots from one
-        # distance call give the bits of the array forms they replaced
+        # distance call give the bits of the array forms they replaced;
+        # t and s are the exact line parameters, correctly rounded
         quads = convex_quads(100, seed=30) + [
             QuadGeometry([[0, 0], [2, 0], [1.5, 1], [0.5, 1 + eps]])
             for eps in (1e-3, 1e-6, 1e-9, 1e-12)]
         for quad in quads:
             v = quad.vertices
-            for a, b, c, d in ((v[0], v[1], v[2], v[3]),
-                               (v[1], v[2], v[3], v[0])):
-                point, t, _ = quadplate.mapping._line_intersection(a, b, c, d)
+            lines = quadplate.mapping._pole_lines(quad)
+            for pole, (a, b, c, d) in enumerate(((v[0], v[1], v[2], v[3]),
+                                                 (v[1], v[2], v[3], v[0]))):
+                (ax, ay), (bx, by), (cx, cy), (dx, dy) = (
+                    map(Fraction, p.tolist()) for p in (a, b, c, d))
+                cross = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
+                t = float(((cx - ax) * (dy - cy) - (cy - ay) * (dx - cx))
+                          / cross)
+                s = float(((cx - ax) * (by - ay) - (cy - ay) * (bx - ax))
+                          / cross)
+                point, roots = lines[pole]
                 assert point.tobytes() == (a + t * (b - a)).tobytes()
+                want = ([[2.0 * t - 1.0, -1.0], [1.0 - 2.0 * s, 1.0]]
+                        if pole == 0 else
+                        [[1.0, 2.0 * t - 1.0], [-1.0, 1.0 - 2.0 * s]])
+                assert roots.tobytes() == np.array(want).tobytes()
             poles = compute_poles_cartesian(quad)
             lines = quadplate.mapping._pole_lines(quad)
             for nat, (_, roots) in zip((poles.p5_nat, poles.p6_nat), lines):
@@ -644,13 +657,13 @@ class TestIndexShiftsAndNorms:
         # interpolation matrix is rejected, from 1e-13 on p5 is parallel
         quad = QuadGeometry([[0, 0], [2, 0], [1.5, 1], [0.5, 1 + eps]])
         v = quad.vertices
-        for a, b, c, d in ((v[0], v[1], v[2], v[3]),
-                           (v[1], v[2], v[3], v[0])):
+        lines = quadplate.mapping._pole_lines(quad)
+        for line, (a, b, c, d) in zip(lines, ((v[0], v[1], v[2], v[3]),
+                                              (v[1], v[2], v[3], v[0]))):
             u, w = b - a, d - c
             parallel = abs(det2(np.array([u, w]))) \
                 <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(w)
-            assert (quadplate.mapping._line_intersection(a, b, c, d)
-                    is None) == parallel
+            assert (line is None) == parallel
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             scheme = build_scheme(quad, "pascal6")

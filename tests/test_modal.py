@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -1089,3 +1090,116 @@ class TestMeshConvergence:
         assert 2.2 <= order <= 2.7
         richardson = fine - (middle - fine) / (2.0 ** order - 1.0)
         assert richardson == pytest.approx(0.5200094, abs=1e-7)
+
+
+#: Material of the invariance test: E = 1, nu = 0.3, t = rho = 1.
+UNIT_MAT = PlateMaterial(E=1.0, nu=0.3, t=1.0, rho=1.0)
+
+
+def clamp_edges(mesh, edges):
+    mesh.boundary_sets.update(
+        (f"clamped-edge-{edge}", BoundarySet("clamped", mesh.edges[edge]))
+        for edge in edges)
+    return mesh
+
+
+def invariance_omega(mesh):
+    """Six omegas of ``mesh`` on the dense path."""
+    reduced = apply_bcs(assemble(mesh, UNIT_MAT, rule=RULE), mesh)
+    assert reduced.n_dofs <= modal.DENSE_MAX_DOFS
+    return solve_modes(reduced, 6).omega
+
+
+def remade(mesh, nodes=None, elements=None, order=None):
+    """``mesh`` with new node coordinates or corner lists; with ``order``,
+    its node ``order[b]`` renumbered to ``b``."""
+    nodes = mesh.nodes if nodes is None else nodes
+    elements = mesh.elements if elements is None else elements
+    sets = dict(mesh.boundary_sets)
+    if order is not None:
+        new = np.argsort(order)
+        nodes, elements = nodes[order], new[elements]
+        sets = {name: BoundarySet(entry.condition,
+                                  new[list(entry.nodes)].tolist())
+                for name, entry in sets.items()}
+    return Mesh(nodes=nodes, elements=elements, boundary_sets=sets)
+
+
+def rotated(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return lambda mesh, rng: remade(
+        mesh, nodes=mesh.nodes @ np.array([[c, s], [-s, c]]))
+
+
+def rolled_corners(mesh, rng):
+    # element e's corner list starts 1 + e % 3 corners later, so that
+    # neighbours roll by different amounts
+    shift = 1 + np.arange(mesh.n_elements) % 3
+    return remade(mesh, elements=mesh.elements[
+        np.arange(mesh.n_elements)[:, None],
+        (np.arange(4) + shift[:, None]) % 4])
+
+
+INVARIANCE_TRANSFORMS = {
+    "rotate-0.3": rotated(0.3),
+    "rotate-1.0": rotated(1.0),
+    "rotate-pi/2": rotated(np.pi / 2),
+    "rotate-2.5": rotated(2.5),
+    "translate": lambda mesh, rng: remade(mesh,
+                                          nodes=mesh.nodes + [1e3, -2e3]),
+    "renumber": lambda mesh, rng: remade(
+        mesh, order=rng.permutation(mesh.n_nodes)),
+    "roll-corners": rolled_corners,
+}
+
+#: Each mesh, and the largest relative change of its omegas that a
+#: transform may cause: ten times the largest measured over the seven
+#: transforms, with BLAS on one thread and on two (the quads 1.2e-12, the
+#: cantilever quad rotated by pi/2; the triangle 4.1e-9, rotated by 0.3).
+#: The triangle's tip is free; with an edge through the tip clamped
+#: instead, its largest change was 4.8e-13.
+INVARIANCE_MESHES = {
+    "clamped-skew-quad-8x8": (lambda: clamp_edges(mesh_quad(
+        [[0, 0], [1, 0], [0.7929, 0.7727], [0.2394, 0.6577]], 8, 8),
+        [0, 1, 2, 3]), 1.2e-11),
+    "cantilever-quad-8x8": (lambda: clamp_edges(mesh_quad(
+        [[0, 0], [1, 0], [1, 1], [0.433, 0.75]], 8, 8), [0]), 1.2e-11),
+    "cantilever-isosceles-level-3": (lambda: clamp_edges(mesh_triangle(
+        [[0, 0], [1, 0.25], [0, 0.5]], 3), [2]), 4.1e-8),
+}
+
+
+def _invariance_cases():
+    for mesh in INVARIANCE_MESHES:
+        for transform in INVARIANCE_TRANSFORMS:
+            marks = ()
+            if (mesh, transform) == ("cantilever-isosceles-level-3",
+                                     "roll-corners"):
+                marks = pytest.mark.xfail(strict=True, reason=(
+                    "a free collapsed tip keeps each element's natural-frame "
+                    "rotations: tip elements whose corners roll by "
+                    "different amounts share inconsistent DOFs (omega "
+                    "moves by about 9%; CHANGES.md FOUND)"))
+            yield pytest.param(mesh, transform, marks=marks,
+                               id=f"{mesh}-{transform}")
+
+
+class TestMetamorphicInvariance:
+    """Moving a plate rigidly, renumbering its nodes or starting each
+    element's corner list elsewhere leaves its frequencies unchanged, up
+    to rounding (dense path)."""
+
+    @staticmethod
+    @functools.cache
+    def base_omega(name):
+        make, _ = INVARIANCE_MESHES[name]
+        return invariance_omega(make())
+
+    @pytest.mark.parametrize("name, transform", _invariance_cases())
+    def test_omega_unchanged(self, name, transform):
+        make, bound = INVARIANCE_MESHES[name]
+        rng = np.random.default_rng(18)
+        moved = INVARIANCE_TRANSFORMS[transform](make(), rng)
+        base = self.base_omega(name)
+        change = np.abs(invariance_omega(moved) - base) / base
+        assert change.max() <= bound, change
