@@ -103,6 +103,11 @@ class Mesh:
     A generated mesh lists in ``edges`` the sorted node ids on each edge
     of its polygon, edge e running from given vertex e to e + 1; an
     explicit mesh has none.
+
+    A collapsed-edge (triangle) element lists its tip node twice, at
+    adjacent corners.  Whatever corner its list starts at, it is read
+    rolled so that the tip sits at corners 1 and 2, as ``mesh_triangle``
+    generates it; ``elements`` itself is left as given.
     """
 
     nodes: np.ndarray
@@ -192,10 +197,11 @@ class GlobalSystem:
     (u, phi1, phi2), with -1 for eliminated DOFs.  ``scale`` is the
     plate's omega^2 scale D / (rho t L^4), L the diagonal of the node
     bounding box; every eigensolve shifts K by scale * M.  ``geometry`` is
-    what ``_element_geometry`` derived for the assembled mesh (connectivity,
-    bilinear coefficients, subarea fractions, corner rotation blocks,
-    collapsed mask; one row per element), all that ``mode_shape_samples``
-    reads besides ``dof_map``; a hand-built system leaves it None.
+    what ``_element_geometry`` derived for the assembled mesh (connectivity
+    as ``_validate_mesh`` orders it, bilinear coefficients, subarea
+    fractions, corner rotation blocks, collapsed mask; one row per
+    element), all that ``mode_shape_samples`` reads besides ``dof_map``; a
+    hand-built system leaves it None.
 
     K and M are CSR of one shape on one canonical pattern, equal
     ``indptr`` and ``indices`` with sorted unique columns per row.
@@ -232,7 +238,18 @@ class ModalSpectrum:
     residuals: np.ndarray
 
 
-def _validate_mesh(mesh: Mesh):
+def _validate_mesh(mesh: Mesh) -> np.ndarray:
+    """Accept ``mesh`` or raise ``DegenerateGeometryError``; return its
+    connectivity with each collapsed (triangle-tip) element's corner list
+    rolled so that the repeated node sits at corners 1 and 2, the order
+    ``mesh_triangle`` generates.
+
+    A tip keeps its element's natural-frame rotation DOFs
+    (``_element_geometry``), so the corner at which a list starts would
+    otherwise decide what a free tip's rotations mean.  ``mesh.elements``
+    itself comes back when no element needs a roll; the mesh is never
+    changed.
+    """
     if mesh.nodes.ndim != 2 or mesh.nodes.shape[1] != 2:
         raise DegenerateGeometryError("mesh nodes must be an (n, 2) array")
     if mesh.elements.ndim != 2 or mesh.elements.shape[1] != 4:
@@ -246,11 +263,12 @@ def _validate_mesh(mesh: Mesh):
     if np.any(conn < 0) or np.any(conn >= n):
         raise DegenerateGeometryError("element references a missing node")
     following = conn[:, NEXT_CORNER]
+    collapsed_edges = conn == following
     distinct = 1 + np.count_nonzero(np.diff(np.sort(conn, axis=1)), axis=1)
     # a collapsed-edge (triangle) element is allowed only when the
     # repeated node is adjacent in the cycle
     non_adjacent = (distinct == 3) & (
-        np.count_nonzero(conn == following, axis=1) != 1)
+        np.count_nonzero(collapsed_edges, axis=1) != 1)
     area2 = twice_signed_area(mesh.nodes[conn])
     # each directed edge that an earlier one (in element, then cycle
     # order) already traversed; collapsed edges are skipped
@@ -258,7 +276,7 @@ def _validate_mesh(mesh: Mesh):
     _, first, inverse = np.unique(keys, return_index=True,
                                   return_inverse=True)
     repeated = (first[inverse] != np.arange(keys.size)) & \
-        (conn != following).ravel()
+        ~collapsed_edges.ravel()
     flags = (distinct < 3, non_adjacent, area2 <= 0.0,
              repeated.reshape(conn.shape).any(axis=1))
     bad = np.flatnonzero(np.logical_or.reduce(flags))
@@ -267,7 +285,16 @@ def _validate_mesh(mesh: Mesh):
         if unused.size:
             raise DegenerateGeometryError(
                 f"node {unused[0]} belongs to no element")
-        return
+        # a collapsed element's repeated node sits at its corners start + 1
+        # and start + 2; its list is read from corner start
+        start = np.argmax(collapsed_edges, axis=1) - 1
+        rolled = np.flatnonzero((distinct == 3) & (start != 0))
+        if rolled.size == 0:
+            return conn
+        conn = conn.copy()
+        conn[rolled] = conn[rolled[:, None],
+                            (np.arange(4) + start[rolled, None]) % 4]
+        return conn
     ei = int(bad[0])
     for flag, fault in zip(flags, ("repeats nodes",
                                    "repeats a non-adjacent node",
@@ -286,10 +313,11 @@ def _validate_mesh(mesh: Mesh):
 _CORNER_ROTATIONS = 3 * np.arange(4)[:, None] + np.array([1, 2])
 
 
-def _element_geometry(mesh: Mesh) -> tuple:
-    """Connectivity (m, 4), bilinear coefficients (m, 4, 2), subarea
-    fractions (m, 4), corner rotation blocks (m, 4, 2, 2) and collapsed
-    mask (m,) of every element, once each is accepted by ``corner_jacobians``.
+def _element_geometry(nodes: np.ndarray, elements: np.ndarray) -> tuple:
+    """Connectivity ``elements`` (m, 4), bilinear coefficients (m, 4, 2),
+    subarea fractions (m, 4), corner rotation blocks (m, 4, 2, 2) and
+    collapsed mask (m,) of every element, once each is accepted by
+    ``corner_jacobians``.
 
     Block p maps corner p's Cartesian rotations to natural ones,
     phi1_nat = J22 phi1_c - J21 phi2_c and phi2_nat = -J12 phi1_c +
@@ -297,7 +325,7 @@ def _element_geometry(mesh: Mesh) -> tuple:
     collapsed corner (a triangle tip), whose natural rotations have no
     Cartesian components, so the tip keeps natural-frame rotation DOFs.
     """
-    v = mesh.nodes[mesh.elements]
+    v = nodes[elements]
     coeffs = bilinear_coefficients(v)
     cjac, flat = corner_jacobians(coeffs, pair_distances(v).max(axis=1))
     _, areas = bilinear_jacobians(coeffs, QUADRANT_CENTERS)
@@ -307,7 +335,7 @@ def _element_geometry(mesh: Mesh) -> tuple:
         np.stack([-cjac[..., 0, 1], cjac[..., 0, 0]], axis=-1),
     ], axis=-2)
     blocks[flat] = np.eye(2)
-    return mesh.elements, coeffs, fractions, blocks, flat.any(axis=1)
+    return elements, coeffs, fractions, blocks, flat.any(axis=1)
 
 
 def _transforms(blocks: np.ndarray) -> np.ndarray:
@@ -391,9 +419,10 @@ def assemble(mesh: Mesh, material: PlateMaterial,
              rotary: bool = False) -> GlobalSystem:
     """Assemble global stiffness and mass over all elements, as CSR.
 
-    Every element is accepted or rejected first, and its geometry derived
-    (``_element_geometry``).  Then ``_ASSEMBLY_CHUNK`` elements at a time
-    are integrated together on their bilinear coefficients
+    Every element is accepted or rejected first (``_validate_mesh``, which
+    also fixes the corner order of collapsed elements), and its geometry
+    derived (``_element_geometry``).  Then ``_ASSEMBLY_CHUNK`` elements at
+    a time are integrated together on their bilinear coefficients
     (``batch_element_matrices``), transformed to the global frame
     (``_transforms``) and summed by ``np.bincount`` into the block slots
     of ``_BlockPattern``, in element order within a chunk; a chunk of
@@ -411,12 +440,12 @@ def assemble(mesh: Mesh, material: PlateMaterial,
 
     if rule is None:
         rule = gauss_rule(3)
-    _validate_mesh(mesh)
+    elements = _validate_mesh(mesh)
     scale = _omega_scale(material, mesh.nodes)
-    geometry = _element_geometry(mesh)
+    geometry = _element_geometry(mesh.nodes, elements)
     _, coeffs, fractions, blocks, collapsed = geometry
     ndof = 3 * mesh.n_nodes
-    pattern = _BlockPattern.of(mesh.elements, mesh.n_nodes)
+    pattern = _BlockPattern.of(elements, mesh.n_nodes)
     values = np.zeros((2, 9 * pattern.indices.size))
     for start in range(0, mesh.n_elements, _ASSEMBLY_CHUNK):
         part = slice(start, start + _ASSEMBLY_CHUNK)

@@ -90,8 +90,6 @@ def _hermite(t: float, direction: int):
     always +1 under that direction's sign convention (phi2 = -du/dtheta1,
     phi1 = +du/dtheta2); direction 2 negates them, which is exact.
     """
-    if direction not in (1, 2):
-        raise ValidationError(f"direction must be 1 or 2, got {direction}")
     t2 = t * t
     t3 = t2 * t
     d1 = 0.25 * (-3.0 + 3.0 * t2)

@@ -761,9 +761,9 @@ class TestModalReports:
         real = quadplate.modal._element_geometry
         calls = []
 
-        def counting(mesh):
-            calls.append(mesh)
-            return real(mesh)
+        def counting(nodes, elements):
+            calls.append(nodes)
+            return real(nodes, elements)
 
         monkeypatch.setattr(quadplate.modal, "_element_geometry", counting)
         case = load_case(name)
@@ -774,7 +774,7 @@ class TestModalReports:
         assert {entry["mesh"] for entry in report.tables["mode_shapes"]} \
             == set(meshes)
         assert len(calls) == len(meshes)
-        assert len({id(mesh) for mesh in calls}) == len(meshes)
+        assert len({id(nodes) for nodes in calls}) == len(meshes)
 
     def test_system_without_geometry_rejected(self):
         # apply_bcs carries assembly's elements and geometry; a hand-built
@@ -1198,6 +1198,52 @@ class TestCli:
         assert main(["modal", "--case", path]) == 2
         assert f"invalid input: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, edit, message", [
+        ("sectprops", lambda doc: doc.update(geometry={"quad": {
+            "vertices": [[float("nan"), 0], [1, 0], [1, 1], [0, 1]]}}),
+         "non-finite vertex coordinate"),
+        ("sectprops", lambda doc: doc.update(geometry={"quad": {
+            "vertices": [[1, 1]] * 4}}),
+         "all vertices coincide"),
+        ("modal", lambda doc: doc.update(geometry={"triangle": {
+            "vertices": [[0, 0], [1, 0.25], [0, 0.5], [0, 1]],
+            "levels": [1]}}),
+         "triangle needs exactly 3 vertices"),
+        ("modal", lambda doc: doc.update(geometry=square_mesh(
+            {}, nodes=([0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]))),
+         "mesh nodes must be an (n, 2) array"),
+        ("modal", lambda doc: doc.update(geometry=square_mesh(
+            {}, elements=([0, 1, 2],))),
+         "mesh elements must be an (m, 4) array"),
+        ("modal", lambda doc: doc.update(geometry=square_mesh(
+            {"edge": ["clamped", [0, 1]]})),
+         "boundary set 'edge' must be a JSON object"),
+        ("modal", lambda doc: doc.update(geometry=square_mesh(
+            {"edge": {"condition": "clamped", "nodes": [0, 7]}})),
+         "boundary set 'edge' references missing node 7"),
+        ("modal", lambda doc: doc["analysis"].update(normalization="bogus"),
+         "unknown normalization 'bogus'"),
+    ], ids=["vertex-nan", "vertices-equal", "triangle-four-vertices",
+            "mesh-node-three-coordinates", "mesh-element-three-nodes",
+            "boundary-set-list", "boundary-node-missing",
+            "normalization-unknown"])
+    def test_malformed_case_exit_two(self, tmp_path, capsys, verb, edit,
+                                     message):
+        # json writes the NaN vertex as its NaN literal, which the case
+        # reader parses
+        assert main([verb, "--case", write_square_case(tmp_path, edit)]) == 2
+        assert capsys.readouterr().err == \
+            f"quadplate: invalid input: {message}\n"
+
+    def test_output_into_missing_directory_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["modal", "--case", write_square_case(tmp_path),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"quadplate: cannot write output: [Errno 2] "
+                                f"No such file or directory: '{out}'\n")
+
     def test_non_finite_mesh_node_exit_two(self, tmp_path, capsys):
         path = write_square_case(tmp_path, lambda doc: doc.update(
             geometry=centered_grid([0.5, float("nan")])))
@@ -1268,7 +1314,7 @@ class TestCli:
         assert "Traceback" not in err
 
     def test_deeply_nested_geometry_exit_two(self, tmp_path, capsys):
-        # within the JSON decoder's nesting limit, beyond deepcopy's
+        # within the JSON decoder's nesting limit, beyond _GEOMETRY_DEPTH
         path = write_square_case(tmp_path, lambda doc: doc.update(geometry={
             "quad": {"vertices": json.loads("[" * 600 + "]" * 600)}}))
         assert main(["sectprops", "--case", path]) == 2

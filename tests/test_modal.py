@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,7 +284,8 @@ class TestAssemble:
             QuadGeometry(TIP, allow_collapsed=True)]
         mesh = Mesh(nodes=np.vstack([q.vertices for q in quads]),
                     elements=np.arange(4 * len(quads)).reshape(-1, 4))
-        _, coeffs, fractions, blocks, _ = _element_geometry(mesh)
+        _, coeffs, fractions, blocks, _ = _element_geometry(mesh.nodes,
+                                                            mesh.elements)
         jac, det = bilinear_jacobians(coeffs, rule.tensor_points)
         t = _transforms(blocks)
         for rotary in (False, True):
@@ -1103,9 +1106,9 @@ def clamp_edges(mesh, edges):
     return mesh
 
 
-def invariance_omega(mesh):
+def invariance_omega(mesh, material=UNIT_MAT):
     """Six omegas of ``mesh`` on the dense path."""
-    reduced = apply_bcs(assemble(mesh, UNIT_MAT, rule=RULE), mesh)
+    reduced = apply_bcs(assemble(mesh, material, rule=RULE), mesh)
     assert reduced.n_dofs <= modal.DENSE_MAX_DOFS
     return solve_modes(reduced, 6).omega
 
@@ -1125,10 +1128,16 @@ def remade(mesh, nodes=None, elements=None, order=None):
     return Mesh(nodes=nodes, elements=elements, boundary_sets=sets)
 
 
+def same_plate(move):
+    """A transform that moves ``mesh`` alone: (its result, the unit
+    material, 1), whose omegas equal the mesh's."""
+    return lambda mesh, rng: (move(mesh, rng), UNIT_MAT, 1.0)
+
+
 def rotated(angle):
     c, s = np.cos(angle), np.sin(angle)
-    return lambda mesh, rng: remade(
-        mesh, nodes=mesh.nodes @ np.array([[c, s], [-s, c]]))
+    return same_plate(lambda mesh, rng: remade(
+        mesh, nodes=mesh.nodes @ np.array([[c, s], [-s, c]])))
 
 
 def rolled_corners(mesh, rng):
@@ -1140,54 +1149,77 @@ def rolled_corners(mesh, rng):
         (np.arange(4) + shift[:, None]) % 4])
 
 
+def mirrored(mesh, rng):
+    # x -> -x, each corner list reversed to stay counterclockwise
+    return remade(mesh, nodes=mesh.nodes * [-1.0, 1.0],
+                  elements=mesh.elements[:, ::-1])
+
+
+def scaled(factor):
+    # omega scales with 1 / length^2
+    return lambda mesh, rng: (remade(mesh, nodes=factor * mesh.nodes),
+                              UNIT_MAT, factor * factor)
+
+
+def stiffened(factor):
+    # omega scales with sqrt(E)
+    return lambda mesh, rng: (remade(mesh), replace(UNIT_MAT, E=factor),
+                              1.0 / np.sqrt(factor))
+
+
+#: Each transform gives the moved mesh, its material and the factor that
+#: takes the moved plate's omegas back to the original's; each belongs to
+#: one relation, which sets its bound on each mesh.
 INVARIANCE_TRANSFORMS = {
-    "rotate-0.3": rotated(0.3),
-    "rotate-1.0": rotated(1.0),
-    "rotate-pi/2": rotated(np.pi / 2),
-    "rotate-2.5": rotated(2.5),
-    "translate": lambda mesh, rng: remade(mesh,
-                                          nodes=mesh.nodes + [1e3, -2e3]),
-    "renumber": lambda mesh, rng: remade(
-        mesh, order=rng.permutation(mesh.n_nodes)),
-    "roll-corners": rolled_corners,
+    "rotate-0.3": ("rigid", rotated(0.3)),
+    "rotate-1.0": ("rigid", rotated(1.0)),
+    "rotate-pi/2": ("rigid", rotated(np.pi / 2)),
+    "rotate-2.5": ("rigid", rotated(2.5)),
+    "translate": ("rigid", same_plate(lambda mesh, rng: remade(
+        mesh, nodes=mesh.nodes + [1e3, -2e3]))),
+    "renumber": ("rigid", same_plate(lambda mesh, rng: remade(
+        mesh, order=rng.permutation(mesh.n_nodes)))),
+    "roll-corners": ("rigid", same_plate(rolled_corners)),
+    "mirror": ("mirror", same_plate(mirrored)),
+    "scale-1e-3": ("scale", scaled(1e-3)),
+    "scale-7": ("scale", scaled(7.0)),
+    "scale-1e3": ("scale", scaled(1e3)),
+    "E-1e-6": ("E", stiffened(1e-6)),
+    "E-1e6": ("E", stiffened(1e6)),
 }
 
-#: Each mesh, and the largest relative change of its omegas that a
-#: transform may cause: ten times the largest measured over the seven
-#: transforms, with BLAS on one thread and on two (the quads 1.2e-12, the
-#: cantilever quad rotated by pi/2; the triangle 4.1e-9, rotated by 0.3).
-#: The triangle's tip is free; with an edge through the tip clamped
-#: instead, its largest change was 4.8e-13.
+#: Per relation, the largest relative change of the omegas that its
+#: transforms may cause: ten times the largest measured, with BLAS on one
+#: thread and on two.  On the quads that was 1.20e-12 (rigid, the
+#: cantilever quad rotated by pi/2), 7.91e-13 (mirror), 1.31e-12 (scale,
+#: by 7) and 8.20e-13 (E, times 1e-6); the clamped quad's changes all
+#: stay below 5e-15.
+QUAD_BOUNDS = {"rigid": 1.2e-11, "mirror": 8.0e-12, "scale": 1.4e-11,
+               "E": 8.3e-12}
+#: The free-tip triangle's: 4.08e-9 (rigid, rotated by 0.3), 2.00e-9
+#: (mirror), 2.82e-9 (scale, by 1e3) and 2.15e-9 (E, times 1e-6).  With
+#: an edge through the tip clamped instead, its largest rigid change was
+#: 4.8e-13.
+TRIANGLE_BOUNDS = {"rigid": 4.1e-8, "mirror": 2.1e-8, "scale": 2.9e-8,
+                   "E": 2.2e-8}
+
+#: Each mesh, and its bounds per relation.
 INVARIANCE_MESHES = {
     "clamped-skew-quad-8x8": (lambda: clamp_edges(mesh_quad(
         [[0, 0], [1, 0], [0.7929, 0.7727], [0.2394, 0.6577]], 8, 8),
-        [0, 1, 2, 3]), 1.2e-11),
+        [0, 1, 2, 3]), QUAD_BOUNDS),
     "cantilever-quad-8x8": (lambda: clamp_edges(mesh_quad(
-        [[0, 0], [1, 0], [1, 1], [0.433, 0.75]], 8, 8), [0]), 1.2e-11),
+        [[0, 0], [1, 0], [1, 1], [0.433, 0.75]], 8, 8), [0]), QUAD_BOUNDS),
     "cantilever-isosceles-level-3": (lambda: clamp_edges(mesh_triangle(
-        [[0, 0], [1, 0.25], [0, 0.5]], 3), [2]), 4.1e-8),
+        [[0, 0], [1, 0.25], [0, 0.5]], 3), [2]), TRIANGLE_BOUNDS),
 }
 
 
-def _invariance_cases():
-    for mesh in INVARIANCE_MESHES:
-        for transform in INVARIANCE_TRANSFORMS:
-            marks = ()
-            if (mesh, transform) == ("cantilever-isosceles-level-3",
-                                     "roll-corners"):
-                marks = pytest.mark.xfail(strict=True, reason=(
-                    "a free collapsed tip keeps each element's natural-frame "
-                    "rotations: tip elements whose corners roll by "
-                    "different amounts share inconsistent DOFs (omega "
-                    "moves by about 9%; CHANGES.md FOUND)"))
-            yield pytest.param(mesh, transform, marks=marks,
-                               id=f"{mesh}-{transform}")
-
-
 class TestMetamorphicInvariance:
-    """Moving a plate rigidly, renumbering its nodes or starting each
-    element's corner list elsewhere leaves its frequencies unchanged, up
-    to rounding (dense path)."""
+    """Moving a plate rigidly, mirroring it, renumbering its nodes or
+    starting each element's corner list elsewhere leaves its frequencies
+    unchanged, and scaling its lengths or E scales them as the plate
+    equation says, up to rounding (dense path)."""
 
     @staticmethod
     @functools.cache
@@ -1195,11 +1227,40 @@ class TestMetamorphicInvariance:
         make, _ = INVARIANCE_MESHES[name]
         return invariance_omega(make())
 
-    @pytest.mark.parametrize("name, transform", _invariance_cases())
+    @pytest.mark.parametrize("transform", INVARIANCE_TRANSFORMS)
+    @pytest.mark.parametrize("name", INVARIANCE_MESHES)
     def test_omega_unchanged(self, name, transform):
-        make, bound = INVARIANCE_MESHES[name]
-        rng = np.random.default_rng(18)
-        moved = INVARIANCE_TRANSFORMS[transform](make(), rng)
+        make, bounds = INVARIANCE_MESHES[name]
+        relation, move = INVARIANCE_TRANSFORMS[transform]
+        moved, material, factor = move(make(), np.random.default_rng(18))
         base = self.base_omega(name)
-        change = np.abs(invariance_omega(moved) - base) / base
-        assert change.max() <= bound, change
+        change = np.abs(invariance_omega(moved, material) * factor - base) \
+            / base
+        assert change.max() <= bounds[relation], change
+
+    def test_tip_corner_rolls_assemble_to_the_generated_bits(self):
+        # a collapsed element is read with its tip at corners 1 and 2, as
+        # generated, whatever corner its list starts at: each of the 64
+        # corner rolls of the free tip's three elements gives the same K,
+        # M and omegas, and the caller's corner lists stay as given
+        mesh = INVARIANCE_MESHES["cantilever-isosceles-level-3"][0]()
+        want = assemble(mesh, UNIT_MAT, rule=RULE)
+        assert want.geometry[0] is mesh.elements
+        omega = solve_modes(apply_bcs(want, mesh), 6).omega
+        tips = np.flatnonzero(mesh.elements[:, 1] == mesh.elements[:, 2])
+        assert tips.size == 3
+        for shifts in itertools.product(range(4), repeat=3):
+            elements = mesh.elements.copy()
+            elements[tips] = mesh.elements[
+                tips[:, None], (np.arange(4) + np.array(shifts)[:, None]) % 4]
+            rolled = remade(mesh, elements=elements.copy())
+            got = assemble(rolled, UNIT_MAT, rule=RULE)
+            assert np.array_equal(rolled.elements, elements)
+            assert np.array_equal(got.geometry[0], mesh.elements)
+            for a, b in ((got.k, want.k), (got.m, want.m)):
+                assert np.array_equal(a.indptr, b.indptr)
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.data.view(np.uint64),
+                                      b.data.view(np.uint64)), shifts
+            assert np.array_equal(
+                solve_modes(apply_bcs(got, rolled), 6).omega, omega)
